@@ -12,7 +12,9 @@
 //! Rows come in pairs where it matters: `X` runs the public wrapper
 //! (throwaway workspace per call), `X-ctx` reuses one [`CarveCtx`]
 //! across iterations — the carving analogue of the engine's session
-//! rows. `BENCH_carve.json` records the committed pre→post baseline.
+//! rows. `ggr21-weak-ctx` isolates the weak-carving layer: one
+//! full-graph GGR21 carving at the Theorem 2.1 inner boundary.
+//! `BENCH_carve.json` records the committed pre→post baseline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sdnd_bench::env_usize;
@@ -20,6 +22,7 @@ use sdnd_clustering::{validate_carving, validate_carving_in, BallCarving, CarveC
 use sdnd_congest::RoundLedger;
 use sdnd_core::{sparse_cut, Params, Theorem22Carver, Theorem33Carver};
 use sdnd_graph::{gen, Graph, NodeSet};
+use sdnd_weak::Rg20;
 
 fn graphs() -> Vec<(String, Graph)> {
     let n_max = env_usize("SDND_N", 1024);
@@ -85,6 +88,17 @@ fn bench_carve(c: &mut Criterion) {
                 let mut l = RoundLedger::new();
                 Theorem22Carver::new(params.clone())
                     .carve_strong_in(g, &alive, 0.5, &mut l, &mut ctx)
+            })
+        });
+
+        // The weak carver alone: full-graph GGR21 at the Theorem 2.1
+        // inner boundary, the call that dominates a cold decompose.
+        group.bench_with_input(BenchmarkId::new("ggr21-weak-ctx", &name), &g, |b, g| {
+            let eps = params.inner_eps(0.5, g.n());
+            let mut ctx = CarveCtx::new();
+            b.iter(|| {
+                let mut l = RoundLedger::new();
+                Rg20::ggr21().carve_in(g, &alive, eps, &mut l, &mut ctx)
             })
         });
 

@@ -33,5 +33,5 @@ mod rg20;
 mod rg20_edge;
 
 pub use ls93::Ls93;
-pub use rg20::{Rg20, Rg20Config};
+pub use rg20::Rg20;
 pub use rg20_edge::Rg20Edge;

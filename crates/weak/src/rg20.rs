@@ -32,43 +32,38 @@
 //! agree on the processed bits, and the phase-end guarantee (no blue–red
 //! adjacency) extends the agreement to the current bit. After the last
 //! phase, adjacent nodes agree on every bit — i.e. they share a label.
+//!
+//! # Run state
+//!
+//! All bookkeeping is dense: a per-node current-root array (a cluster's
+//! label is its root's identifier), tree records indexed by the root's
+//! node index, edge congestion counts at CSR edge slots, and one
+//! `(root, node)` table for tree membership and entry depths. Requests are grouped by a stable sort on label. The
+//! GGR21 rebuild runs a distance-only workspace BFS and recovers the
+//! CONGEST BFS kernel's minimum-index parents only along root-to-member
+//! paths. Every loop visits trees in ascending label order, so outputs
+//! and charged rounds are the same on every call.
 
 use sdnd_clustering::{
     BallCarving, Cancelled, CarveCtx, SteinerForest, SteinerTree, WeakCarver, WeakCarving,
 };
 use sdnd_congest::{bits_for_value, RoundLedger};
+use sdnd_graph::algo::bfs_bounded_in;
 use sdnd_graph::{Graph, NodeId, NodeSet};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
-/// One rebuilt Steiner tree: `(label, parent/depth entries, new depth)`.
-type TreeRebuild = (u64, HashMap<u32, (Option<NodeId>, u32)>, u32);
-
-/// Tuning knobs for [`Rg20`].
-#[derive(Debug, Clone, Copy)]
-pub struct Rg20Config {
-    /// Rebuild Steiner trees after each phase with a truncated BFS (the
-    /// GGR21-style depth improvement).
-    pub rebuild_trees: bool,
-    /// Only trees deeper than this are rebuilt (rebuilding is pointless
-    /// for shallow trees and singletons).
-    pub rebuild_depth_threshold: u32,
-}
-
-impl Default for Rg20Config {
-    fn default() -> Self {
-        Rg20Config {
-            rebuild_trees: false,
-            rebuild_depth_threshold: 4,
-        }
-    }
-}
+/// The GGR21 variant rebuilds only trees deeper than this (rebuilding is
+/// pointless for shallow trees and singletons).
+const REBUILD_DEPTH_THRESHOLD: u32 = 4;
 
 /// The RG20 deterministic weak-diameter ball carver (see module docs).
 #[derive(Debug, Clone)]
 pub struct Rg20 {
-    config: Rg20Config,
-    name: &'static str,
+    /// Rebuild Steiner trees after each phase with a truncated BFS (the
+    /// GGR21-style depth improvement).
+    rebuild_trees: bool,
 }
 
 impl Rg20 {
@@ -78,27 +73,14 @@ impl Rg20 {
     #[allow(clippy::self_named_constructors)]
     pub fn rg20() -> Self {
         Rg20 {
-            config: Rg20Config::default(),
-            name: "rg20",
+            rebuild_trees: false,
         }
     }
 
     /// The GGR21-style variant with per-phase tree rebuilding.
     pub fn ggr21() -> Self {
         Rg20 {
-            config: Rg20Config {
-                rebuild_trees: true,
-                ..Rg20Config::default()
-            },
-            name: "ggr21",
-        }
-    }
-
-    /// A custom configuration (named `rg20-custom` in reports).
-    pub fn with_config(config: Rg20Config) -> Self {
-        Rg20 {
-            config,
-            name: "rg20-custom",
+            rebuild_trees: true,
         }
     }
 }
@@ -109,13 +91,42 @@ impl Default for Rg20 {
     }
 }
 
-/// Per-cluster bookkeeping during the run.
-struct TreeData {
-    root: NodeId,
-    /// node index → (parent edge if non-root, depth in tree).
-    entries: HashMap<u32, (Option<NodeId>, u32)>,
+/// Multiplicative (Fibonacci) hash of one packed `(root, node)` key,
+/// rotated so the well-mixed high product bits pick the bucket. Keys
+/// are node-index pairs the run creates itself, so SipHash's resistance
+/// to crafted collisions buys nothing here.
+#[derive(Default)]
+struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("tree entry keys hash as one u64")
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(26);
+    }
+}
+
+/// Tree membership: `key(root, node)` → depth, for every non-root entry
+/// of every tree.
+type EntryDepths = HashMap<u64, u32, BuildHasherDefault<PairHasher>>;
+
+fn key(root: NodeId, v: NodeId) -> u64 {
+    u64::from(u32::from(root)) << 32 | u64::from(u32::from(v))
+}
+
+/// Per-cluster bookkeeping, indexed by the root's node index.
+#[derive(Default)]
+struct Tree {
+    /// Non-root entries `(node, parent)`; depths live in [`EntryDepths`].
+    edges: Vec<(NodeId, NodeId)>,
     /// Current number of members (terminals).
-    members: u64,
+    members: u32,
     /// Deepest entry.
     depth: u32,
     /// Whether the tree or its member set changed since the last
@@ -125,17 +136,35 @@ struct TreeData {
     dirty: bool,
 }
 
-impl TreeData {
-    fn singleton(root: NodeId) -> Self {
-        let mut entries = HashMap::new();
-        entries.insert(u32::from(root), (None, 0));
-        TreeData {
-            root,
-            entries,
-            members: 1,
-            depth: 0,
-            dirty: true,
-        }
+impl Tree {
+    /// Number of entries, root included.
+    fn len(&self) -> u64 {
+        self.edges.len() as u64 + 1
+    }
+}
+
+/// Edge congestion: the number of trees using each edge, stored at the
+/// CSR slot of the edge's `min → max` orientation.
+struct Congestion {
+    uses: Vec<u32>,
+    /// High-water mark of `uses`.
+    max: u32,
+}
+
+impl Congestion {
+    fn slot(g: &Graph, a: NodeId, b: NodeId) -> usize {
+        g.directed_edge(a.min(b), a.max(b))
+            .expect("tree edges are graph edges")
+    }
+
+    fn add(&mut self, g: &Graph, a: NodeId, b: NodeId) {
+        let c = &mut self.uses[Self::slot(g, a, b)];
+        *c += 1;
+        self.max = self.max.max(*c);
+    }
+
+    fn remove(&mut self, g: &Graph, a: NodeId, b: NodeId) {
+        self.uses[Self::slot(g, a, b)] -= 1;
     }
 }
 
@@ -143,82 +172,80 @@ struct Run<'g> {
     g: &'g Graph,
     input: NodeSet,
     alive: NodeSet,
-    /// Current label per node (valid only for input nodes).
-    label: Vec<u64>,
-    trees: HashMap<u64, TreeData>,
-    /// Edge congestion tracker: normalized edge → #trees using it.
-    edge_use: HashMap<(u32, u32), u32>,
-    max_congestion: u32,
+    /// Root of each node's current cluster (valid only for input nodes).
+    root: Vec<NodeId>,
+    trees: Vec<Tree>,
+    depths: EntryDepths,
+    congestion: Congestion,
     max_depth: u32,
     id_bits: u32,
 }
 
 impl<'g> Run<'g> {
     fn new(g: &'g Graph, alive0: &NodeSet) -> Self {
-        let mut label = vec![0u64; g.n()];
-        let mut trees = HashMap::with_capacity(alive0.len());
+        let mut trees: Vec<Tree> = std::iter::repeat_with(Tree::default).take(g.n()).collect();
         for v in alive0.iter() {
-            let id = g.id_of(v);
-            label[v.index()] = id;
-            trees.insert(id, TreeData::singleton(v));
+            trees[v.index()] = Tree {
+                members: 1,
+                dirty: true,
+                ..Tree::default()
+            };
         }
         Run {
             g,
             input: alive0.clone(),
             alive: alive0.clone(),
-            label,
+            root: g.nodes().collect(),
             trees,
-            edge_use: HashMap::new(),
-            max_congestion: 0,
+            depths: EntryDepths::with_capacity_and_hasher(alive0.len(), Default::default()),
+            congestion: Congestion {
+                uses: vec![0; g.directed_edges()],
+                max: 0,
+            },
             max_depth: 0,
             id_bits: g.id_bits(),
         }
     }
 
-    fn is_red(&self, v: NodeId, bit: u32) -> bool {
-        self.label[v.index()] >> bit & 1 == 1
+    /// The label of `v`'s cluster: its root's identifier.
+    fn label(&self, v: NodeId) -> u64 {
+        self.g.id_of(self.root[v.index()])
     }
 
-    fn add_tree_edge(&mut self, v: NodeId, p: NodeId) {
-        let (a, b) = (
-            u32::from(v).min(u32::from(p)),
-            u32::from(v).max(u32::from(p)),
-        );
-        let c = self.edge_use.entry((a, b)).or_insert(0);
-        *c += 1;
-        self.max_congestion = self.max_congestion.max(*c);
+    fn is_red(&self, v: NodeId, bit: u32) -> bool {
+        self.label(v) >> bit & 1 == 1
+    }
+
+    /// Depth of `v` in the tree rooted at `r`, or `None` if `v` is not
+    /// in that tree.
+    fn depth_in(&self, r: NodeId, v: NodeId) -> Option<u32> {
+        if v == r {
+            Some(0)
+        } else {
+            self.depths.get(&key(r, v)).copied()
+        }
     }
 
     /// Collects the requests of one step: for every alive blue node in
     /// `candidates` adjacent to an alive red member, the chosen target
-    /// `(label, gateway neighbor)`.
-    fn collect_requests(
-        &self,
-        bit: u32,
-        candidates: impl Iterator<Item = NodeId>,
-    ) -> Vec<(NodeId, u64, NodeId)> {
+    /// `(label, requester, gateway neighbor)`.
+    fn collect_requests(&self, bit: u32, candidates: &[NodeId]) -> Vec<(u64, NodeId, NodeId)> {
         let mut requests = Vec::new();
-        for v in candidates {
+        for &v in candidates {
             if !self.alive.contains(v) || self.is_red(v, bit) {
                 continue;
             }
             let mut best: Option<(u64, NodeId)> = None;
-            for w in self.g.neighbors(v) {
-                if !self.alive.contains(*w) || !self.is_red(*w, bit) {
-                    continue;
-                }
-                let lw = self.label[w.index()];
-                match best {
-                    None => best = Some((lw, *w)),
-                    Some((bl, bw)) => {
-                        if (lw, *w) < (bl, bw) {
-                            best = Some((lw, *w));
-                        }
+            for &w in self.g.neighbors(v) {
+                if self.alive.contains(w) && self.is_red(w, bit) {
+                    let target = (self.label(w), w);
+                    if best.is_none_or(|b| target < b) {
+                        best = Some(target);
                     }
                 }
             }
             if let Some((l, w)) = best {
-                requests.push((v, l, w));
+                requests.push((l, v, w));
             }
         }
         requests
@@ -245,55 +272,48 @@ impl<'g> Run<'g> {
 
         loop {
             ctx.checkpoint("rg20-growth-step")?;
-            let requests = self.collect_requests(bit, candidates.iter().copied());
+            let mut requests = self.collect_requests(bit, &candidates);
             if requests.is_empty() {
                 break;
             }
             steps += 1;
             assert!(steps <= step_cap, "RG20 phase failed to terminate");
 
-            // Group requests by target label.
-            let mut by_label: HashMap<u64, Vec<(NodeId, NodeId)>> = HashMap::new();
-            for (v, l, w) in requests {
-                by_label.entry(l).or_default().push((v, w));
-            }
+            // Group requests by target label, ascending; the stable sort
+            // keeps each group in requester order.
+            requests.sort_by_key(|&(l, _, _)| l);
+            let by_label = || requests.chunk_by(|a, b| a.0 == b.0);
 
             // Cost of the step: one request round, one converge-cast and
             // one decision broadcast over the requested trees (depth x
             // congestion, the paper's costing), one label-announce round.
             let b = self.id_bits;
-            let mut tree_msgs = 0u64;
-            let mut request_count = 0u64;
-            for (l, reqs) in &by_label {
-                request_count += reqs.len() as u64;
-                tree_msgs += 2 * self.trees[l].entries.len() as u64;
-            }
+            let tree_msgs: u64 = by_label()
+                .map(|reqs| 2 * self.trees[self.root[reqs[0].2.index()].index()].len())
+                .sum();
             ledger.charge_rounds(2);
             ledger.charge_rounds(
-                2 * self.max_depth.max(1) as u64 * self.max_congestion.max(1) as u64,
+                2 * self.max_depth.max(1) as u64 * self.congestion.max.max(1) as u64,
             );
-            ledger.record_messages(request_count, 2 * b);
+            ledger.record_messages(requests.len() as u64, 2 * b);
             ledger.record_messages(tree_msgs, 2 * b);
 
             // Decisions and applications.
             let mut exposed: Vec<NodeId> = Vec::new();
-            let mut labels: Vec<u64> = by_label.keys().copied().collect();
-            labels.sort_unstable();
-            for l in labels {
-                let reqs = &by_label[&l];
-                let cluster_size = self.trees[&l].members;
-                let accept = reqs.len() as f64 >= eps_p * cluster_size as f64;
+            for reqs in by_label() {
+                let r = self.root[reqs[0].2.index()];
+                let accept = reqs.len() as f64 >= eps_p * f64::from(self.trees[r.index()].members);
                 if accept {
-                    for &(v, w) in reqs {
-                        self.join(v, l, w);
+                    for &(_, v, w) in reqs {
+                        self.join(v, r, w);
                         exposed.push(v);
                     }
                     // Announce the new labels (one round, already charged;
                     // messages to each neighbor).
-                    let announce: u64 = reqs.iter().map(|&(v, _)| self.g.degree(v) as u64).sum();
+                    let announce: u64 = reqs.iter().map(|&(_, v, _)| self.g.degree(v) as u64).sum();
                     ledger.record_messages(announce, b);
                 } else {
-                    for &(v, _) in reqs {
+                    for &(_, v, _) in reqs {
                         self.kill(v);
                     }
                 }
@@ -302,9 +322,7 @@ impl<'g> Run<'g> {
             // Next step's candidates: neighbors of newly joined nodes.
             let mut next: Vec<NodeId> = Vec::new();
             for &v in &exposed {
-                for w in self.g.neighbors(v) {
-                    next.push(*w);
-                }
+                next.extend_from_slice(self.g.neighbors(v));
             }
             next.sort_unstable();
             next.dedup();
@@ -313,145 +331,122 @@ impl<'g> Run<'g> {
         Ok(steps)
     }
 
-    /// Moves `v` into the cluster labelled `l` via gateway `w`.
-    fn join(&mut self, v: NodeId, l: u64, w: NodeId) {
-        let old = self.label[v.index()];
-        debug_assert_ne!(old, l);
-        if let Some(t) = self.trees.get_mut(&old) {
-            t.members -= 1;
-            t.dirty = true;
-            // v stays in the old tree as a helper.
-        }
-        self.label[v.index()] = l;
-        let w_depth = self.trees[&l].entries[&u32::from(w)].1;
-        let t = self.trees.get_mut(&l).expect("target cluster exists");
+    /// Moves `v` into the cluster rooted at `r` via gateway `w`.
+    fn join(&mut self, v: NodeId, r: NodeId, w: NodeId) {
+        let old = &mut self.trees[self.root[v.index()].index()];
+        debug_assert_ne!(self.root[v.index()], r);
+        // v stays in the old tree as a helper.
+        old.members -= 1;
+        old.dirty = true;
+        self.root[v.index()] = r;
+        let d = self.depth_in(r, w).expect("gateway is in the target tree") + 1;
+        let t = &mut self.trees[r.index()];
         t.members += 1;
         t.dirty = true;
-        if let Entry::Vacant(entry) = t.entries.entry(u32::from(v)) {
-            let d = w_depth + 1;
-            entry.insert((Some(w), d));
-            if d > t.depth {
-                t.depth = d;
+        // If v is already r itself or a helper in r's tree, its old
+        // attachment is reused — no new edge, no depth change.
+        if v != r {
+            if let Entry::Vacant(entry) = self.depths.entry(key(r, v)) {
+                entry.insert(d);
+                t.edges.push((v, w));
+                t.depth = t.depth.max(d);
+                self.max_depth = self.max_depth.max(t.depth);
+                self.congestion.add(self.g, v, w);
             }
-            let new_depth = t.depth;
-            self.max_depth = self.max_depth.max(new_depth);
-            self.add_tree_edge(v, w);
         }
-        // If v was already a helper in l's tree, its old attachment is
-        // reused — no new edge, no depth change.
     }
 
     /// Kills `v` (declined requester). It stays a helper in its tree.
     fn kill(&mut self, v: NodeId) {
-        let old = self.label[v.index()];
-        if let Some(t) = self.trees.get_mut(&old) {
-            t.members -= 1;
-            t.dirty = true;
-        }
+        let t = &mut self.trees[self.root[v.index()].index()];
+        t.members -= 1;
+        t.dirty = true;
         self.alive.remove(v);
     }
 
     /// GGR21-style rebuild: replace deep trees with truncated BFS trees
     /// from their roots over the *input* set (dead nodes may serve as
     /// helpers, exactly as the incremental trees allow).
+    ///
+    /// Trees are swapped in ascending label order, so the congestion
+    /// high-water mark the swaps raise — and with it the charged rounds
+    /// — is the same on every call.
     fn rebuild_trees(
         &mut self,
-        threshold: u32,
         ledger: &mut RoundLedger,
         ctx: &mut CarveCtx,
     ) -> Result<(), Cancelled> {
-        let labels: Vec<u64> = self
-            .trees
+        let picked = |t: &Tree| t.dirty && t.members >= 2 && t.depth > REBUILD_DEPTH_THRESHOLD;
+        // The members of every rebuilt tree, grouped by label; the stable
+        // sort keeps each group in ascending node order.
+        let mut members: Vec<(u64, NodeId)> = self
+            .alive
             .iter()
-            .filter(|(_, t)| t.dirty && t.members >= 2 && t.depth > threshold)
-            .map(|(&l, _)| l)
+            .filter(|v| picked(&self.trees[self.root[v.index()].index()]))
+            .map(|v| (self.label(v), v))
             .collect();
-        if labels.is_empty() {
+        if members.is_empty() {
             return Ok(());
         }
-        // One pass over the alive set groups the members of every
-        // rebuilt label (instead of one O(n) scan per label).
-        let mut members_of: HashMap<u64, Vec<NodeId>> = HashMap::with_capacity(labels.len());
-        for &l in &labels {
-            members_of.insert(l, Vec::new());
-        }
-        for v in self.alive.iter() {
-            if let Some(ms) = members_of.get_mut(&self.label[v.index()]) {
-                ms.push(v);
-            }
-        }
-        // Pass 1: compute the replacement trees (immutable borrows only).
-        let mut replacements: Vec<TreeRebuild> = Vec::new();
-        {
-            let view = self.g.view(&self.input);
-            for &l in &labels {
-                ctx.checkpoint("rg20-tree-rebuild")?;
-                let root = self.trees[&l].root;
-                let members = &members_of[&l];
-                let mut scratch = RoundLedger::new();
-                // Every member is a terminal of the old tree, whose
-                // root-to-member paths are real edges in the input view,
-                // so all members lie within the old depth of the root —
-                // the BFS can truncate there instead of flooding the
-                // whole component (distances and min-index parents within
-                // the bound are unaffected by truncation).
-                let bfs = sdnd_congest::primitives::bfs_in(
-                    &view,
-                    [root],
-                    self.trees[&l].depth,
-                    &mut scratch,
-                    &mut ctx.ws,
-                );
-                // Prune to the union of root-to-member paths.
-                let mut entries: HashMap<u32, (Option<NodeId>, u32)> = HashMap::new();
-                entries.insert(u32::from(root), (None, 0));
-                let mut depth = 0u32;
-                for &m in members {
-                    debug_assert!(bfs.reached(m), "member must be reachable from root");
-                    depth = depth.max(bfs.dist(m));
-                    let mut cur = m;
-                    while !entries.contains_key(&u32::from(cur)) {
-                        let p = bfs.parent(cur).expect("non-root reached node has parent");
-                        entries.insert(u32::from(cur), (Some(p), bfs.dist(cur)));
-                        cur = p;
-                    }
-                }
-                replacements.push((l, entries, depth));
-            }
-        }
+        members.sort_by_key(|&(l, _)| l);
 
-        // Pass 2: swap trees and edge-use counts.
+        let g = self.g;
+        let view = g.view(&self.input);
         let mut max_new_depth = 0u64;
         let mut rebuild_msgs = 0u64;
-        for (l, entries, depth) in replacements {
-            let old = self.trees.get_mut(&l).expect("tree exists");
-            let old_entries = std::mem::take(&mut old.entries);
-            old.depth = depth;
-            old.dirty = false;
-            for (&vi, &(p, _)) in &old_entries {
-                if let Some(p) = p {
-                    let key = (vi.min(u32::from(p)), vi.max(u32::from(p)));
-                    if let Some(c) = self.edge_use.get_mut(&key) {
-                        *c -= 1;
-                    }
+        for group in members.chunk_by(|a, b| a.0 == b.0) {
+            ctx.checkpoint("rg20-tree-rebuild")?;
+            let r = self.root[group[0].1.index()];
+            let tree = &mut self.trees[r.index()];
+            let mut edges = std::mem::take(&mut tree.edges);
+            for &(v, p) in &edges {
+                self.congestion.remove(g, v, p);
+                self.depths.remove(&key(r, v));
+            }
+            edges.clear();
+            // Every member is a terminal of the old tree, whose
+            // root-to-member paths are real edges in the input view, so
+            // all members lie within the old depth of the root — the BFS
+            // can truncate there instead of flooding the whole component.
+            let bfs = bfs_bounded_in(&mut ctx.ws, &view, [r], tree.depth);
+            // Prune to the union of root-to-member paths. Each path node
+            // takes the minimum-index input neighbor one layer closer
+            // (the first one in its sorted adjacency): the parent the
+            // CONGEST BFS kernel picks.
+            let mut depth = 0u32;
+            for &(_, m) in group {
+                debug_assert!(bfs.reached(m), "member must be reachable from root");
+                depth = depth.max(bfs.dist(m));
+                let mut cur = m;
+                while cur != r {
+                    let Entry::Vacant(entry) = self.depths.entry(key(r, cur)) else {
+                        break;
+                    };
+                    let d = bfs.dist(cur);
+                    let p = *g
+                        .neighbors(cur)
+                        .iter()
+                        .find(|&&x| bfs.dist(x) == d - 1)
+                        .expect("non-root reached node has a parent");
+                    entry.insert(d);
+                    edges.push((cur, p));
+                    self.congestion.add(g, cur, p);
+                    cur = p;
                 }
             }
-            rebuild_msgs += entries.len() as u64;
+            tree.edges = edges;
+            tree.depth = depth;
+            tree.dirty = false;
+            rebuild_msgs += tree.len();
             max_new_depth = max_new_depth.max(depth as u64);
-            for (&vi, &(p, _)) in &entries {
-                if let Some(p) = p {
-                    self.add_tree_edge(NodeId::new(vi as usize), p);
-                }
-            }
-            self.trees.get_mut(&l).expect("tree exists").entries = entries;
         }
         // Parallel truncated BFS over all rebuilt clusters, congested.
-        ledger.charge_rounds(2 * max_new_depth * self.max_congestion.max(1) as u64);
+        ledger.charge_rounds(2 * max_new_depth * self.congestion.max.max(1) as u64);
         ledger.record_messages(rebuild_msgs, 2 * self.id_bits);
         // Depth high-water mark resets to the current maximum.
         self.max_depth = self
             .trees
-            .values()
+            .iter()
             .filter(|t| t.members > 0)
             .map(|t| t.depth)
             .max()
@@ -459,35 +454,20 @@ impl<'g> Run<'g> {
         Ok(())
     }
 
-    /// Final clusters and forest.
-    fn finish(self) -> WeakCarving {
-        let mut clusters_by_label: HashMap<u64, Vec<NodeId>> = HashMap::new();
-        for v in self.alive.iter() {
-            clusters_by_label
-                .entry(self.label[v.index()])
-                .or_default()
-                .push(v);
-        }
-        let mut labels: Vec<u64> = clusters_by_label.keys().copied().collect();
-        labels.sort_unstable();
+    /// Final clusters (ascending label) and forest.
+    fn finish(mut self) -> WeakCarving {
+        let mut by_label: Vec<(u64, NodeId)> =
+            self.alive.iter().map(|v| (self.label(v), v)).collect();
+        by_label.sort_by_key(|&(l, _)| l);
 
-        let mut clusters = Vec::with_capacity(labels.len());
-        let mut trees = Vec::with_capacity(labels.len());
-        for l in labels {
-            let members = clusters_by_label.remove(&l).expect("label present");
-            let data = &self.trees[&l];
-            let mut tree = SteinerTree::singleton(data.root);
-            let mut pairs: Vec<(u32, NodeId)> = data
-                .entries
-                .iter()
-                .filter_map(|(&vi, &(p, _))| p.map(|p| (vi, p)))
-                .collect();
-            pairs.sort_unstable();
-            for (vi, p) in pairs {
-                tree.attach(NodeId::new(vi as usize), p);
-            }
-            clusters.push(members);
-            trees.push(tree);
+        let mut clusters = Vec::new();
+        let mut trees = Vec::new();
+        for group in by_label.chunk_by(|a, b| a.0 == b.0) {
+            let r = self.root[group[0].1.index()];
+            let mut parents = std::mem::take(&mut self.trees[r.index()].edges);
+            parents.sort_unstable();
+            clusters.push(group.iter().map(|&(_, v)| v).collect());
+            trees.push(SteinerTree::from_parents(r, parents));
         }
         let carving =
             BallCarving::new(self.input, clusters).expect("label classes partition the alive set");
@@ -551,8 +531,8 @@ impl Rg20 {
         for bit in (0..b).rev() {
             ctx.checkpoint("rg20-bit-phase")?;
             run.phase(bit, eps_p, ledger, ctx)?;
-            if self.config.rebuild_trees {
-                run.rebuild_trees(self.config.rebuild_depth_threshold, ledger, ctx)?;
+            if self.rebuild_trees {
+                run.rebuild_trees(ledger, ctx)?;
             }
         }
         let out = run.finish();
@@ -591,7 +571,11 @@ impl WeakCarver for Rg20 {
     }
 
     fn name(&self) -> &'static str {
-        self.name
+        if self.rebuild_trees {
+            "ggr21"
+        } else {
+            "rg20"
+        }
     }
 }
 
