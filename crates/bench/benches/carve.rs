@@ -14,6 +14,9 @@
 //! across iterations — the carving analogue of the engine's session
 //! rows. `ggr21-weak-ctx` isolates the weak-carving layer: one
 //! full-graph GGR21 carving at the Theorem 2.1 inner boundary.
+//! `thm3.4-decompose-ctx` runs on every graph, the largest grid
+//! included, because its Lemma 3.1 phase is the tail of a cold
+//! decompose.
 //! `BENCH_carve.json` records the committed pre→post baseline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -117,6 +120,20 @@ fn bench_carve(c: &mut Criterion) {
                 b.iter(|| {
                     let mut l = RoundLedger::new();
                     sdnd_core::decompose_strong_with_in(g, &params, &mut l, &mut ctx)
+                })
+            },
+        );
+
+        // Theorem 3.4 on every graph, the largest grid included: the
+        // cold decompose whose Lemma 3.1 phase sets the serve tail.
+        group.bench_with_input(
+            BenchmarkId::new("thm3.4-decompose-ctx", &name),
+            &g,
+            |b, g| {
+                let mut ctx = CarveCtx::new();
+                b.iter(|| {
+                    let mut l = RoundLedger::new();
+                    sdnd_core::decompose_strong_improved_with_in(g, &params, &mut l, &mut ctx)
                 })
             },
         );

@@ -8,45 +8,60 @@
 //! (children in index order). Total cost: `2 · height` rounds and two
 //! messages per tree edge.
 //!
-//! The fast path computes ranks centrally and charges exactly that cost;
-//! its building blocks (converge-cast, broadcast) are kernel-validated in
+//! The fast path computes the tree's DFS pre-order once
+//! ([`SubsetDfsRanks::new`]) and ranks every subset along it
+//! ([`SubsetDfsRanks::ranked`]), charging exactly that cost per subset.
+//! Its building blocks (converge-cast, broadcast) are kernel-validated in
 //! [`super::tree`], and the rank computation itself is pure tree algebra
-//! validated against [`sdnd_graph::algo::dfs_order_of_tree`].
+//! over [`sdnd_graph::algo::dfs_order_of_tree`].
 
-use super::tree::tree_shape;
 use crate::{bits_for_value, RoundLedger};
-use sdnd_graph::{algo, Adjacency, NodeId, NodeSet};
+use sdnd_graph::algo::{self, TreeOrder};
+use sdnd_graph::{Adjacency, NodeId, NodeSet};
 
-/// Computes, for every member of `members` that lies in the tree rooted
-/// at `root`, its 0-based rank in the DFS pre-order of the tree
-/// restricted to `members`. Non-members and nodes outside the tree get
-/// `None`.
-///
-/// Charges `2 · height` rounds and `2 · (tree size - 1)` messages of
-/// `2 log n` bits (subtree count up, prefix offset down).
-pub fn subset_dfs_ranks<A: Adjacency>(
-    view: &A,
-    root: NodeId,
-    parent: &[Option<NodeId>],
-    members: &NodeSet,
-    ledger: &mut RoundLedger,
-) -> Vec<Option<u32>> {
-    let n = view.universe();
-    let shape = tree_shape(n, root, parent);
-    let msg_bits = 2 * bits_for_value(n.max(2) as u64 - 1);
-    ledger.charge_rounds(2 * shape.height as u64);
-    ledger.record_messages(2 * (shape.order.len() as u64 - 1), msg_bits);
+/// The DFS pre-order of a rooted tree (every node whose parent chain
+/// reaches the root), computed once and used to rank any number of
+/// member subsets.
+#[derive(Debug, Clone)]
+pub struct SubsetDfsRanks {
+    order: TreeOrder,
+    msg_bits: u32,
+}
 
-    let order = algo::dfs_order_of_tree(n, root, parent);
-    let mut ranks = vec![None; n];
-    let mut next = 0u32;
-    for &v in order.order() {
-        if members.contains(v) {
-            ranks[v.index()] = Some(next);
-            next += 1;
+impl SubsetDfsRanks {
+    /// Builds the pre-order of the tree rooted at `root`.
+    pub fn new<A: Adjacency>(view: &A, root: NodeId, parent: &[Option<NodeId>]) -> Self {
+        let n = view.universe();
+        SubsetDfsRanks {
+            order: algo::dfs_order_of_tree(n, root, parent),
+            msg_bits: 2 * bits_for_value(n.max(2) as u64 - 1),
         }
     }
-    ranks
+
+    /// Height of the tree (maximum depth, 0 for a singleton).
+    pub fn height(&self) -> u32 {
+        self.order.height()
+    }
+
+    /// The members of `members` that lie in the tree, in the DFS
+    /// pre-order of the tree restricted to them: the `r`-th item has rank
+    /// `r`. Non-members and nodes outside the tree are skipped.
+    ///
+    /// Charges `2 · height` rounds and `2 · (tree size - 1)` messages of
+    /// `2 log n` bits (subtree count up, prefix offset down).
+    pub fn ranked<'a>(
+        &'a self,
+        members: &'a NodeSet,
+        ledger: &mut RoundLedger,
+    ) -> impl Iterator<Item = NodeId> + 'a {
+        ledger.charge_rounds(2 * self.height() as u64);
+        ledger.record_messages(2 * (self.order.order().len() as u64 - 1), self.msg_bits);
+        self.order
+            .order()
+            .iter()
+            .copied()
+            .filter(|&v| members.contains(v))
+    }
 }
 
 #[cfg(test)]
@@ -67,17 +82,9 @@ mod tests {
         ];
         let members = NodeSet::from_nodes(5, [0, 2, 4].map(NodeId::new));
         let mut ledger = RoundLedger::new();
-        let ranks = subset_dfs_ranks(
-            &g.full_view(),
-            NodeId::new(0),
-            &parent,
-            &members,
-            &mut ledger,
-        );
-        assert_eq!(ranks[0], Some(0));
-        assert_eq!(ranks[1], None);
-        assert_eq!(ranks[2], Some(1));
-        assert_eq!(ranks[4], Some(2));
+        let tree = SubsetDfsRanks::new(&g.full_view(), NodeId::new(0), &parent);
+        let ranked: Vec<NodeId> = tree.ranked(&members, &mut ledger).collect();
+        assert_eq!(ranked, [0, 2, 4].map(NodeId::new));
         // Star has height 1: 2 rounds, 8 messages.
         assert_eq!(ledger.rounds(), 2);
         assert_eq!(ledger.messages(), 8);
@@ -88,40 +95,49 @@ mod tests {
         let g = gen::path(6);
         let mut bfs_ledger = RoundLedger::new();
         let bfs = super::super::bfs(&g.full_view(), [NodeId::new(0)], u32::MAX, &mut bfs_ledger);
-        let members = NodeSet::full(6);
         let mut ledger = RoundLedger::new();
-        let ranks = subset_dfs_ranks(
-            &g.full_view(),
-            NodeId::new(0),
-            bfs.parents(),
-            &members,
-            &mut ledger,
-        );
-        for (i, r) in ranks.iter().enumerate().take(6) {
-            assert_eq!(*r, Some(i as u32));
-        }
+        let tree = SubsetDfsRanks::new(&g.full_view(), NodeId::new(0), bfs.parents());
+        assert_eq!(tree.height(), 5);
+        let ranked: Vec<NodeId> = tree.ranked(&NodeSet::full(6), &mut ledger).collect();
+        assert_eq!(ranked, (0..6).map(NodeId::new).collect::<Vec<_>>());
         assert_eq!(ledger.rounds(), 2 * 5);
     }
 
     #[test]
-    fn splitting_by_rank_halves_members() {
+    fn one_tree_ranks_many_subsets() {
+        // Subset rankings restrict the full pre-order, and each pays its
+        // own two passes over the height-4 tree.
         let g = gen::grid(5, 5);
         let mut l0 = RoundLedger::new();
         let bfs = super::super::bfs(&g.full_view(), [NodeId::new(12)], u32::MAX, &mut l0);
-        let members = NodeSet::from_nodes(25, (0..25).step_by(2).map(NodeId::new));
+        let tree = SubsetDfsRanks::new(&g.full_view(), NodeId::new(12), bfs.parents());
         let mut ledger = RoundLedger::new();
-        let ranks = subset_dfs_ranks(
-            &g.full_view(),
-            NodeId::new(12),
-            bfs.parents(),
-            &members,
-            &mut ledger,
-        );
-        let total = members.len() as u32;
-        let first_half: Vec<NodeId> = members
-            .iter()
-            .filter(|&v| ranks[v.index()].is_some_and(|r| r < total / 2))
-            .collect();
-        assert_eq!(first_half.len(), (total / 2) as usize);
+        let full: Vec<NodeId> = tree.ranked(&NodeSet::full(25), &mut ledger).collect();
+        assert_eq!(full.len(), 25);
+        for parity in 0..2 {
+            let members = NodeSet::from_nodes(25, (parity..25).step_by(2).map(NodeId::new));
+            let ranked: Vec<NodeId> = tree.ranked(&members, &mut ledger).collect();
+            let restricted: Vec<NodeId> = full
+                .iter()
+                .copied()
+                .filter(|&v| members.contains(v))
+                .collect();
+            assert_eq!(ranked, restricted);
+        }
+        assert_eq!(ledger.rounds(), 3 * 2 * 4);
+        assert_eq!(ledger.messages(), 3 * 2 * 24);
+    }
+
+    #[test]
+    fn nodes_outside_the_tree_are_skipped() {
+        let g = gen::path(4);
+        // Tree {2 -> 1}: nodes 0 and 3 have no parent chain to the root.
+        let parent = vec![None, Some(NodeId::new(2)), None, None];
+        let tree = SubsetDfsRanks::new(&g.full_view(), NodeId::new(2), &parent);
+        let mut ledger = RoundLedger::new();
+        let ranked: Vec<NodeId> = tree.ranked(&NodeSet::full(4), &mut ledger).collect();
+        assert_eq!(ranked, [2, 1].map(NodeId::new));
+        assert_eq!(ledger.rounds(), 2);
+        assert_eq!(ledger.messages(), 2);
     }
 }

@@ -1,15 +1,40 @@
 //! Leader election by minimum-identifier flooding, with a BFS tree.
 //!
-//! Every node floods the best `(id, dist)` pair it knows; improvements
-//! propagate one hop per round. After `ecc(leader) + 1` delivery rounds
-//! the network quiesces: every node knows the minimum identifier, its
-//! distance to that leader, and a parent pointer toward it — i.e. a BFS
-//! tree rooted at the leader, as used by Lemma 3.1 and the cluster-local
-//! computations.
+//! [`LeaderKernel`] is the distributed algorithm: every node floods the
+//! best `(id, dist)` pair it knows and re-broadcasts whenever that pair
+//! improves. After `ecc(leader) + 1` delivery rounds the network
+//! quiesces: every node knows the minimum identifier of its component,
+//! its distance to that leader, and a parent pointer toward it — i.e. a
+//! BFS tree rooted at the leader, as used by Lemma 3.1 and the
+//! cluster-local computations.
 //!
-//! The fast path runs the identical synchronous relaxation (it *is* the
-//! kernel schedule, executed without engine overhead), so round and
-//! message counts agree exactly with [`LeaderKernel`] by construction.
+//! The fast path [`elect_leader`] does not replay the flooding. It
+//! computes the kernel's final state and charges in closed form:
+//!
+//! - Identifiers travel one hop per round, so after round `r` node `v`
+//!   holds the minimum identifier within distance `r`, paired with its
+//!   distance: a new minimum at distance exactly `r` reaches `v` in round
+//!   `r` along shortest paths, from the neighbors that adopted it one
+//!   round earlier. The leader's pair arrives in round `d(leader, v)`
+//!   from exactly the neighbors one layer closer, and the kernel keeps
+//!   the minimum-index sender: leader, distances and parents are one BFS
+//!   from the component's minimum-identifier node with minimum-index
+//!   parents.
+//! - The last improvement happens at the node farthest from the leader,
+//!   so the run takes the largest leader eccentricity plus 1 delivery
+//!   rounds (0 when the view has no edge).
+//! - `v` adopts `id(u)` exactly when `u` is strictly closer to `v` than
+//!   every smaller identifier, and broadcasts to its `deg(v)` neighbors
+//!   at start-up and after each adoption. The region that adopts `id(u)`
+//!   contains every shortest path from `u` into it (a smaller identifier
+//!   at least as close to a node on the path would be at least as close
+//!   to its end), so a BFS from `u` that stops wherever a smaller
+//!   identifier is at least as close visits exactly that region. One
+//!   such BFS per node, in ascending identifier order, counts the
+//!   messages with as much work as there are messages.
+//!
+//! The cross-validation suites check outputs, rounds, messages and bits
+//! of the fast path against [`LeaderKernel`].
 
 use crate::{bits_for_value, Outbox, Protocol, RoundLedger};
 use sdnd_graph::{Adjacency, NodeId};
@@ -48,101 +73,62 @@ impl LeaderInfo {
     }
 }
 
-/// Relaxation entry: smaller `(id, dist)` wins; parent breaks ties by
-/// minimum index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Best {
-    id: u64,
-    dist: u32,
-    parent: Option<NodeId>,
-}
-
 /// Elects the minimum-identifier node of every component of `view` and
-/// builds BFS trees rooted at the leaders, charging the flooding cost.
+/// builds BFS trees rooted at the leaders, charging the flooding cost of
+/// [`LeaderKernel`] (see the module docs for the closed form).
 pub fn elect_leader<A: Adjacency>(view: &A, ledger: &mut RoundLedger) -> LeaderInfo {
     let n = view.universe();
     let msg_bits = 2 * bits_for_value(n.max(2) as u64 - 1) + 2;
-    let mut best: Vec<Option<Best>> = vec![None; n];
-    // Nodes whose best improved last round (they send this round).
-    let mut frontier: Vec<NodeId> = Vec::new();
-    for v in view.nodes() {
-        best[v.index()] = Some(Best {
-            id: view.id_of(v),
-            dist: 0,
-            parent: None,
-        });
-        frontier.push(v);
-    }
-
-    let mut rounds = 0u64;
-    let mut messages = 0u64;
-    // Per-round delivery scratch: the lexicographically smallest
-    // (id, dist, sender) delivery per receiver — exactly the pair the
-    // kernel adopts from its whole-round inbox — maintained in a single
-    // pass instead of collecting and sorting every delivery.
-    let mut cand: Vec<Option<Best>> = vec![None; n];
-    let mut touched: Vec<NodeId> = Vec::new();
-    let mut improved: Vec<NodeId> = Vec::new();
-    while !frontier.is_empty() {
-        // Deliveries from the current frontier.
-        let mut delivered = false;
-        touched.clear();
-        for &u in &frontier {
-            let bu = best[u.index()].expect("frontier node has state");
-            for v in view.neighbors(u) {
-                delivered = true;
-                messages += 1;
-                let c = Best {
-                    id: bu.id,
-                    dist: bu.dist + 1,
-                    parent: Some(u),
-                };
-                match &mut cand[v.index()] {
-                    slot @ None => {
-                        *slot = Some(c);
-                        touched.push(v);
-                    }
-                    Some(cur) => {
-                        if (c.id, c.dist, c.parent) < (cur.id, cur.dist, cur.parent) {
-                            *cur = c;
-                        }
-                    }
-                }
-            }
-        }
-        if delivered {
-            rounds += 1;
-        }
-        // Apply: a node adopts the round's best pair iff it improves on
-        // (id, dist) — identical to the kernel, which sees the whole
-        // round's inbox at once and keeps the minimum-sender tie-break.
-        improved.clear();
-        touched.sort_unstable();
-        for &v in &touched {
-            let c = cand[v.index()]
-                .take()
-                .expect("touched entries hold a candidate");
-            let cur = best[v.index()].expect("alive node has state");
-            if (c.id, c.dist) < (cur.id, cur.dist) {
-                best[v.index()] = Some(c);
-                improved.push(v);
-            }
-        }
-        std::mem::swap(&mut frontier, &mut improved);
-    }
-
-    ledger.charge_rounds(rounds);
-    ledger.record_messages(messages, msg_bits);
-
     let mut best_id = vec![u64::MAX; n];
     let mut dist = vec![u32::MAX; n];
     let mut parent = vec![None; n];
-    for v in view.nodes() {
-        let b = best[v.index()].expect("alive node has state");
-        best_id[v.index()] = b.id;
-        dist[v.index()] = b.dist;
-        parent[v.index()] = b.parent;
+    // `near[v]`: distance from `v` to the nearest identifier processed so
+    // far (`u32::MAX` while none shares its component).
+    let mut near = vec![u32::MAX; n];
+    let mut by_id: Vec<NodeId> = view.nodes().collect();
+    by_id.sort_unstable_by_key(|&v| view.id_of(v));
+
+    let mut queue: Vec<NodeId> = Vec::new();
+    let mut messages = 0u64;
+    let mut max_ecc = 0u32;
+    for &u in &by_id {
+        // No smaller identifier reached `u`: it leads its component, and
+        // its BFS is never pruned.
+        let leads = near[u.index()] == u32::MAX;
+        near[u.index()] = 0;
+        queue.clear();
+        queue.push(u);
+        let mut head = 0;
+        while head < queue.len() {
+            let v = queue[head];
+            head += 1;
+            let d = near[v.index()] + 1;
+            for w in view.neighbors(v) {
+                messages += 1;
+                if d < near[w.index()] {
+                    near[w.index()] = d;
+                    queue.push(w);
+                }
+            }
+        }
+        if leads {
+            // The BFS spans `u`'s component. The kernel keeps the
+            // minimum-index sender of the leader's pair: the
+            // minimum-index neighbor one layer closer.
+            let id = view.id_of(u);
+            for &v in &queue {
+                let d = near[v.index()];
+                best_id[v.index()] = id;
+                dist[v.index()] = d;
+                parent[v.index()] = view.neighbors(v).filter(|w| near[w.index()] + 1 == d).min();
+                max_ecc = max_ecc.max(d);
+            }
+        }
     }
+
+    let rounds = if max_ecc > 0 { max_ecc as u64 + 1 } else { 0 };
+    ledger.charge_rounds(rounds);
+    ledger.record_messages(messages, msg_bits);
     LeaderInfo {
         best_id,
         dist,

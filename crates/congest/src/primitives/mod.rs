@@ -27,10 +27,9 @@ mod tree;
 
 pub use bfs::{bfs, bfs_in, BfsKernel, BfsOutcome};
 pub use census::{layer_census, layer_census_in, CensusKernel, LayerCensus, LayerCensusIn};
-pub use dfs_order::subset_dfs_ranks;
+pub use dfs_order::SubsetDfsRanks;
 pub use leader::{elect_leader, LeaderInfo, LeaderKernel};
 pub use sp_bfs::{sp_bfs, sp_bfs_in, SpBfsKernel, SpBfsOutcome, SpBfsRun, SpBfsState};
 pub use tree::{
-    broadcast_from_root, charge_family_op, converge_cast_sum, tree_height, BroadcastKernel,
-    ConvergeCastKernel,
+    broadcast_from_root, charge_family_op, converge_cast_sum, BroadcastKernel, ConvergeCastKernel,
 };

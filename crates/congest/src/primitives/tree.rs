@@ -44,12 +44,6 @@ pub(crate) fn tree_shape(universe: usize, root: NodeId, parent: &[Option<NodeId>
     TreeShape { order, height }
 }
 
-/// Height of the tree rooted at `root` (maximum depth of a node whose
-/// parent chain reaches `root`).
-pub fn tree_height(universe: usize, root: NodeId, parent: &[Option<NodeId>]) -> u32 {
-    tree_shape(universe, root, parent).height
-}
-
 /// Converge-casts the sum of `values` over the tree to the root.
 ///
 /// Charges `height` rounds and one `value_bits`-bit message per non-root
@@ -307,7 +301,6 @@ mod tests {
         let shape = tree_shape(5, NodeId::new(0), &parents);
         assert_eq!(shape.height, 4);
         assert_eq!(shape.order.len(), 5);
-        assert_eq!(tree_height(5, NodeId::new(0), &parents), 4);
     }
 
     #[test]

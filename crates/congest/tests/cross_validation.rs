@@ -78,14 +78,36 @@ proptest! {
     }
 
     #[test]
-    fn leader_kernel_matches_fast_path(g in arb_graph(), scramble in prop::bool::ANY) {
-        let g = if scramble {
-            let ids: Vec<u64> = (0..g.n() as u64).map(|i| (g.n() as u64 - i) * 5 + 2).collect();
-            g.with_ids(ids).expect("injective")
-        } else {
-            g
+    fn leader_kernel_matches_fast_path(
+        g in arb_graph(),
+        ids in 0u8..3,
+        seed in 0u64..1 << 16,
+        subset in prop::bool::ANY,
+    ) {
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        let n = g.n() as u64;
+        let g = match ids {
+            0 => g,
+            1 => g.with_ids((0..n).map(|i| (n - i) * 5 + 2).collect()).expect("injective"),
+            _ => {
+                let mut perm: Vec<u64> = (0..n).collect();
+                perm.shuffle(&mut rng);
+                g.with_ids(perm).expect("a permutation is injective")
+            }
         };
-        let view = g.full_view();
+        // A subset view drops about a quarter of the nodes: the survivors
+        // fall into several components, some of them isolated nodes.
+        let alive = if subset {
+            NodeSet::from_nodes(g.n(), g.nodes().filter(|_| rng.gen_bool(0.75)))
+        } else {
+            NodeSet::full(g.n())
+        };
+        if alive.is_empty() {
+            return Ok(());
+        }
+        let view = g.view(&alive);
 
         let mut ledger = RoundLedger::new();
         let fast = primitives::elect_leader(&view, &mut ledger);
@@ -94,14 +116,15 @@ proptest! {
         let mut session = Engine::new(CostModel::congest_for(g.n())).session(&g);
         let out = run_both(&mut session, &view, &kernel);
 
-        for v in g.nodes() {
+        for v in alive.iter() {
             let ks = out.states[v.index()].as_ref().expect("alive");
             prop_assert_eq!(Some(ks.id), fast.leader_id_at(v), "id at {}", v);
             prop_assert_eq!(ks.dist, fast.dist(v), "dist at {}", v);
             prop_assert_eq!(ks.parent, fast.parent(v), "parent at {}", v);
         }
-        prop_assert_eq!(out.rounds, ledger.rounds());
-        prop_assert_eq!(out.ledger.messages(), ledger.messages());
+        prop_assert_eq!(out.rounds, ledger.rounds(), "rounds");
+        prop_assert_eq!(out.ledger.messages(), ledger.messages(), "messages");
+        prop_assert_eq!(out.ledger.total_bits(), ledger.total_bits(), "bits");
     }
 
     #[test]

@@ -20,12 +20,18 @@
 //! iteration by `O(log n / eps)`. After `O(log n)` halvings `S` is a
 //! single node whose `n/3`-ball has radius `O(log^2 n / eps)`; growing
 //! it to the thinnest layer within one more window yields `U`.
+//!
+//! The BFS tree is the leader's, elected once per call; its DFS
+//! pre-order is computed once and ranks every `S`. The probe that picks
+//! the kept half is a BFS from that half, so its ball sizes and charges
+//! are the next iteration's census of `S`: the census is charged again
+//! there, as the distributed algorithm pays for it, but not re-run.
 
 use crate::Params;
 use sdnd_clustering::{Cancelled, CarveCtx};
 use sdnd_congest::{bits_for_value, primitives, RoundLedger};
 use sdnd_graph::algo::{self, TraversalWorkspace};
-use sdnd_graph::{Adjacency, Graph, NodeId, NodeSet};
+use sdnd_graph::{Adjacency, Graph, NodeSet};
 
 /// The two possible outcomes of Lemma 3.1.
 #[derive(Debug, Clone)]
@@ -80,13 +86,13 @@ pub fn cut_or_component(
         .expect("unarmed ctx never cancels")
 }
 
-/// [`cut_or_component`] with a caller-held [`CarveCtx`]: the `O(log n)`
-/// BFS runs per invocation share one traversal workspace and the split
-/// halves come from its NodeSet pool, so a whole invocation performs
-/// `O(1)` heap allocations per traversal. Outcome and ledger charges are
+/// [`cut_or_component`] with a caller-held [`CarveCtx`]: the BFS runs
+/// of an invocation share one traversal workspace and the split halves
+/// come from its NodeSet pool, so a whole invocation performs `O(1)`
+/// heap allocations per traversal. Outcome and ledger charges are
 /// bit-identical to the wrapper. The context's armed deadline is honored
-/// once per halving iteration (each iteration is a full multi-source BFS
-/// census — the traversal-epoch granularity).
+/// once per halving iteration (each iteration probes both halves with a
+/// full multi-source BFS — the traversal-epoch granularity).
 ///
 /// # Errors
 ///
@@ -115,7 +121,8 @@ pub fn cut_or_component_in(
     let leader = view
         .min_id_node()
         .expect("nonempty view has a minimum-identifier node");
-    let tree_height = primitives::tree_height(g.n(), leader, leader_info.parents()) as u64;
+    let tree = primitives::SubsetDfsRanks::new(&view, leader, leader_info.parents());
+    let tree_height = tree.height() as u64;
     let count_bits = bits_for_value(g.n().max(2) as u64);
 
     let mut s: NodeSet = {
@@ -124,6 +131,8 @@ pub fn cut_or_component_in(
         s
     };
     let max_iters = Params::log2n(n) + 2;
+    // The previous iteration's probe of the kept half: the census of S.
+    let mut carried: Option<Census> = None;
 
     for _ in 0..max_iters {
         if s.len() <= 1 {
@@ -134,8 +143,11 @@ pub fn cut_or_component_in(
             return Err(c);
         }
         // Layer census from the source set S.
-        let bfs = primitives::bfs_in(&view, s.iter(), u32::MAX, ledger, &mut ctx.ws);
-        let balls = bfs.ball_sizes();
+        let census = carried
+            .take()
+            .unwrap_or_else(|| Census::run(&view, &s, &mut ctx.ws));
+        ledger.merge_sequential(&census.charge);
+        let balls = &census.balls;
         // Aggregating the layer counts to the leader: pipelined over the
         // leader's BFS tree.
         ledger.charge_rounds(tree_height + balls.len() as u64);
@@ -145,8 +157,11 @@ pub fn cut_or_component_in(
         let b = smallest_radius_reaching(balls, two_thirds);
 
         if b.saturating_sub(a) >= window {
-            // Wide annulus: cut along the thinnest layer in [a, b-2].
+            // Wide annulus: cut along the thinnest layer in [a, b-2]. The
+            // census holds ball sizes only, so the distances come from an
+            // uncharged re-run of the BFS it already paid for.
             let r_star = thinnest_layer(balls, a, b - 2);
+            let bfs = algo::bfs_in(&mut ctx.ws, &view, s.iter());
             let mut v1 = NodeSet::empty(g.n());
             let mut middle = NodeSet::empty(g.n());
             let mut v2 = NodeSet::empty(g.n());
@@ -168,30 +183,28 @@ pub fn cut_or_component_in(
         }
 
         // Narrow annulus: split S along the DFS order of the leader tree.
-        let ranks = primitives::subset_dfs_ranks(&view, leader, leader_info.parents(), &s, ledger);
-        let half = (s.len() as u32).div_ceil(2);
+        // Members outside the tree (a disconnected remnant) stay with the
+        // second half.
         let mut s1 = ctx.ws.take_set(g.n());
-        let mut s2 = ctx.ws.take_set(g.n());
-        for v in s.iter() {
-            match ranks[v.index()] {
-                Some(r) if r < half => {
-                    s1.insert(v);
-                }
-                Some(_) => {
-                    s2.insert(v);
-                }
-                None => {
-                    // Outside the leader tree (disconnected remnant):
-                    // keep with the second half.
-                    s2.insert(v);
-                }
-            }
+        for v in tree.ranked(&s, ledger).take(s.len().div_ceil(2)) {
+            s1.insert(v);
         }
-        // Keep the half with the smaller a-radius: both candidate
-        // probes share one two-lane MS-BFS pass over the view.
-        let (a1, a2) = radii_to_third(&view, &s1, &s2, third, ledger, &mut ctx.ws);
+        let mut s2 = ctx.ws.take_set(g.n());
+        s2.assign(&s);
+        s2.subtract(&s1);
+        // Keep the half with the smaller a-radius; its probe is the next
+        // iteration's census.
+        let p1 = Census::run(&view, &s1, &mut ctx.ws);
+        let p2 = Census::run(&view, &s2, &mut ctx.ws);
+        ledger.merge_sequential(&p1.charge);
+        ledger.merge_sequential(&p2.charge);
         ledger.charge_rounds(2 * tree_height);
-        let (winner, loser) = if a1 <= a2 { (s1, s2) } else { (s2, s1) };
+        let (winner, loser, probe) = if p1.radius(third) <= p2.radius(third) {
+            (s1, s2, p1)
+        } else {
+            (s2, s1, p2)
+        };
+        carried = Some(probe);
         ctx.ws.give_set(loser);
         ctx.ws.give_set(std::mem::replace(&mut s, winner));
     }
@@ -217,6 +230,35 @@ pub fn cut_or_component_in(
         }
     }
     Ok(CutOrComponent::Component { u, boundary })
+}
+
+/// A layer census from a seed set: the cumulative ball sizes of a BFS
+/// from it and what that BFS charged. An empty seed set gives an empty
+/// census that charges nothing.
+struct Census {
+    balls: Vec<usize>,
+    charge: RoundLedger,
+}
+
+impl Census {
+    fn run<A: Adjacency>(view: &A, seeds: &NodeSet, ws: &mut TraversalWorkspace) -> Census {
+        let mut charge = RoundLedger::new();
+        let bfs = primitives::bfs_in(view, seeds.iter(), u32::MAX, &mut charge, ws);
+        Census {
+            balls: bfs.ball_sizes().to_vec(),
+            charge,
+        }
+    }
+
+    /// The smallest radius whose ball reaches `target` nodes (`u32::MAX`
+    /// for an empty seed set, which never wins a comparison).
+    fn radius(&self, target: usize) -> u32 {
+        if self.balls.is_empty() {
+            u32::MAX
+        } else {
+            smallest_radius_reaching(&self.balls, target)
+        }
+    }
 }
 
 /// Smallest radius `r` with `balls[r] >= target` (or the last layer if
@@ -252,106 +294,10 @@ fn thinnest_layer(balls: &[usize], lo: u32, hi: u32) -> u32 {
     best
 }
 
-/// The smallest radius whose `seed`-neighborhood reaches `target` nodes.
-fn radius_to_third<A: Adjacency>(
-    view: &A,
-    seed: &NodeSet,
-    target: usize,
-    ledger: &mut RoundLedger,
-    ws: &mut TraversalWorkspace,
-) -> u32 {
-    if seed.is_empty() {
-        return u32::MAX;
-    }
-    let bfs = primitives::bfs_in(view, seed.iter(), u32::MAX, ledger, ws);
-    smallest_radius_reaching(bfs.ball_sizes(), target)
-}
-
-/// Both candidate probes of one halving step — [`radius_to_third`] of
-/// `s1` and of `s2` — run as a two-lane [`algo::msbfs_sets_bounded_in`]
-/// batch, so the two ball censuses cost one shared adjacency pass.
-///
-/// Ledger charges replicate `primitives::bfs` per lane (per forwarding
-/// node: `deg` token sends, last delivery round `dist + 1`) and are
-/// applied in the same probe order as two sequential runs, so rounds,
-/// message counts, and bit totals are bit-identical. An empty seed
-/// reports `u32::MAX` without running or charging (the sequential
-/// probe's guard), in which case both probes fall back to the
-/// sequential path.
-fn radii_to_third<A: Adjacency>(
-    view: &A,
-    s1: &NodeSet,
-    s2: &NodeSet,
-    target: usize,
-    ledger: &mut RoundLedger,
-    ws: &mut TraversalWorkspace,
-) -> (u32, u32) {
-    if s1.is_empty() || s2.is_empty() {
-        return (
-            radius_to_third(view, s1, target, ledger, ws),
-            radius_to_third(view, s2, target, ledger, ws),
-        );
-    }
-    let run = algo::msbfs_sets_bounded_in(ws, view, &[s1, s2], u32::MAX);
-    let token_bits = bits_for_value(view.universe().max(2) as u64 - 1);
-    let mut radii = [u32::MAX; 2];
-    for (lane, r) in radii.iter_mut().enumerate() {
-        ledger.charge_rounds(run.last_delivery_round(lane));
-        ledger.record_messages(run.scan_degree_sum(lane), token_bits);
-        *r = lane_smallest_radius(&run, lane, target);
-    }
-    (radii[0], radii[1])
-}
-
-/// [`smallest_radius_reaching`] on one lane's cumulative ball census.
-///
-/// A batched lane's census rows extend to the *batch's* deepest level,
-/// but the sequential `unwrap_or(last layer)` fallback for a target
-/// never reached must read the lane's own last layer — so the scan is
-/// truncated at the lane's eccentricity.
-fn lane_smallest_radius(run: &algo::MsBfsRun<'_>, lane: usize, target: usize) -> u32 {
-    match run.eccentricity(lane) {
-        // Empty census: matches `smallest_radius_reaching(&[], _)`.
-        None => 0,
-        Some(ecc) => {
-            for r in 0..=ecc {
-                if run.ball_size(lane, r) >= target {
-                    return r;
-                }
-            }
-            ecc
-        }
-    }
-}
-
-/// Convenience wrapper verifying the Lemma 3.1 guarantees (used by tests
-/// and the barrier experiment): returns `(outcome, removed fraction,
-/// strong diameter of U if Component)`.
-pub fn cut_or_component_report(
-    g: &Graph,
-    alive: &NodeSet,
-    eps: f64,
-    params: &Params,
-    ledger: &mut RoundLedger,
-) -> (CutOrComponent, f64, Option<u32>) {
-    let mut ctx = CarveCtx::new();
-    let outcome = cut_or_component_in(g, alive, eps, params, ledger, &mut ctx)
-        .expect("unarmed ctx never cancels");
-    let removed_fraction = outcome.removed().len() as f64 / alive.len() as f64;
-    let diam = match &outcome {
-        CutOrComponent::Component { u, .. } => {
-            let members: Vec<NodeId> = u.iter().collect();
-            sdnd_clustering::metrics::strong_diameter_of_in(g, &members, &mut ctx)
-        }
-        CutOrComponent::SparseCut { .. } => None,
-    };
-    (outcome, removed_fraction, diam)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdnd_graph::gen;
+    use sdnd_graph::{gen, NodeId};
 
     fn run(g: &Graph, eps: f64) -> (CutOrComponent, usize) {
         let alive = NodeSet::full(g.n());
@@ -433,13 +379,11 @@ mod tests {
     #[test]
     fn expander_yields_component_with_small_diameter() {
         let g = gen::random_regular_connected(90, 4, 7).unwrap();
-        let alive = NodeSet::full(90);
-        let mut ledger = RoundLedger::new();
-        let (out, removed, diam) =
-            cut_or_component_report(&g, &alive, 0.5, &Params::default(), &mut ledger);
-        assert_valid(&g, &out, 90);
-        assert!(removed <= 1.0);
-        if let Some(d) = diam {
+        let (out, n) = run(&g, 0.5);
+        assert_valid(&g, &out, n);
+        if let CutOrComponent::Component { u, .. } = &out {
+            let members: Vec<NodeId> = u.iter().collect();
+            let d = sdnd_clustering::metrics::strong_diameter_of(&g, &members).expect("connected");
             // O(log^2 n / eps) envelope with explicit constant.
             let bound = (8.0 * (90f64).ln().powi(2) / 0.5) as u32 + 4;
             assert!(d <= bound, "component diameter {d} vs {bound}");
@@ -483,59 +427,5 @@ mod tests {
         let g = gen::path(3);
         let mut ledger = RoundLedger::new();
         let _ = cut_or_component(&g, &NodeSet::empty(3), 0.5, &Params::default(), &mut ledger);
-    }
-
-    #[test]
-    fn batched_probe_matches_sequential_radii_and_ledger() {
-        for (g, name) in [
-            (gen::path(40), "path"),
-            (gen::grid(8, 9), "grid"),
-            (gen::gnp(64, 0.06, 11), "gnp"),
-        ] {
-            let view = g.full_view();
-            let n = g.n();
-            let target = n.div_ceil(3);
-            let mut ws = TraversalWorkspace::new();
-            // Two overlapping, off-center halves, as the halving step
-            // would produce them.
-            let s1 = NodeSet::from_nodes(n, (0..n * 2 / 3).map(NodeId::new));
-            let s2 = NodeSet::from_nodes(n, (n / 3..n).map(NodeId::new));
-
-            let mut seq = RoundLedger::new();
-            let r1 = radius_to_third(&view, &s1, target, &mut seq, &mut ws);
-            let r2 = radius_to_third(&view, &s2, target, &mut seq, &mut ws);
-
-            let mut bat = RoundLedger::new();
-            let (b1, b2) = radii_to_third(&view, &s1, &s2, target, &mut bat, &mut ws);
-
-            assert_eq!((r1, r2), (b1, b2), "{name}: radii diverge");
-            assert_eq!(seq.rounds(), bat.rounds(), "{name}: rounds diverge");
-            assert_eq!(
-                seq.messages(),
-                bat.messages(),
-                "{name}: message counts diverge"
-            );
-            assert_eq!(
-                seq.total_bits(),
-                bat.total_bits(),
-                "{name}: bit totals diverge"
-            );
-        }
-    }
-
-    #[test]
-    fn batched_probe_empty_seed_falls_back() {
-        let g = gen::path(12);
-        let view = g.full_view();
-        let mut ws = TraversalWorkspace::new();
-        let s1 = NodeSet::from_nodes(12, (0..6).map(NodeId::new));
-        let empty = NodeSet::empty(12);
-        let mut ledger = RoundLedger::new();
-        let (a1, a2) = radii_to_third(&view, &s1, &empty, 4, &mut ledger, &mut ws);
-        assert_eq!(a2, u32::MAX);
-        let mut seq = RoundLedger::new();
-        assert_eq!(a1, radius_to_third(&view, &s1, 4, &mut seq, &mut ws));
-        assert_eq!(ledger.rounds(), seq.rounds());
-        assert_eq!(ledger.messages(), seq.messages());
     }
 }

@@ -13,11 +13,8 @@ use crate::NodeId;
 #[derive(Debug, Clone)]
 pub struct TreeOrder {
     order: Vec<NodeId>,
-    position: Vec<u32>,
+    height: u32,
 }
-
-/// Marker for nodes not in the tree.
-const NOT_IN_TREE: u32 = u32::MAX;
 
 impl TreeOrder {
     /// The visited nodes in DFS pre-order (root first).
@@ -25,12 +22,9 @@ impl TreeOrder {
         &self.order
     }
 
-    /// Position of `v` in the order, or `None` if `v` is not in the tree.
-    pub fn position(&self, v: NodeId) -> Option<usize> {
-        match self.position[v.index()] {
-            NOT_IN_TREE => None,
-            p => Some(p as usize),
-        }
+    /// Height of the tree (maximum depth, 0 for a lone root).
+    pub fn height(&self) -> u32 {
+        self.height
     }
 }
 
@@ -80,25 +74,21 @@ pub fn dfs_order_of_tree(n: usize, root: NodeId, parent: &[Option<NodeId>]) -> T
     let (start, children) = children_csr(n, parent);
 
     let mut order = Vec::new();
-    let mut position = vec![NOT_IN_TREE; n];
+    let mut height = 0;
     // Iterative DFS, children pushed in reverse so smallest pops first.
-    let mut stack = vec![root];
-    while let Some(v) = stack.pop() {
-        assert!(
-            position[v.index()] == NOT_IN_TREE,
-            "cycle in parent pointers at {v:?}"
-        );
-        position[v.index()] = order.len() as u32;
+    let mut stack = vec![(root, 0)];
+    while let Some((v, depth)) = stack.pop() {
         order.push(v);
+        height = height.max(depth);
         assert!(order.len() <= n, "cycle in parent pointers");
         for &c in children[start[v.index()]..start[v.index() + 1]]
             .iter()
             .rev()
         {
-            stack.push(c);
+            stack.push((c, depth + 1));
         }
     }
-    TreeOrder { order, position }
+    TreeOrder { order, height }
 }
 
 #[cfg(test)]
@@ -118,7 +108,7 @@ mod tests {
             o.order().iter().map(|v| v.index()).collect::<Vec<_>>(),
             vec![0, 1, 2, 3]
         );
-        assert_eq!(o.position(NodeId::new(3)), Some(3));
+        assert_eq!(o.height(), 3);
     }
 
     #[test]
@@ -133,12 +123,11 @@ mod tests {
     }
 
     #[test]
-    fn nodes_outside_tree_have_no_position() {
+    fn nodes_outside_tree_are_not_visited() {
         let parent = vec![None, p(0), None, None];
         let o = dfs_order_of_tree(4, NodeId::new(0), &parent);
-        assert_eq!(o.order().len(), 2);
-        assert_eq!(o.position(NodeId::new(2)), None);
-        assert_eq!(o.position(NodeId::new(3)), None);
+        assert_eq!(o.order(), [0, 1].map(NodeId::new));
+        assert_eq!(o.height(), 1);
     }
 
     #[test]

@@ -29,10 +29,7 @@ pub use distance::{
 };
 pub use hyperball::{HyperBall, HyperBallParams, HyperBallSummary};
 pub use induced::{induced_subgraph, InducedSubgraph};
-pub use msbfs::{
-    ms_batch_order_in, msbfs_bounded_in, msbfs_in, msbfs_sets_bounded_in, msbfs_to_in, MsBfsRun,
-    MS_LANES,
-};
+pub use msbfs::{ms_batch_order_in, msbfs_bounded_in, msbfs_in, msbfs_to_in, MsBfsRun, MS_LANES};
 pub use oracle::{
     oracle_for, DistanceMap, DistanceMapIn, DistanceOracle, HopOracle, MetricOracle,
     WeightedOracle, ORACLE_UNREACHED,

@@ -60,8 +60,6 @@ pub(super) struct MsScratch {
     balls: Vec<usize>,
     remaining: Vec<usize>,
     target_last: Vec<u32>,
-    scan_deg: Vec<u64>,
-    last_delivery: Vec<u64>,
     /// Batch-ordering scratch ([`ms_batch_order_in`]): `src_*` map nodes
     /// to pending source indices per call, `ball_*` stamp the per-ball
     /// visited state, `queue` is the ball frontier.
@@ -113,10 +111,6 @@ impl MsScratch {
         self.remaining.resize(lanes, 0);
         self.target_last.clear();
         self.target_last.resize(lanes, 0);
-        self.scan_deg.clear();
-        self.scan_deg.resize(lanes, 0);
-        self.last_delivery.clear();
-        self.last_delivery.resize(lanes, 0);
     }
 
     /// Lazily zeroes the lane words of `v` on its first touch this epoch.
@@ -131,9 +125,8 @@ impl MsScratch {
     }
 
     /// Seeds `s` into `lane` at level 0. Returns the lane bit when the
-    /// seed took (in-view and new to the lane), 0 otherwise — sources
-    /// outside the view leave their lane empty, mirroring `bfs_in`'s
-    /// source filtering.
+    /// seed took (in view), 0 otherwise — sources outside the view leave
+    /// their lane empty, mirroring `bfs_in`'s source filtering.
     fn seed<A: Adjacency>(
         &mut self,
         view: &A,
@@ -148,9 +141,6 @@ impl MsScratch {
         let si = s.index();
         self.touch(si);
         let bit = 1u64 << lane;
-        if self.seen[si] & bit != 0 {
-            return 0;
-        }
         self.seen[si] |= bit;
         if self.visit[si] == 0 {
             self.cur.push(s);
@@ -176,23 +166,6 @@ impl MsScratch {
     }
 }
 
-/// How a batch's lanes are seeded.
-enum MsSeeds<'a> {
-    /// One source node per lane.
-    Nodes(&'a [NodeId]),
-    /// A whole source set per lane.
-    Sets(&'a [&'a NodeSet]),
-}
-
-impl MsSeeds<'_> {
-    fn lanes(&self) -> usize {
-        match self {
-            MsSeeds::Nodes(s) => s.len(),
-            MsSeeds::Sets(s) => s.len(),
-        }
-    }
-}
-
 /// Runs one batch of up to 64 full BFS traversals over `view`; lane `l`
 /// is seeded from `sources[l]`.
 ///
@@ -204,7 +177,7 @@ pub fn msbfs_in<'w, A: Adjacency>(
     view: &A,
     sources: &[NodeId],
 ) -> MsBfsRun<'w> {
-    msbfs_core(ws, view, MsSeeds::Nodes(sources), u32::MAX, None, false)
+    msbfs_core(ws, view, sources, u32::MAX, None)
 }
 
 /// [`msbfs_in`] truncated at distance `max_dist` (inclusive), the batch
@@ -215,7 +188,7 @@ pub fn msbfs_bounded_in<'w, A: Adjacency>(
     sources: &[NodeId],
     max_dist: u32,
 ) -> MsBfsRun<'w> {
-    msbfs_core(ws, view, MsSeeds::Nodes(sources), max_dist, None, false)
+    msbfs_core(ws, view, sources, max_dist, None)
 }
 
 /// [`msbfs_in`] with per-lane early exit: a lane stops participating in
@@ -229,34 +202,7 @@ pub fn msbfs_to_in<'w, A: Adjacency>(
     sources: &[NodeId],
     targets: &NodeSet,
 ) -> MsBfsRun<'w> {
-    msbfs_core(
-        ws,
-        view,
-        MsSeeds::Nodes(sources),
-        u32::MAX,
-        Some(targets),
-        false,
-    )
-}
-
-/// Bounded batch with a whole source *set* per lane (the multi-source
-/// ball probes of the carving improvement phase: each candidate seed set
-/// gets one lane).
-///
-/// This variant additionally maintains the per-lane CONGEST cost
-/// counters ([`MsBfsRun::scan_degree_sum`] /
-/// [`MsBfsRun::last_delivery_round`]) so a caller simulating the
-/// distributed cost model can charge each lane exactly what a sequential
-/// `primitives::bfs` of that lane would have charged: per forwarding
-/// node (distance `< max_dist`, alive degree `> 0`), `deg` token sends
-/// and a last-delivery round of `dist + 1`.
-pub fn msbfs_sets_bounded_in<'w, A: Adjacency>(
-    ws: &'w mut TraversalWorkspace,
-    view: &A,
-    lane_sets: &[&NodeSet],
-    max_dist: u32,
-) -> MsBfsRun<'w> {
-    msbfs_core(ws, view, MsSeeds::Sets(lane_sets), max_dist, None, true)
+    msbfs_core(ws, view, sources, u32::MAX, Some(targets))
 }
 
 /// Orders `sources` into locality-tight 64-lane batches, returning a
@@ -374,12 +320,11 @@ pub fn ms_batch_order_in<A: Adjacency>(
 fn msbfs_core<'w, A: Adjacency>(
     ws: &'w mut TraversalWorkspace,
     view: &A,
-    seeds: MsSeeds<'_>,
+    sources: &[NodeId],
     max_dist: u32,
     targets: Option<&NodeSet>,
-    track_cost: bool,
 ) -> MsBfsRun<'w> {
-    let lanes = seeds.lanes();
+    let lanes = sources.len();
     assert!(
         lanes <= MS_LANES,
         "msbfs: {lanes} sources exceed the {MS_LANES}-lane batch width; chunk the sources"
@@ -409,19 +354,8 @@ fn msbfs_core<'w, A: Adjacency>(
     }
 
     let mut seeded = 0u64;
-    match seeds {
-        MsSeeds::Nodes(list) => {
-            for (lane, &s) in list.iter().enumerate() {
-                seeded |= m.seed(view, lane, s, targets, &mut active);
-            }
-        }
-        MsSeeds::Sets(sets) => {
-            for (lane, set) in sets.iter().enumerate() {
-                for s in set.iter() {
-                    seeded |= m.seed(view, lane, s, targets, &mut active);
-                }
-            }
-        }
+    for (lane, &s) in sources.iter().enumerate() {
+        seeded |= m.seed(view, lane, s, targets, &mut active);
     }
     let mut bits = seeded;
     while bits != 0 {
@@ -446,9 +380,7 @@ fn msbfs_core<'w, A: Adjacency>(
             if mu == 0 {
                 continue;
             }
-            let mut deg = 0u64;
             for v in view.neighbors(u) {
-                deg += 1;
                 let vi = v.index();
                 m.touch(vi);
                 let new = mu & !m.seen[vi] & active;
@@ -480,15 +412,6 @@ fn msbfs_core<'w, A: Adjacency>(
                             active &= !(1u64 << lane);
                         }
                     }
-                }
-            }
-            if track_cost && deg > 0 {
-                let mut bits = mu;
-                while bits != 0 {
-                    let lane = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    m.scan_deg[lane] += deg;
-                    m.last_delivery[lane] = m.last_delivery[lane].max(next_level as u64);
                 }
             }
         }
@@ -533,8 +456,6 @@ impl TraversalWorkspace {
             balls: &m.balls,
             remaining: &m.remaining,
             target_last: &m.target_last,
-            scan_deg: &m.scan_deg,
-            last_delivery: &m.last_delivery,
         }
     }
 }
@@ -543,7 +464,7 @@ impl TraversalWorkspace {
 ///
 /// Lane accessors are value-identical to the corresponding
 /// [`super::BfsRun`] accessors of a sequential BFS from that lane's
-/// sources, with one census caveat: [`ball_size`](Self::ball_size)
+/// source, with one census caveat: [`ball_size`](Self::ball_size)
 /// clamps radii to the *batch's* deepest level rather than the lane's
 /// own eccentricity (the clamped value is the lane's final reached
 /// count either way — use [`eccentricity`](Self::eccentricity) to
@@ -560,8 +481,6 @@ pub struct MsBfsRun<'w> {
     balls: &'w [usize],
     remaining: &'w [usize],
     target_last: &'w [u32],
-    scan_deg: &'w [u64],
-    last_delivery: &'w [u64],
 }
 
 impl MsBfsRun<'_> {
@@ -632,25 +551,12 @@ impl MsBfsRun<'_> {
     pub fn last_target_level(&self, lane: usize) -> u32 {
         self.target_last[lane]
     }
-
-    /// Summed alive degree of lane `lane`'s forwarding nodes — the
-    /// CONGEST token-send count of an equivalent sequential distributed
-    /// BFS (maintained only by [`msbfs_sets_bounded_in`]).
-    pub fn scan_degree_sum(&self, lane: usize) -> u64 {
-        self.scan_deg[lane]
-    }
-
-    /// Last round in which lane `lane` delivered a token (0 when nothing
-    /// forwarded; maintained only by [`msbfs_sets_bounded_in`]).
-    pub fn last_delivery_round(&self, lane: usize) -> u64 {
-        self.last_delivery[lane]
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo::{bfs_bounded_in, bfs_in, bfs_to_in};
+    use crate::algo::{bfs_bounded_in, bfs_to_in};
     use crate::{gen, Graph};
 
     fn ids(v: &[usize]) -> Vec<NodeId> {
@@ -776,77 +682,11 @@ mod tests {
     }
 
     #[test]
-    fn set_lanes_match_multi_source_bfs() {
-        let g = gen::grid(8, 8);
-        let mut ws = TraversalWorkspace::new();
-        let s1 = NodeSet::from_nodes(64, ids(&[0, 9, 18]));
-        let s2 = NodeSet::from_nodes(64, ids(&[63]));
-        let run = msbfs_sets_bounded_in(&mut ws, &g.full_view(), &[&s1, &s2], u32::MAX);
-        let mut seq = TraversalWorkspace::new();
-        for (lane, set) in [&s1, &s2].into_iter().enumerate() {
-            let own = bfs_in(&mut seq, &g.full_view(), set.iter());
-            assert_eq!(run.reached_count(lane), own.reached_count());
-            assert_eq!(run.eccentricity(lane), own.eccentricity());
-            for i in 0..64 {
-                let v = NodeId::new(i);
-                assert_eq!(run.dist(v, lane), own.dist(v), "lane {lane} node {i}");
-            }
-            for r in 0..=own.eccentricity().unwrap() {
-                assert_eq!(run.ball_size(lane, r), own.ball_size(r), "lane {lane}");
-            }
-        }
-    }
-
-    #[test]
-    fn set_lanes_track_congest_cost_counters() {
-        // Mirror primitives::bfs's charge formula sequentially and
-        // compare: per node at distance < max_dist with alive degree
-        // deg > 0, deg sends and a last delivery of dist + 1.
-        let g = gen::gnp_connected(50, 0.08, 5);
-        let view = g.full_view();
-        let mut ws = TraversalWorkspace::new();
-        let s1 = NodeSet::from_nodes(50, ids(&[0, 7]));
-        let s2 = NodeSet::from_nodes(50, ids(&[49]));
-        for max_dist in [u32::MAX, 2, 0] {
-            let run = msbfs_sets_bounded_in(&mut ws, &view, &[&s1, &s2], max_dist);
-            let mut expect = Vec::new();
-            let mut seq = TraversalWorkspace::new();
-            for set in [&s1, &s2] {
-                let own = bfs_in(&mut seq, &view, set.iter());
-                let r_max = max_dist.min(MAX_HOP_DIST);
-                let mut sends = 0u64;
-                let mut last = 0u64;
-                for &v in own.order() {
-                    let d = own.dist(v);
-                    if d < r_max {
-                        let deg = view.neighbors(v).count() as u64;
-                        if deg > 0 {
-                            sends += deg;
-                            last = last.max(d as u64 + 1);
-                        }
-                    }
-                }
-                expect.push((sends, last));
-            }
-            for (lane, &(sends, last)) in expect.iter().enumerate() {
-                assert_eq!(run.scan_degree_sum(lane), sends, "lane {lane}");
-                assert_eq!(run.last_delivery_round(lane), last, "lane {lane}");
-            }
-        }
-    }
-
-    #[test]
-    fn empty_batch_and_empty_lane_sets() {
+    fn empty_batch_has_no_lanes() {
         let g = gen::path(5);
         let mut ws = TraversalWorkspace::new();
         let run = msbfs_in(&mut ws, &g.full_view(), &[]);
         assert_eq!(run.lanes(), 0);
-        let empty = NodeSet::empty(5);
-        let run = msbfs_sets_bounded_in(&mut ws, &g.full_view(), &[&empty], u32::MAX);
-        assert_eq!(run.reached_count(0), 0);
-        assert_eq!(run.eccentricity(0), None);
-        assert_eq!(run.scan_degree_sum(0), 0);
-        assert_eq!(run.last_delivery_round(0), 0);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 
 use proptest::prelude::*;
 use sdnd_graph::algo::{
-    self, bfs_bounded_in, bfs_in, bfs_to_in, msbfs_bounded_in, msbfs_in, msbfs_sets_bounded_in,
-    msbfs_to_in, TraversalWorkspace, MS_LANES,
+    self, bfs_bounded_in, bfs_in, bfs_to_in, msbfs_bounded_in, msbfs_in, msbfs_to_in,
+    TraversalWorkspace, MS_LANES,
 };
 use sdnd_graph::{Adjacency, Graph, NodeId, NodeSet};
 
@@ -150,43 +150,6 @@ proptest! {
                 }
             }
             prop_assert_eq!(run.targets_remaining(lane), missing, "lane {} residual", lane);
-        }
-    }
-
-    /// Set-seeded MS-BFS ≡ multi-source BFS per lane: distances,
-    /// eccentricities, and the cumulative ball census (the lane's own
-    /// census, not the batch's padded one).
-    #[test]
-    fn set_lanes_match_multisource_bfs(inst in arb_instance()) {
-        let (g, alive, seed) = inst;
-        let view = g.view(&alive);
-        // Two disjoint halves of the universe, hash-dealt.
-        let mut halves = [NodeSet::empty(g.n()), NodeSet::empty(g.n())];
-        for v in pick_sources(g.n(), g.n().max(2), seed) {
-            let side = (v.index() ^ (seed as usize)) & 1;
-            halves[side].insert(v);
-        }
-        prop_assume!(!halves[0].is_empty() && !halves[1].is_empty());
-        let mut ws = TraversalWorkspace::new();
-        let run = msbfs_sets_bounded_in(&mut ws, &view, &[&halves[0], &halves[1]], u32::MAX);
-        let mut seq_ws = TraversalWorkspace::new();
-        for (lane, half) in halves.iter().enumerate() {
-            let bfs = bfs_in(&mut seq_ws, &view, half.iter());
-            prop_assert_eq!(run.eccentricity(lane), bfs.eccentricity(), "lane {} ecc", lane);
-            prop_assert_eq!(run.reached_count(lane), bfs.reached_count());
-            for vi in 0..g.n() {
-                let v = NodeId::new(vi);
-                prop_assert_eq!(run.dist(v, lane), bfs.dist(v), "lane {} dist({})", lane, vi);
-            }
-            for (r, &ball) in bfs.ball_sizes().iter().enumerate() {
-                prop_assert_eq!(
-                    run.ball_size(lane, r as u32),
-                    ball,
-                    "lane {} ball({})",
-                    lane,
-                    r
-                );
-            }
         }
     }
 
