@@ -10,8 +10,12 @@
 //!
 //! Sizes mirror `carve.rs`: grids at n = 256 and 1024 always; the
 //! `scaling` bins (64x64 = 4096, 102x102 = 10404) join when `SDND_N`
-//! allows. `-ctx` rows reuse one [`CarveCtx`] across iterations.
-//! `BENCH_validate.json` records the committed exact-vs-approx baseline.
+//! allows. Two flat-diameter inputs of the benchmark's validate-flat
+//! workload always run too: a U[1,8]-weighted geometric graph on 600
+//! nodes (mean degree 20), whose weighted diameters take one Dijkstra
+//! per iFUB source, and a 4-regular expander on 2000 nodes. `-ctx` rows
+//! reuse one [`CarveCtx`] across iterations. `BENCH_validate.json`
+//! records the committed exact-vs-approx baseline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sdnd_bench::env_usize;
@@ -22,6 +26,7 @@ use sdnd_clustering::{
 use sdnd_congest::RoundLedger;
 use sdnd_core::{Params, Theorem22Carver};
 use sdnd_graph::algo::HyperBallParams;
+use sdnd_graph::gen::WeightDist;
 use sdnd_graph::{gen, Graph, NodeSet};
 
 fn graphs() -> Vec<(String, Graph)> {
@@ -32,6 +37,15 @@ fn graphs() -> Vec<(String, Graph)> {
         (
             "gnp-1024".to_string(),
             gen::gnp_connected(1024, 6.0 / 1024.0, 7),
+        ),
+        ("geometric-w8-600".to_string(), {
+            let radius = (20.0 / (std::f64::consts::PI * 600.0)).sqrt();
+            let geo = gen::random_geometric(600, radius, 7).expect("valid geometric parameters");
+            gen::reweight(&geo, WeightDist::UniformInt { lo: 1, hi: 8 }, 7).expect("valid weights")
+        }),
+        (
+            "expander-2000".to_string(),
+            gen::random_regular_connected(2000, 4, 7).expect("expander generates"),
         ),
     ];
     if n_max >= 4096 {

@@ -11,10 +11,47 @@
 //! `f64`), the `_with` variants take any oracle, and the
 //! `weighted_*_diameter_of` helpers fix the Dijkstra metric for weighted
 //! graphs.
+//!
+//! # One exact iFUB for every diameter
+//!
+//! Strong and weak diameters, in the hop and the weighted metric, all
+//! come from one iFUB sweep (Crescenzi et al., "On computing the
+//! diameter of real-world graphs"): 64 sources per MS-BFS pass when the
+//! oracle has a batched backend ([`DistanceOracle::batch_distances_in`],
+//! the hop metric), one Dijkstra per source otherwise. Strong sweeps run
+//! in the member view `G[C]`; weak sweeps run in `G` and stop once every
+//! member is reached. The result is the largest distance the oracle
+//! computes over ordered member pairs, so it is bit-identical to one
+//! sweep per member.
+//!
+//! iFUB's cut-off needs nothing but the triangle inequality, and that
+//! holds for exact distances. Dijkstra's computed distance is the
+//! minimum, over paths, of the path's left-to-right rounded weight sum
+//! (`fl(d + w)` is monotone in `d`), and such a sum of at most `n`
+//! non-negative terms lies within a factor of about `1 ± n·ε/2` of the
+//! exact sum. A weighted sweep therefore widens its bounds by `1 + m`
+//! with `m = 2·n·ε` (`n` = the view's universe): the fringe stops only
+//! once `lb ≥ 2L·(1 + m)`, and afterwards every unprocessed member whose
+//! largest computed distance `d` from a processed source satisfies
+//! `d·(1 + m) > lb` is swept too, until none is left — the reverse
+//! direction of a processed pair can round one ulp higher. Hop distances
+//! are exact integers: `m = 0`, and the reverse step never fires.
+//!
+//! Every `G[C]` path is a `G` path with the same rounded sum, so the
+//! computed weak diameter never exceeds the computed strong one. The
+//! validators and quality summaries compute strong before weak and hand
+//! the strong value to the weak sweep as an upper bound, which returns
+//! as soon as its lower bound reaches it — on a cluster whose weak and
+//! strong diameters agree, after a sweep or two.
+
+use std::cmp::Reverse;
 
 use crate::CarveCtx;
-use sdnd_graph::algo::{self, DistanceOracle, HopOracle, HyperBall, WeightedOracle, MS_LANES};
-use sdnd_graph::{Cancelled, Graph, NodeId};
+use sdnd_graph::algo::{
+    self, DistanceMapIn, DistanceOracle, HopOracle, HyperBall, MsBfsRun, TraversalWorkspace,
+    WeightedOracle, MS_LANES, UNREACHED,
+};
+use sdnd_graph::{Adjacency, Cancelled, Graph, NodeId, NodeSet};
 
 /// Exact strong diameter of a node set under `oracle`: the diameter of
 /// `G[members]` in the oracle's metric.
@@ -31,213 +68,18 @@ pub fn strong_diameter_of_with<O: DistanceOracle>(
 }
 
 /// [`strong_diameter_of_with`] with a caller-held context: the member
-/// set comes from the workspace's NodeSet pool and every sweep reuses
-/// the same traversal scratch.
-///
-/// Metrics with a batched backend
-/// ([`DistanceOracle::batch_distances_in`] — the hop metric) compute the
-/// diameter with an MS-BFS-accelerated iFUB sweep (see
-/// `batched_strong_diameter`) instead of one eccentricity per member;
-/// weighted metrics fall back to the full per-source loop. Both paths
-/// produce the exact diameter of the same induced view, so the result is
-/// bit-identical either way (hop distances are integers embedded in
-/// `f64`).
+/// set comes from the workspace's NodeSet pool and every sweep of the
+/// module's iFUB reuses the same traversal scratch.
 pub fn strong_diameter_of_with_in<O: DistanceOracle>(
     g: &Graph,
     members: &[NodeId],
     oracle: &O,
     ctx: &mut CarveCtx,
 ) -> Option<f64> {
-    if members.is_empty() {
-        return None;
-    }
     let set = ctx.ws.take_set_from(g.n(), members.iter().copied());
-    let view = g.view(&set);
-    let out = match batched_strong_diameter(&view, members, oracle, ctx) {
-        Ok(d) => d,
-        Err(NoBatch) => {
-            // Per-source reference sweep: one eccentricity per member.
-            let mut max = 0.0_f64;
-            let mut connected = true;
-            for &v in members {
-                let d = oracle.distances_in(&view, v, &mut ctx.ws);
-                if d.reached_count() != members.len() {
-                    connected = false;
-                    break;
-                }
-                max = max.max(d.eccentricity().unwrap_or(0.0));
-            }
-            connected.then_some(max)
-        }
-    };
+    let out = strong_in(g, &set, members, oracle, &mut ctx.ws);
     ctx.ws.give_set(set);
     out
-}
-
-/// The batched backend declined ([`DistanceOracle::batch_distances_in`]
-/// returned `None`): the caller must run the per-source reference sweep.
-struct NoBatch;
-
-/// Exact diameter of the (member-induced) `view` through the batched
-/// backend: iFUB (Crescenzi et al., "On computing the diameter of
-/// real-world graphs") with the fringe eccentricities computed 64 lanes
-/// per MS-BFS pass.
-///
-/// iFUB roots the sweep at a low-eccentricity node `r`, found as a
-/// path-midpoint proxy of the double sweep's far endpoints `a`, `b`
-/// (see [`central_idx`]) and refined once against the proxy's own
-/// distance vector, then processes members by decreasing `d_r`. Every unprocessed pair `u, v` with
-/// `d_r <= L` satisfies `d(u, v) <= d_r(u) + d_r(v) <= 2L` (triangle
-/// inequality), so once the running max `lb` of *exact* eccentricities
-/// reaches `2L` the remaining pairs cannot beat it and `lb` **is** the
-/// diameter — exact, not approximate. On diameter-realizing geometries
-/// (grids, tori) the double sweep alone hits `lb = 2·e(r)` and the
-/// fringe loop exits immediately; adversarial instances degrade to the
-/// full member sweep, 64 lanes at a time with ties ball-packed by
-/// [`algo::ms_batch_order_in`].
-///
-/// `Ok(None)` means the induced view is disconnected (the verdict the
-/// validators fold); `Err(NoBatch)` means the oracle has no batched
-/// backend and the caller owns the fallback.
-fn batched_strong_diameter<O: DistanceOracle, A: sdnd_graph::Adjacency>(
-    view: &A,
-    members: &[NodeId],
-    oracle: &O,
-    ctx: &mut CarveCtx,
-) -> Result<Option<f64>, NoBatch> {
-    // Double sweep: BFS(m0) checks connectivity and finds far node `a`;
-    // BFS(a) yields the lower bound and far node `b`.
-    let m0 = members[0];
-    let a = {
-        let Some(run) = oracle.batch_distances_in(view, &[m0], &mut ctx.ws) else {
-            return Err(NoBatch);
-        };
-        if run.reached_count(0) != members.len() {
-            return Ok(None);
-        }
-        argmax_member(members, |v| run.dist(v, 0))
-    };
-    let (mut lb, da) = {
-        let Some(run) = oracle.batch_distances_in(view, &[a], &mut ctx.ws) else {
-            return Err(NoBatch);
-        };
-        let da: Vec<u32> = members.iter().map(|&v| run.dist(v, 0)).collect();
-        (run.eccentricity(0).unwrap_or(0), da)
-    };
-    let db: Vec<u32> = {
-        let b = members[argmax_idx(&da)];
-        let Some(run) = oracle.batch_distances_in(view, &[b], &mut ctx.ws) else {
-            return Err(NoBatch);
-        };
-        lb = lb.max(run.eccentricity(0).unwrap_or(0));
-        members.iter().map(|&v| run.dist(v, 0)).collect()
-    };
-    // Root: path-midpoint proxy of `a`-`b`, refined once against its own
-    // distance vector (two reference distances cannot separate an L1
-    // anti-diagonal; three can — see `central_idx`). Keep whichever of
-    // proxy and refinement has the smaller eccentricity.
-    let r1 = members[central_idx(members.len(), |i| (da[i].max(db[i]), da[i].min(db[i])))];
-    let (e1, dr1): (u32, Vec<u32>) = {
-        let Some(run) = oracle.batch_distances_in(view, &[r1], &mut ctx.ws) else {
-            return Err(NoBatch);
-        };
-        let e = run.eccentricity(0).unwrap_or(0);
-        (e, members.iter().map(|&v| run.dist(v, 0)).collect())
-    };
-    lb = lb.max(e1);
-    let r2 = members[central_idx(members.len(), |i| {
-        (da[i].max(db[i]).max(dr1[i]), da[i].min(db[i]).min(dr1[i]))
-    })];
-    let dr: Vec<u32> = if r2 == r1 {
-        dr1
-    } else {
-        let Some(run) = oracle.batch_distances_in(view, &[r2], &mut ctx.ws) else {
-            return Err(NoBatch);
-        };
-        let e2 = run.eccentricity(0).unwrap_or(0);
-        lb = lb.max(e2);
-        if e2 < e1 {
-            members.iter().map(|&v| run.dist(v, 0)).collect()
-        } else {
-            dr1
-        }
-    };
-
-    // Fringe: members by decreasing d_r, ties ball-packed for lane
-    // locality within each level band.
-    let pos = algo::ms_batch_order_in(&mut ctx.ws, view, members);
-    let mut rank = vec![0u32; members.len()];
-    for (p, &i) in pos.iter().enumerate() {
-        rank[i as usize] = p as u32;
-    }
-    let mut idx: Vec<u32> = (0..members.len() as u32).collect();
-    idx.sort_unstable_by_key(|&i| (std::cmp::Reverse(dr[i as usize]), rank[i as usize]));
-    let mut batch = [NodeId::new(0); MS_LANES];
-    for chunk in idx.chunks(MS_LANES) {
-        let level = dr[chunk[0] as usize];
-        if u64::from(lb) >= 2 * u64::from(level) {
-            break;
-        }
-        for (i, &oi) in chunk.iter().enumerate() {
-            batch[i] = members[oi as usize];
-        }
-        let Some(run) = oracle.batch_distances_in(view, &batch[..chunk.len()], &mut ctx.ws) else {
-            return Err(NoBatch);
-        };
-        for lane in 0..chunk.len() {
-            lb = lb.max(run.eccentricity(lane).unwrap_or(0));
-        }
-    }
-    Ok(Some(f64::from(lb)))
-}
-
-/// Index of the member farthest by `dist` (ties to the earliest member,
-/// like a sequential scan).
-fn argmax_member(members: &[NodeId], dist: impl Fn(NodeId) -> u32) -> NodeId {
-    let mut best = (0usize, dist(members[0]));
-    for (i, &v) in members.iter().enumerate().skip(1) {
-        let d = dist(v);
-        if d > best.1 {
-            best = (i, d);
-        }
-    }
-    members[best.0]
-}
-
-/// Index minimizing the `max` of the reference distances, breaking ties
-/// toward the *largest* `min` (then the earliest index).
-///
-/// The primary key is the classic iFUB midpoint proxy. The tiebreak
-/// matters on degenerate geometries: on an L1 grid every node of the
-/// anti-diagonal between two opposite corners `a`, `b` has the same
-/// `max(d_a, d_b)` — including the *other two corners*, which are
-/// terrible roots. Maximizing the `min` pushes the choice away from the
-/// reference points toward the geometric center, and a second pass with
-/// the first root's own distances as a third reference separates what
-/// two references cannot.
-fn central_idx(n: usize, key: impl Fn(usize) -> (u32, u32)) -> usize {
-    let mut best = 0usize;
-    let (mut bmax, mut bmin) = key(0);
-    for i in 1..n {
-        let (mx, mn) = key(i);
-        if mx < bmax || (mx == bmax && mn > bmin) {
-            best = i;
-            bmax = mx;
-            bmin = mn;
-        }
-    }
-    best
-}
-
-/// Index of the largest entry (first on ties).
-fn argmax_idx(d: &[u32]) -> usize {
-    let mut best = 0usize;
-    for (i, &v) in d.iter().enumerate().skip(1) {
-        if v > d[best] {
-            best = i;
-        }
-    }
-    best
 }
 
 /// Exact weak diameter of a node set under `oracle`: the maximum
@@ -252,160 +94,447 @@ pub fn weak_diameter_of_with<O: DistanceOracle>(
     weak_diameter_of_with_in(g, members, oracle, &mut CarveCtx::new())
 }
 
-/// [`weak_diameter_of_with`] with a caller-held context.
-///
-/// Each per-member sweep runs over the *full* graph but early-terminates
-/// as soon as every member has been reached (a remaining-members count
-/// inside the traversal), so validating a small cluster no longer pays
-/// `O(m)` of the whole graph per source. Under a batched backend
-/// ([`DistanceOracle::batch_distances_to_in`] — the hop metric) the
-/// weak diameter is computed by the iFUB scheme of
-/// `batched_strong_diameter` adapted to full-graph distances between
-/// members (see `batched_weak_diameter`); weighted metrics fall back
-/// to the full per-source loop. Member distances are exact in every
-/// variant, so the result is bit-identical throughout.
+/// [`weak_diameter_of_with`] with a caller-held context. Each sweep of
+/// the module's iFUB runs over the *full* graph but stops as soon as
+/// every member has been reached, so validating a small cluster does not
+/// pay `O(m)` of the whole graph per source.
 pub fn weak_diameter_of_with_in<O: DistanceOracle>(
     g: &Graph,
     members: &[NodeId],
     oracle: &O,
     ctx: &mut CarveCtx,
 ) -> Option<f64> {
-    if members.is_empty() {
-        return None;
-    }
-    let targets = ctx.ws.take_set_from(g.n(), members.iter().copied());
-    let view = g.full_view();
-    let out = match batched_weak_diameter(g, &view, members, &targets, oracle, ctx) {
-        Ok(d) => d,
-        Err(NoBatch) => {
-            // Per-source reference sweep: one targeted traversal per
-            // member, folding exact member-pair distances.
-            let mut max = 0.0_f64;
-            let mut connected = true;
-            'members: for &v in members {
-                let d = oracle.distances_to_in(&view, v, &targets, &mut ctx.ws);
-                for &u in members {
-                    if !d.reached(u) {
-                        connected = false;
-                        break 'members;
-                    }
-                    max = max.max(d.dist(u));
-                }
-            }
-            connected.then_some(max)
-        }
-    };
-    ctx.ws.give_set(targets);
+    let set = ctx.ws.take_set_from(g.n(), members.iter().copied());
+    let out = weak_in(g, &set, members, oracle, f64::INFINITY, &mut ctx.ws);
+    ctx.ws.give_set(set);
     out
 }
 
-/// Exact weak diameter (max member-pair distance in `G`) through the
-/// batched backend: the iFUB scheme of [`batched_strong_diameter`] with
-/// full-graph targeted sweeps in place of induced-view eccentricities.
-///
-/// A member's *weak eccentricity* — its distance to the farthest member
-/// — is one targeted traversal's [`last-target
-/// level`](sdnd_graph::algo::MsBfsRun::last_target_level), read in
-/// `O(1)` per lane instead of an `O(|C|)` distance read-back. The iFUB
-/// bound carries over verbatim because it is just the triangle
-/// inequality in `G`: unprocessed members `u, v` with `d_G(r, ·) <= L`
-/// satisfy `d_G(u, v) <= 2L`. Connectivity needs only the first sweep —
-/// `G` is undirected, so one member reaching every member puts the whole
-/// set in one component.
-fn batched_weak_diameter<O: DistanceOracle, A: sdnd_graph::Adjacency>(
+/// Strong then weak diameter of one member set under `oracle`, the weak
+/// sweep bounded by the strong value (computed weak ≤ computed strong;
+/// see the module docs).
+fn strong_and_weak_in<O: DistanceOracle>(
     g: &Graph,
-    view: &A,
     members: &[NodeId],
-    targets: &sdnd_graph::NodeSet,
     oracle: &O,
     ctx: &mut CarveCtx,
-) -> Result<Option<f64>, NoBatch> {
-    let m0 = members[0];
-    let a = {
-        let Some(run) = oracle.batch_distances_to_in(view, &[m0], targets, &mut ctx.ws) else {
-            return Err(NoBatch);
-        };
-        if run.targets_remaining(0) != 0 {
-            return Ok(None);
+) -> (Option<f64>, Option<f64>) {
+    let set = ctx.ws.take_set_from(g.n(), members.iter().copied());
+    let strong = strong_in(g, &set, members, oracle, &mut ctx.ws);
+    let at_most = strong.unwrap_or(f64::INFINITY);
+    let weak = weak_in(g, &set, members, oracle, at_most, &mut ctx.ws);
+    ctx.ws.give_set(set);
+    (strong, weak)
+}
+
+/// Strong diameter of `members` (node set `set`): iFUB in `G[set]`.
+fn strong_in<O: DistanceOracle>(
+    g: &Graph,
+    set: &NodeSet,
+    members: &[NodeId],
+    oracle: &O,
+    ws: &mut TraversalWorkspace,
+) -> Option<f64> {
+    let view = g.view(set);
+    let sweeper = Sweeper::new(oracle, &view, None);
+    ifub(g, set, members, sweeper, f64::INFINITY, ws)
+}
+
+/// Weak diameter of `members` (node set `set`), known to be at most
+/// `at_most`: iFUB in `G`, each sweep targeted on the members.
+fn weak_in<O: DistanceOracle>(
+    g: &Graph,
+    set: &NodeSet,
+    members: &[NodeId],
+    oracle: &O,
+    at_most: f64,
+    ws: &mut TraversalWorkspace,
+) -> Option<f64> {
+    let view = g.full_view();
+    let sweeper = Sweeper::new(oracle, &view, Some(set));
+    ifub(g, set, members, sweeper, at_most, ws)
+}
+
+/// Exact diameter of `members` (whose node set is `set`) in the
+/// sweeper's view: the largest distance its oracle computes over ordered
+/// member pairs, `None` when some member is unreachable from another.
+/// The run returns as soon as its lower bound reaches `at_most`, a known
+/// upper bound on the diameter.
+///
+/// iFUB roots the sweep at a low-eccentricity member `r`, found as a
+/// path-midpoint proxy of the double sweep's far endpoints `a`, `b`
+/// (see [`central_idx`]) and refined once against the proxy's own
+/// distance vector, then sweeps members by decreasing `d_r`. Every
+/// unprocessed pair `u, v` with `d_r ≤ L` satisfies `d(u, v) ≤ d_r(u) +
+/// d_r(v) ≤ 2L` (triangle inequality), so once the running maximum `lb`
+/// of processed eccentricities reaches `2L` — `2L·(1 + m)` under
+/// rounding, see the module docs — the remaining pairs cannot beat it.
+/// On diameter-realizing geometries (grids, tori) the double sweep alone
+/// reaches the bound; adversarial instances degrade to one sweep per
+/// member, 64 lanes at a time with ties ball-packed by
+/// [`algo::ms_batch_order_in`] when the oracle batches.
+fn ifub<O: DistanceOracle, A: Adjacency>(
+    g: &Graph,
+    set: &NodeSet,
+    members: &[NodeId],
+    mut sweeper: Sweeper<'_, O, A>,
+    at_most: f64,
+    ws: &mut TraversalWorkspace,
+) -> Option<f64> {
+    match members.len() {
+        0 => return None,
+        1 => return Some(0.0),
+        _ => {}
+    }
+    // The first sweep checks connectivity (`G` is undirected, so one
+    // member reaching every member puts the set in one component) and
+    // finds out whether the oracle batches.
+    let d0 = match sweeper.batch(&members[..1], ws) {
+        Some(run) => run.row(members, 0),
+        None => {
+            sweeper.batched = false;
+            sweeper.single(members[0], ws).row(members, 0)
         }
-        argmax_member(members, |v| run.dist(v, 0))
     };
-    let (mut lb, da) = {
-        let Some(run) = oracle.batch_distances_to_in(view, &[a], targets, &mut ctx.ws) else {
-            return Err(NoBatch);
-        };
-        let da: Vec<u32> = members.iter().map(|&v| run.dist(v, 0)).collect();
-        (run.last_target_level(0), da)
+    if d0.contains(&f64::INFINITY) {
+        return None;
+    }
+    let slack = if sweeper.oracle.is_weighted_metric() {
+        2.0 * sweeper.view.universe() as f64 * f64::EPSILON
+    } else {
+        0.0
     };
-    let db: Vec<u32> = {
-        let b = members[argmax_idx(&da)];
-        let Some(run) = oracle.batch_distances_to_in(view, &[b], targets, &mut ctx.ws) else {
-            return Err(NoBatch);
-        };
-        lb = lb.max(run.last_target_level(0));
-        members.iter().map(|&v| run.dist(v, 0)).collect()
-    };
-    // Root selection and refinement exactly as in the strong path (see
-    // `central_idx`), with weak eccentricities read off the last-target
-    // level.
-    let r1 = members[central_idx(members.len(), |i| (da[i].max(db[i]), da[i].min(db[i])))];
-    let (e1, dr1): (u32, Vec<u32>) = {
-        let Some(run) = oracle.batch_distances_to_in(view, &[r1], targets, &mut ctx.ws) else {
-            return Err(NoBatch);
-        };
-        let e = run.last_target_level(0);
-        (e, members.iter().map(|&v| run.dist(v, 0)).collect())
-    };
-    lb = lb.max(e1);
-    let r2 = members[central_idx(members.len(), |i| {
+    let mut st = Bounds::new(members.len(), slack, at_most);
+    let (Ok(lb) | Err(lb)) = sweep_members(&mut st, &sweeper, g, set, members, &d0, ws);
+    Some(lb)
+}
+
+/// The sweeps of one [`ifub`] run over a connected member set, given the
+/// first member's distance row `d0`: `Ok` with the diameter, or `Err`
+/// with a lower bound that reached the run's `at_most` — the diameter
+/// too.
+fn sweep_members<O: DistanceOracle, A: Adjacency>(
+    st: &mut Bounds,
+    sweeper: &Sweeper<'_, O, A>,
+    g: &Graph,
+    set: &NodeSet,
+    members: &[NodeId],
+    d0: &[f64],
+    ws: &mut TraversalWorkspace,
+) -> Result<f64, f64> {
+    st.fold(0, d0)?;
+    // Double sweep: far member `a` of the first, far member `b` of `a`.
+    let da = st.row(sweeper, members, argmax(d0), ws)?;
+    let db = st.row(sweeper, members, argmax(&da), ws)?;
+    // Root: path-midpoint proxy of `a`-`b`, refined once against its own
+    // distance vector (two reference distances cannot separate an L1
+    // anti-diagonal; three can — see `central_idx`). Keep whichever of
+    // proxy and refinement has the smaller eccentricity.
+    let n = members.len();
+    let r1 = central_idx(n, |i| (da[i].max(db[i]), da[i].min(db[i])));
+    let dr1 = st.row(sweeper, members, r1, ws)?;
+    let r2 = central_idx(n, |i| {
         (da[i].max(db[i]).max(dr1[i]), da[i].min(db[i]).min(dr1[i]))
-    })];
-    let dr: Vec<u32> = if r2 == r1 {
+    });
+    let dr = if r2 == r1 {
         dr1
     } else {
-        let Some(run) = oracle.batch_distances_to_in(view, &[r2], targets, &mut ctx.ws) else {
-            return Err(NoBatch);
-        };
-        let e2 = run.last_target_level(0);
-        lb = lb.max(e2);
-        if e2 < e1 {
-            members.iter().map(|&v| run.dist(v, 0)).collect()
+        let dr2 = st.row(sweeper, members, r2, ws)?;
+        if max_of(&dr2) < max_of(&dr1) {
+            dr2
         } else {
             dr1
         }
     };
 
-    // Fringe order: decreasing d_G(r, ·), ties ball-packed on the
-    // *induced* member view (members adjacent inside the cluster are
-    // certainly close in `G`, and the ordering sweep never leaves the
-    // member set).
-    let pos = algo::ms_batch_order_in(&mut ctx.ws, &g.view(targets), members);
-    let mut rank = vec![0u32; members.len()];
-    for (p, &i) in pos.iter().enumerate() {
-        rank[i as usize] = p as u32;
-    }
-    let mut idx: Vec<u32> = (0..members.len() as u32).collect();
-    idx.sort_unstable_by_key(|&i| (std::cmp::Reverse(dr[i as usize]), rank[i as usize]));
-    let mut batch = [NodeId::new(0); MS_LANES];
-    for chunk in idx.chunks(MS_LANES) {
-        let level = dr[chunk[0] as usize];
-        if u64::from(lb) >= 2 * u64::from(level) {
-            break;
-        }
-        for (i, &oi) in chunk.iter().enumerate() {
-            batch[i] = members[oi as usize];
-        }
-        let Some(run) =
-            oracle.batch_distances_to_in(view, &batch[..chunk.len()], targets, &mut ctx.ws)
-        else {
-            return Err(NoBatch);
+    // Fringe: unprocessed members by decreasing d_r; a batched oracle
+    // gets ties ball-packed for lane locality within each level band
+    // (the packing sweep never leaves the member view). When the root's
+    // own eccentricity already certifies `lb` — the common case on
+    // grid-like clusters — the fringe and its packing sweep are skipped.
+    let lanes = sweeper.lanes();
+    if st.lb < 2.0 * max_of(&dr) * st.grow {
+        let rank: Vec<u32> = if sweeper.batched {
+            let pos = algo::ms_batch_order_in(ws, &g.view(set), members);
+            let mut rank = vec![0u32; n];
+            for (p, &i) in pos.iter().enumerate() {
+                rank[i as usize] = p as u32;
+            }
+            rank
+        } else {
+            (0..n as u32).collect()
         };
-        for lane in 0..chunk.len() {
-            debug_assert_eq!(run.targets_remaining(lane), 0, "one component");
-            lb = lb.max(run.last_target_level(lane));
+        // Distances are non-negative, so their bit patterns sort like
+        // their values.
+        let mut idx: Vec<u32> = (0..n as u32).filter(|&i| !st.done[i as usize]).collect();
+        idx.sort_unstable_by_key(|&i| (Reverse(dr[i as usize].to_bits()), rank[i as usize]));
+        for chunk in idx.chunks(lanes) {
+            if st.lb >= 2.0 * dr[chunk[0] as usize] * st.grow {
+                break;
+            }
+            st.sweep(sweeper, chunk, members, ws)?;
         }
     }
-    Ok(Some(f64::from(lb)))
+    // Reverse pairs (weighted metrics only): a processed source `v` bounds
+    // `d(v, u)` by `lb`, but `d(u, v)` may round higher.
+    if !st.from_done.is_empty() {
+        loop {
+            let pending: Vec<u32> = (0..n as u32)
+                .filter(|&i| {
+                    let i = i as usize;
+                    !st.done[i] && st.from_done[i] * st.grow > st.lb
+                })
+                .collect();
+            if pending.is_empty() {
+                break;
+            }
+            for chunk in pending.chunks(lanes) {
+                st.sweep(sweeper, chunk, members, ws)?;
+            }
+        }
+    }
+    Ok(st.lb)
+}
+
+/// The traversals of one [`ifub`] run: strong sweeps over the member
+/// view, or weak sweeps over the full graph that stop once every member
+/// (`targets`) is reached.
+struct Sweeper<'a, O, A> {
+    oracle: &'a O,
+    view: &'a A,
+    targets: Option<&'a NodeSet>,
+    /// Whether the oracle has a batched backend (assumed until the first
+    /// sweep finds out).
+    batched: bool,
+}
+
+impl<'a, O: DistanceOracle, A: Adjacency> Sweeper<'a, O, A> {
+    fn new(oracle: &'a O, view: &'a A, targets: Option<&'a NodeSet>) -> Self {
+        Sweeper {
+            oracle,
+            view,
+            targets,
+            batched: true,
+        }
+    }
+
+    /// Sources per pass: a lane word when batched, else one.
+    fn lanes(&self) -> usize {
+        if self.batched {
+            MS_LANES
+        } else {
+            1
+        }
+    }
+
+    /// One batched pass (`None`: the oracle has no batched backend).
+    fn batch<'w>(&self, sources: &[NodeId], ws: &'w mut TraversalWorkspace) -> Option<Run<'w>> {
+        match self.targets {
+            None => self.oracle.batch_distances_in(self.view, sources, ws),
+            Some(t) => self.oracle.batch_distances_to_in(self.view, sources, t, ws),
+        }
+        .map(|run| Run::Batch(run, self.targets.is_some()))
+    }
+
+    /// One single-source sweep.
+    fn single<'w>(&self, source: NodeId, ws: &'w mut TraversalWorkspace) -> Run<'w> {
+        Run::Single(match self.targets {
+            None => self.oracle.distances_in(self.view, source, ws),
+            Some(t) => self.oracle.distances_to_in(self.view, source, t, ws),
+        })
+    }
+
+    /// One pass over at most [`lanes`](Self::lanes) sources.
+    fn run<'w>(&self, sources: &[NodeId], ws: &'w mut TraversalWorkspace) -> Run<'w> {
+        if self.batched {
+            self.batch(sources, ws)
+                .expect("the batched backend answered the first sweep")
+        } else {
+            debug_assert_eq!(sources.len(), 1);
+            self.single(sources[0], ws)
+        }
+    }
+}
+
+/// One finished pass of a [`Sweeper`].
+enum Run<'w> {
+    /// An MS-BFS batch; `true` when its lanes were targeted on the members.
+    Batch(MsBfsRun<'w>, bool),
+    /// One single-source sweep.
+    Single(DistanceMapIn<'w>),
+}
+
+impl Run<'_> {
+    /// Distance from lane `lane`'s source to member `v` (infinite when
+    /// unreached).
+    fn dist(&self, v: NodeId, lane: usize) -> f64 {
+        match self {
+            Run::Batch(run, _) => match run.dist(v, lane) {
+                UNREACHED => f64::INFINITY,
+                d => f64::from(d),
+            },
+            Run::Single(run) => run.dist(v),
+        }
+    }
+
+    /// Lane `lane`'s distances to `members`, in member order.
+    fn row(&self, members: &[NodeId], lane: usize) -> Vec<f64> {
+        match self {
+            Run::Batch(run, _) => members
+                .iter()
+                .map(|&v| match run.dist(v, lane) {
+                    UNREACHED => f64::INFINITY,
+                    d => f64::from(d),
+                })
+                .collect(),
+            Run::Single(run) => members.iter().map(|&v| run.dist(v)).collect(),
+        }
+    }
+
+    /// Lane `lane`'s largest member distance, read in `O(1)`: the
+    /// eccentricity in the member view, or the last-target level of a
+    /// targeted lane (a targeted single sweep settles its last target
+    /// last).
+    fn ecc(&self, lane: usize) -> f64 {
+        match *self {
+            Run::Batch(run, false) => f64::from(run.eccentricity(lane).unwrap_or(0)),
+            Run::Batch(run, true) => f64::from(run.last_target_level(lane)),
+            Run::Single(run) => run.eccentricity().unwrap_or(0.0),
+        }
+    }
+}
+
+/// The running state of one [`ifub`] run.
+struct Bounds {
+    /// Largest eccentricity of a processed source.
+    lb: f64,
+    /// Known upper bound on the diameter: reaching it ends the run.
+    at_most: f64,
+    /// `1 + m`, the metric's rounding slack (exactly 1 for hops).
+    grow: f64,
+    /// Members swept as sources.
+    done: Vec<bool>,
+    /// Per member, the largest computed distance from a processed
+    /// source; empty for exact metrics, where the reverse step never
+    /// fires.
+    from_done: Vec<f64>,
+}
+
+impl Bounds {
+    fn new(members: usize, slack: f64, at_most: f64) -> Self {
+        Bounds {
+            lb: 0.0,
+            at_most,
+            grow: 1.0 + slack,
+            done: vec![false; members],
+            from_done: if slack > 0.0 {
+                vec![0.0; members]
+            } else {
+                Vec::new()
+            },
+        }
+    }
+
+    /// `Err(lb)` once `lb` has reached `at_most`.
+    fn check(&self) -> Result<(), f64> {
+        if self.lb >= self.at_most {
+            Err(self.lb)
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Folds the distance row of processed member `i`.
+    fn fold(&mut self, i: usize, row: &[f64]) -> Result<(), f64> {
+        self.done[i] = true;
+        self.lb = self.lb.max(max_of(row));
+        for (m, &d) in self.from_done.iter_mut().zip(row) {
+            *m = m.max(d);
+        }
+        self.check()
+    }
+
+    /// Sweeps member `i` alone and returns its folded distance row.
+    fn row<O: DistanceOracle, A: Adjacency>(
+        &mut self,
+        sweeper: &Sweeper<'_, O, A>,
+        members: &[NodeId],
+        i: usize,
+        ws: &mut TraversalWorkspace,
+    ) -> Result<Vec<f64>, f64> {
+        let row = sweeper.run(&[members[i]], ws).row(members, 0);
+        self.fold(i, &row)?;
+        Ok(row)
+    }
+
+    /// Sweeps the members indexed by `chunk` in one pass.
+    fn sweep<O: DistanceOracle, A: Adjacency>(
+        &mut self,
+        sweeper: &Sweeper<'_, O, A>,
+        chunk: &[u32],
+        members: &[NodeId],
+        ws: &mut TraversalWorkspace,
+    ) -> Result<(), f64> {
+        let mut sources = [NodeId::new(0); MS_LANES];
+        for (s, &i) in sources.iter_mut().zip(chunk) {
+            *s = members[i as usize];
+        }
+        let run = sweeper.run(&sources[..chunk.len()], ws);
+        for (lane, &i) in chunk.iter().enumerate() {
+            self.done[i as usize] = true;
+            if self.from_done.is_empty() {
+                self.lb = self.lb.max(run.ecc(lane));
+            } else {
+                for (m, &v) in self.from_done.iter_mut().zip(members) {
+                    let d = run.dist(v, lane);
+                    self.lb = self.lb.max(d);
+                    *m = m.max(d);
+                }
+            }
+        }
+        self.check()
+    }
+}
+
+/// Largest entry.
+fn max_of(d: &[f64]) -> f64 {
+    d.iter().copied().fold(0.0, f64::max)
+}
+
+/// Index of the largest entry (first on ties).
+fn argmax(d: &[f64]) -> usize {
+    let mut best = 0usize;
+    for (i, &v) in d.iter().enumerate().skip(1) {
+        if v > d[best] {
+            best = i;
+        }
+    }
+    best
+}
+
+/// Index minimizing the `max` of the reference distances, breaking ties
+/// toward the *largest* `min` (then the earliest index).
+///
+/// The primary key is the classic iFUB midpoint proxy. The tiebreak
+/// matters on degenerate geometries: on an L1 grid every node of the
+/// anti-diagonal between two opposite corners `a`, `b` has the same
+/// `max(d_a, d_b)` — including the *other two corners*, which are
+/// terrible roots. Maximizing the `min` pushes the choice away from the
+/// reference points toward the geometric center, and a second pass with
+/// the first root's own distances as a third reference separates what
+/// two references cannot.
+fn central_idx(n: usize, key: impl Fn(usize) -> (f64, f64)) -> usize {
+    let mut best = 0usize;
+    let (mut bmax, mut bmin) = key(0);
+    for i in 1..n {
+        let (mx, mn) = key(i);
+        if mx < bmax || (mx == bmax && mn > bmin) {
+            best = i;
+            bmax = mx;
+            bmin = mn;
+        }
+    }
+    best
 }
 
 /// Exact strong diameter of a node set in hops: the diameter of
@@ -599,52 +728,30 @@ pub struct CarvingQuality {
     pub max_cluster_size: usize,
 }
 
-/// Computes quality metrics for a carving (exact diameters; cost is one
-/// BFS per cluster member, doubled on weighted graphs for the weighted
-/// sweep). Thin wrapper over [`carving_quality_in`].
+/// Computes quality metrics for a carving (exact diameters, hop and, on
+/// weighted graphs, weighted). Thin wrapper over [`carving_quality_in`].
 pub fn carving_quality(g: &Graph, carving: &crate::BallCarving) -> CarvingQuality {
     carving_quality_in(g, carving, &mut CarveCtx::new())
 }
 
 /// [`carving_quality`] with a caller-held context: one workspace serves
-/// every per-member sweep across all clusters.
+/// every sweep across all clusters.
 pub fn carving_quality_in(
     g: &Graph,
     carving: &crate::BallCarving,
     ctx: &mut CarveCtx,
 ) -> CarvingQuality {
-    let mut max_strong = Some(0u32);
-    let mut max_weak = Some(0u32);
-    let weighted = g.is_weighted();
-    let mut w_strong = weighted.then_some(0.0_f64);
-    let mut w_weak = weighted.then_some(0.0_f64);
+    let mut diameters = DiameterFold::new(g);
     for c in carving.clusters() {
-        max_strong = match (max_strong, strong_diameter_of_in(g, c, ctx)) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            _ => None,
-        };
-        max_weak = match (max_weak, weak_diameter_of_in(g, c, ctx)) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            _ => None,
-        };
-        if weighted {
-            w_strong = match (w_strong, weighted_strong_diameter_of_in(g, c, ctx)) {
-                (Some(a), Some(b)) => Some(a.max(b)),
-                _ => None,
-            };
-            w_weak = match (w_weak, weighted_weak_diameter_of_in(g, c, ctx)) {
-                (Some(a), Some(b)) => Some(a.max(b)),
-                _ => None,
-            };
-        }
+        diameters.add(g, c, ctx);
     }
     CarvingQuality {
         clusters: carving.num_clusters(),
         dead_fraction: carving.dead_fraction(),
-        max_strong_diameter: max_strong,
-        max_weak_diameter: max_weak,
-        weighted_strong_diameter: w_strong,
-        weighted_weak_diameter: w_weak,
+        max_strong_diameter: diameters.strong,
+        max_weak_diameter: diameters.weak,
+        weighted_strong_diameter: diameters.weighted_strong,
+        weighted_weak_diameter: diameters.weighted_weak,
         max_cluster_size: carving.max_cluster_size(),
     }
 }
@@ -687,40 +794,75 @@ pub fn decomposition_quality_in(
     d: &crate::NetworkDecomposition,
     ctx: &mut CarveCtx,
 ) -> DecompositionQuality {
-    let mut max_strong = Some(0u32);
-    let mut max_weak = Some(0u32);
-    let weighted = g.is_weighted();
-    let mut w_strong = weighted.then_some(0.0_f64);
-    let mut w_weak = weighted.then_some(0.0_f64);
+    let mut diameters = DiameterFold::new(g);
     for c in d.clusters() {
-        max_strong = match (max_strong, strong_diameter_of_in(g, c, ctx)) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            _ => None,
-        };
-        max_weak = match (max_weak, weak_diameter_of_in(g, c, ctx)) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            _ => None,
-        };
-        if weighted {
-            w_strong = match (w_strong, weighted_strong_diameter_of_in(g, c, ctx)) {
-                (Some(a), Some(b)) => Some(a.max(b)),
-                _ => None,
-            };
-            w_weak = match (w_weak, weighted_weak_diameter_of_in(g, c, ctx)) {
-                (Some(a), Some(b)) => Some(a.max(b)),
-                _ => None,
-            };
-        }
+        diameters.add(g, c, ctx);
     }
+    let max_strong = diameters.strong;
     DecompositionQuality {
         colors: d.num_colors(),
         clusters: d.num_clusters(),
         max_strong_diameter: max_strong,
-        max_weak_diameter: max_weak,
-        weighted_strong_diameter: w_strong,
-        weighted_weak_diameter: w_weak,
+        max_weak_diameter: diameters.weak,
+        weighted_strong_diameter: diameters.weighted_strong,
+        weighted_weak_diameter: diameters.weighted_weak,
         cd_product: max_strong.map(|s| d.num_colors() as u64 * (s as u64 + 1)),
         max_cluster_size: d.max_cluster_size(),
+    }
+}
+
+/// Largest per-cluster diameters over a cluster list, in every metric
+/// the validators and quality summaries report: the one fold they share.
+/// A `None` field stays `None` (some cluster has no diameter there); the
+/// weighted fields are `None` from the start on unweighted graphs.
+#[derive(Debug)]
+pub(crate) struct DiameterFold {
+    pub(crate) strong: Option<u32>,
+    pub(crate) weak: Option<u32>,
+    pub(crate) weighted_strong: Option<f64>,
+    pub(crate) weighted_weak: Option<f64>,
+}
+
+impl DiameterFold {
+    pub(crate) fn new(g: &Graph) -> Self {
+        let weighted = g.is_weighted().then_some(0.0);
+        DiameterFold {
+            strong: Some(0),
+            weak: Some(0),
+            weighted_strong: weighted,
+            weighted_weak: weighted,
+        }
+    }
+
+    /// Folds one cluster's exact diameters, hop and (on weighted graphs)
+    /// weighted, each metric's strong before its weak so the weak sweep
+    /// is bounded by the strong value. Returns the cluster's hop
+    /// `(strong, weak)` diameters for the validators' violation lists.
+    /// The weighted values are `None` only for the connectivity reasons
+    /// the hop pair already shows (reachability is metric-independent).
+    pub(crate) fn add(
+        &mut self,
+        g: &Graph,
+        members: &[NodeId],
+        ctx: &mut CarveCtx,
+    ) -> (Option<u32>, Option<u32>) {
+        let (strong, weak) = strong_and_weak_in(g, members, &HopOracle, ctx);
+        let (strong, weak) = (strong.map(|d| d as u32), weak.map(|d| d as u32));
+        self.strong = fold_max(self.strong, strong, u32::max);
+        self.weak = fold_max(self.weak, weak, u32::max);
+        if g.is_weighted() {
+            let (w_strong, w_weak) = strong_and_weak_in(g, members, &WeightedOracle, ctx);
+            self.weighted_strong = fold_max(self.weighted_strong, w_strong, f64::max);
+            self.weighted_weak = fold_max(self.weighted_weak, w_weak, f64::max);
+        }
+        (strong, weak)
+    }
+}
+
+fn fold_max<T>(acc: Option<T>, x: Option<T>, max: fn(T, T) -> T) -> Option<T> {
+    match (acc, x) {
+        (Some(a), Some(b)) => Some(max(a, b)),
+        _ => None,
     }
 }
 

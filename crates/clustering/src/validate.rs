@@ -84,19 +84,21 @@ impl CarvingReport {
 
 /// Validates a ball carving against `g`.
 ///
-/// Diameters are computed exactly (one BFS per cluster member), so the
-/// cost is `O(Σ|C| · m)`; intended for tests and experiment self-checks.
-/// Thin wrapper over [`validate_carving_in`] with a throwaway context.
+/// Diameters are computed exactly, by the iFUB sweeps of
+/// [`metrics`] (one sweep per cluster member in the worst case, so
+/// `O(Σ|C| · m)`); intended for tests and experiment self-checks. Thin
+/// wrapper over [`validate_carving_in`] with a throwaway context.
 pub fn validate_carving(g: &Graph, carving: &BallCarving) -> CarvingReport {
     validate_carving_in(g, carving, &mut CarveCtx::new()).expect("unarmed ctx never cancels")
 }
 
-/// [`validate_carving`] with a caller-held context: all-pairs diameter
-/// checks reuse one traversal workspace across sources and clusters,
-/// and the weak-diameter sweeps early-terminate once every cluster
-/// member is reached. The context's armed deadline is honored once per
-/// validated cluster (each cluster costs a full diameter sweep, so that
-/// is the traversal-epoch granularity the service contract promises).
+/// [`validate_carving`] with a caller-held context: the diameter sweeps
+/// reuse one traversal workspace across sources and clusters, and each
+/// cluster's weak-diameter sweep stops once every member is reached and
+/// once it reaches the cluster's strong diameter. The context's armed
+/// deadline is honored once per validated cluster (each cluster costs a
+/// full diameter sweep, so that is the traversal-epoch granularity the
+/// service contract promises).
 ///
 /// # Errors
 ///
@@ -123,27 +125,15 @@ pub fn validate_carving_in(
 
     // Connectivity and diameters.
     let mut connected = true;
-    let mut max_strong = Some(0u32);
-    let mut max_weak = Some(0u32);
-    let weighted = g.is_weighted();
-    let mut w_strong = weighted.then_some(0.0_f64);
-    let mut w_weak = weighted.then_some(0.0_f64);
+    let mut diameters = metrics::DiameterFold::new(g);
     for (i, c) in carving.clusters().iter().enumerate() {
         ctx.checkpoint("validate-carving-cluster")?;
-        match metrics::strong_diameter_of_in(g, c, ctx) {
-            Some(d) => {
-                if let Some(m) = max_strong {
-                    max_strong = Some(m.max(d));
-                }
-            }
-            None => {
-                connected = false;
-                max_strong = None;
-                violations.push(format!("cluster {i} induces a disconnected subgraph"));
-            }
+        let (strong, weak) = diameters.add(g, c, ctx);
+        if strong.is_none() {
+            connected = false;
+            violations.push(format!("cluster {i} induces a disconnected subgraph"));
         }
-        let weak_d = metrics::weak_diameter_of_in(g, c, ctx);
-        if weak_d.is_none() {
+        if weak.is_none() {
             // A silently-`None` weak diameter would make the report look
             // clean while the field vanishes: a weak carving tolerates
             // internal disconnection (reported above) but never members
@@ -152,32 +142,15 @@ pub fn validate_carving_in(
                 "cluster {i}: some member pair is disconnected in G (weak diameter undefined)"
             ));
         }
-        max_weak = match (max_weak, weak_d) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            _ => None,
-        };
-        if weighted {
-            // The weighted sweeps can only be `None` for the same
-            // connectivity reasons already reported above (reachability
-            // is metric-independent), so no extra violation strings.
-            w_strong = match (w_strong, metrics::weighted_strong_diameter_of_in(g, c, ctx)) {
-                (Some(a), Some(b)) => Some(a.max(b)),
-                _ => None,
-            };
-            w_weak = match (w_weak, metrics::weighted_weak_diameter_of_in(g, c, ctx)) {
-                (Some(a), Some(b)) => Some(a.max(b)),
-                _ => None,
-            };
-        }
     }
 
     Ok(CarvingReport {
         clusters_nonadjacent: nonadjacent,
         clusters_connected: connected,
-        max_strong_diameter: max_strong,
-        max_weak_diameter: max_weak,
-        weighted_strong_diameter: w_strong,
-        weighted_weak_diameter: w_weak,
+        max_strong_diameter: diameters.strong,
+        max_weak_diameter: diameters.weak,
+        weighted_strong_diameter: diameters.weighted_strong,
+        weighted_weak_diameter: diameters.weighted_weak,
         dead_fraction: carving.dead_fraction(),
         violations,
     })
@@ -677,60 +650,31 @@ pub fn validate_decomposition_timed_in(
 
     let diameters_start = std::time::Instant::now();
     let mut connected = true;
-    let mut max_strong = Some(0u32);
-    let mut max_weak = Some(0u32);
-    let weighted = g.is_weighted();
-    let mut w_strong = weighted.then_some(0.0_f64);
-    let mut w_weak = weighted.then_some(0.0_f64);
+    let mut fold = metrics::DiameterFold::new(g);
     for (i, c) in d.clusters().iter().enumerate() {
         ctx.checkpoint("validate-cluster")?;
-        match metrics::strong_diameter_of_in(g, c, ctx) {
-            Some(diam) => {
-                if let Some(m) = max_strong {
-                    max_strong = Some(m.max(diam));
-                }
-            }
-            None => {
-                connected = false;
-                max_strong = None;
-                violations.push(format!("cluster {i} induces a disconnected subgraph"));
-            }
+        let (strong, weak) = fold.add(g, c, ctx);
+        if strong.is_none() {
+            connected = false;
+            violations.push(format!("cluster {i} induces a disconnected subgraph"));
         }
-        let weak_d = metrics::weak_diameter_of_in(g, c, ctx);
-        if weak_d.is_none() {
+        if weak.is_none() {
             // Same silent-`None` hazard as in `validate_carving_in`.
             violations.push(format!(
                 "cluster {i}: some member pair is disconnected in G (weak diameter undefined)"
             ));
         }
-        max_weak = match (max_weak, weak_d) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            _ => None,
-        };
-        if weighted {
-            // `None` here coincides with the connectivity violations
-            // already recorded (reachability is metric-independent).
-            w_strong = match (w_strong, metrics::weighted_strong_diameter_of_in(g, c, ctx)) {
-                (Some(a), Some(b)) => Some(a.max(b)),
-                _ => None,
-            };
-            w_weak = match (w_weak, metrics::weighted_weak_diameter_of_in(g, c, ctx)) {
-                (Some(a), Some(b)) => Some(a.max(b)),
-                _ => None,
-            };
-        }
     }
-
     let diameters = diameters_start.elapsed();
 
     Ok((
         DecompositionReport {
             colors_separate,
             clusters_connected: connected,
-            max_strong_diameter: max_strong,
-            max_weak_diameter: max_weak,
-            weighted_strong_diameter: w_strong,
-            weighted_weak_diameter: w_weak,
+            max_strong_diameter: fold.strong,
+            max_weak_diameter: fold.weak,
+            weighted_strong_diameter: fold.weighted_strong,
+            weighted_weak_diameter: fold.weighted_weak,
             colors: d.num_colors(),
             violations,
         },

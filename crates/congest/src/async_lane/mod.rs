@@ -72,6 +72,8 @@ mod worker;
 
 pub use adversary::{Adversary, CrashSpec, Transmission, DEFAULT_CRASH_HORIZON, RETRY_LIMIT};
 pub use report::{CrashEvent, FaultDiagnostic, FaultReport};
+#[doc(hidden)]
+pub use worker::live_workers;
 
 use std::error::Error;
 use std::fmt;

@@ -23,6 +23,7 @@
 //! a termination-detection layer on top of the per-node machinery (see
 //! the module docs in `mod.rs`).
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 
 use sdnd_graph::{Graph, NodeId};
@@ -32,6 +33,36 @@ use crate::RoundLedger;
 
 use super::adversary::{Adversary, CrashSpec};
 use super::report::{CrashEvent, FaultReport};
+
+/// Workers alive in this process, kept by each worker's [`LiveGuard`].
+static LIVE_WORKERS: AtomicUsize = AtomicUsize::new(0);
+
+/// The number of async-lane workers currently alive in this process:
+/// constructed and not yet dropped. A worker drops at the end of its
+/// thread's closure, before `std::thread::scope` can return, so the
+/// count is 0 whenever no `run_async` call is in flight — a
+/// deterministic leak check that does not depend on when the OS reaps
+/// an exited thread.
+#[doc(hidden)]
+pub fn live_workers() -> usize {
+    LIVE_WORKERS.load(Ordering::SeqCst)
+}
+
+/// Counts its [`Worker`] in [`LIVE_WORKERS`] from construction to drop.
+struct LiveGuard;
+
+impl LiveGuard {
+    fn new() -> Self {
+        LIVE_WORKERS.fetch_add(1, Ordering::SeqCst);
+        LiveGuard
+    }
+}
+
+impl Drop for LiveGuard {
+    fn drop(&mut self) {
+        LIVE_WORKERS.fetch_sub(1, Ordering::SeqCst);
+    }
+}
 
 /// Everything a pulse shares immutably across workers.
 pub(crate) struct LaneCtx<'a, P: Protocol> {
@@ -164,6 +195,8 @@ pub(crate) struct Worker<'a, P: Protocol> {
     error: Option<EngineError>,
     traffic: RoundLedger,
     faults: FaultReport,
+
+    _live: LiveGuard,
 }
 
 impl<'a, P: Protocol> Worker<'a, P> {
@@ -240,6 +273,7 @@ impl<'a, P: Protocol> Worker<'a, P> {
             error: None,
             traffic: RoundLedger::new(),
             faults: FaultReport::default(),
+            _live: LiveGuard::new(),
         }
     }
 

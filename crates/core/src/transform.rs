@@ -322,9 +322,7 @@ fn process_component<A: WeakCarver + ?Sized>(
                 }
                 ctx.ws.give_set(remaining);
             }
-            // Both weighted backends share the flood: they answer the
-            // same metric with identical distances.
-            MetricOracle::Weighted(_) | MetricOracle::Delta(_) => {
+            MetricOracle::Weighted(_) => {
                 // Case II in the weighted metric: grow `B_r(a)` in steps
                 // of the largest alive edge weight `W`. Every neighbor
                 // of `B_r` lies inside `B_{r + W}`, so the usual ratio

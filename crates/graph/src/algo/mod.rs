@@ -5,7 +5,6 @@
 
 mod bfs;
 mod components;
-mod delta_stepping;
 mod dfs;
 mod distance;
 mod hyperball;
@@ -18,10 +17,6 @@ mod workspace;
 
 pub use bfs::{bfs, bfs_bounded, BfsResult, UNREACHED};
 pub use components::{component_of, connected_components, is_connected, Components};
-pub use delta_stepping::{
-    auto_delta, delta_stepping, delta_stepping_bounded_in, delta_stepping_in, delta_stepping_to_in,
-    DeltaSteppingOracle, DELTA_SPREAD_LIMIT,
-};
 pub use dfs::{children_csr, dfs_order_of_tree, TreeOrder};
 pub use distance::{
     diameter_exact, diameter_exact_in, diameter_two_sweep, diameter_two_sweep_in,

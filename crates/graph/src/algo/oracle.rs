@@ -1,24 +1,17 @@
-//! Distance oracles: one interface over hop-count BFS, weighted
-//! Dijkstra, and bucketed Δ-stepping.
+//! Distance oracles: one interface over hop-count BFS and weighted
+//! Dijkstra.
 //!
 //! The carving pipeline and the validators only ever ask one question of
 //! a graph metric — "distances from this node, within this view" — so
 //! they take it from a [`DistanceOracle`] instead of calling a concrete
 //! traversal. [`HopOracle`] answers with BFS hop counts (the paper's
 //! CONGEST metric, and the fast path for unweighted graphs);
-//! [`WeightedOracle`] answers with Dijkstra over the edge weights;
-//! [`DeltaSteppingOracle`](super::DeltaSteppingOracle) answers the same
-//! weighted metric with distance buckets instead of a heap.
+//! [`WeightedOracle`] answers with Dijkstra over the edge weights.
 //! [`oracle_for`] picks the matching metric for a graph, which is how
 //! the stack stays weight-generic with unweighted inputs bit-identical
 //! to the pre-oracle code: hop distances are integers, exactly
 //! representable as `f64`, and the hop oracle runs the very same BFS.
-//! For weighted graphs it prefers Δ-stepping when the weight spread
-//! permits ([`auto_delta`](super::auto_delta)); the Δ-stepping backend
-//! is distance-identical to Dijkstra, so the choice only moves wall
-//! clock, never output.
 
-use crate::algo::delta_stepping::DeltaSteppingOracle;
 use crate::algo::{
     bfs, bfs_in, bfs_to_in, dijkstra, dijkstra_in, dijkstra_to_in, msbfs_in, msbfs_to_in, BfsRun,
     MsBfsRun, SpRun, TraversalWorkspace, UNREACHED,
@@ -183,11 +176,12 @@ pub trait DistanceOracle {
     /// MS-BFS pass, lane `l` seeded from `sources[l]`.
     ///
     /// Returns `None` when the metric has no batched backend — the
-    /// weighted and Δ-stepping oracles order their relaxations by `f64`
-    /// distance, which does not decompose into shared lane-word levels,
-    /// so weighted consumers fall back to per-source sweeps. Callers
-    /// must treat `None` as "run [`distances_in`](Self::distances_in)
-    /// per source", which is value-identical.
+    /// weighted oracle orders its relaxations by `f64` distance, which
+    /// does not decompose into shared lane-word levels. Callers must
+    /// treat `None` as "run [`distances_in`](Self::distances_in) per
+    /// source", which is value-identical; the exact diameter sweeps of
+    /// `sdnd_clustering::metrics` then run one early-stopping Dijkstra
+    /// per source, with the same iFUB cut-off as the batched passes.
     fn batch_distances_in<'w, A: Adjacency>(
         &self,
         _view: &A,
@@ -328,22 +322,14 @@ impl DistanceOracle for WeightedOracle {
     }
 }
 
-/// The metric matching a graph: a weighted backend (Δ-stepping or
-/// Dijkstra — distance-identical, see
-/// [`delta_stepping`](super::delta_stepping)) for weighted graphs,
+/// The metric matching a graph: [`WeightedOracle`] for weighted graphs,
 /// [`HopOracle`] otherwise.
-///
-/// Not `Eq`: the Δ-stepping variant carries its `f64` bucket width.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetricOracle {
     /// Hop counts (unweighted graphs).
     Hop(HopOracle),
-    /// Edge weights via Dijkstra (weighted graphs, unbounded spread).
+    /// Edge weights via Dijkstra (weighted graphs).
     Weighted(WeightedOracle),
-    /// Edge weights via bucketed Δ-stepping (weighted graphs with
-    /// bounded weight spread). Same distances as
-    /// [`MetricOracle::Weighted`], different engine.
-    Delta(DeltaSteppingOracle),
 }
 
 impl DistanceOracle for MetricOracle {
@@ -351,7 +337,6 @@ impl DistanceOracle for MetricOracle {
         match self {
             MetricOracle::Hop(o) => o.distances(view, source),
             MetricOracle::Weighted(o) => o.distances(view, source),
-            MetricOracle::Delta(o) => o.distances(view, source),
         }
     }
 
@@ -364,7 +349,6 @@ impl DistanceOracle for MetricOracle {
         match self {
             MetricOracle::Hop(o) => o.distances_in(view, source, ws),
             MetricOracle::Weighted(o) => o.distances_in(view, source, ws),
-            MetricOracle::Delta(o) => o.distances_in(view, source, ws),
         }
     }
 
@@ -378,7 +362,6 @@ impl DistanceOracle for MetricOracle {
         match self {
             MetricOracle::Hop(o) => o.distances_to_in(view, source, targets, ws),
             MetricOracle::Weighted(o) => o.distances_to_in(view, source, targets, ws),
-            MetricOracle::Delta(o) => o.distances_to_in(view, source, targets, ws),
         }
     }
 
@@ -391,7 +374,6 @@ impl DistanceOracle for MetricOracle {
         match self {
             MetricOracle::Hop(o) => o.batch_distances_in(view, sources, ws),
             MetricOracle::Weighted(o) => o.batch_distances_in(view, sources, ws),
-            MetricOracle::Delta(o) => o.batch_distances_in(view, sources, ws),
         }
     }
 
@@ -405,7 +387,6 @@ impl DistanceOracle for MetricOracle {
         match self {
             MetricOracle::Hop(o) => o.batch_distances_to_in(view, sources, targets, ws),
             MetricOracle::Weighted(o) => o.batch_distances_to_in(view, sources, targets, ws),
-            MetricOracle::Delta(o) => o.batch_distances_to_in(view, sources, targets, ws),
         }
     }
 
@@ -417,23 +398,17 @@ impl DistanceOracle for MetricOracle {
         match self {
             MetricOracle::Hop(o) => o.name(),
             MetricOracle::Weighted(o) => o.name(),
-            MetricOracle::Delta(o) => o.name(),
         }
     }
 }
 
 /// Picks the natural metric for `g`: the hop metric for unweighted
-/// graphs; for weighted graphs, bucketed Δ-stepping when the weight
-/// spread permits ([`super::auto_delta`]), falling back to Dijkstra
-/// otherwise. Both weighted backends produce bit-identical distances,
-/// so the selection never changes pipeline output.
+/// graphs, Dijkstra over the edge weights for weighted ones.
 pub fn oracle_for(g: &Graph) -> MetricOracle {
-    if !g.is_weighted() {
-        MetricOracle::Hop(HopOracle)
-    } else if let Some(o) = DeltaSteppingOracle::for_graph(g) {
-        MetricOracle::Delta(o)
-    } else {
+    if g.is_weighted() {
         MetricOracle::Weighted(WeightedOracle)
+    } else {
+        MetricOracle::Hop(HopOracle)
     }
 }
 
@@ -467,28 +442,12 @@ mod tests {
         let unweighted = gen::path(4);
         assert_eq!(oracle_for(&unweighted), MetricOracle::Hop(HopOracle));
         assert_eq!(oracle_for(&unweighted).name(), "hop");
-        // Bounded weight spread: the bucketed backend is preferred.
+        // Any weight spread selects Dijkstra.
         let weighted = Graph::from_weighted_edges(4, [(0, 1, 2.0)]).unwrap();
         assert!(oracle_for(&weighted).is_weighted_metric());
-        assert_eq!(oracle_for(&weighted).name(), "delta");
-        // Wild spread: fall back to the heap.
+        assert_eq!(oracle_for(&weighted).name(), "weighted");
         let wild = Graph::from_weighted_edges(3, [(0, 1, 1e-9), (1, 2, 1e9)]).unwrap();
-        assert!(oracle_for(&wild).is_weighted_metric());
-        assert_eq!(oracle_for(&wild).name(), "weighted");
-    }
-
-    #[test]
-    fn delta_variant_matches_weighted_variant() {
-        let g = gen::gnp(30, 0.12, 9);
-        let w = Graph::from_weighted_edges(30, g.edges().map(|(u, v)| (u.index(), v.index(), 1.5)))
-            .unwrap();
-        let auto = oracle_for(&w);
-        assert_eq!(auto.name(), "delta");
-        let a = auto.distances(&w.full_view(), NodeId::new(0));
-        let b = WeightedOracle.distances(&w.full_view(), NodeId::new(0));
-        for v in w.nodes() {
-            assert_eq!(a.dist(v), b.dist(v), "node {v}");
-        }
+        assert_eq!(oracle_for(&wild), MetricOracle::Weighted(WeightedOracle));
     }
 
     #[test]

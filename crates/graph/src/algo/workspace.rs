@@ -83,7 +83,6 @@ struct SpScratch {
     touched: Vec<NodeId>,
     frontier: Vec<NodeId>,
     heap: BinaryHeap<Reverse<(u64, usize)>>,
-    buckets: Vec<Vec<NodeId>>,
 }
 
 /// A reusable traversal workspace: stamped hop and weighted scratch plus
@@ -266,11 +265,6 @@ impl TraversalWorkspace {
         s.touched.clear();
         s.frontier.clear();
         s.heap.clear();
-        // An abandoned Δ-stepping run may leave entries behind; bucket
-        // vectors keep their capacity across epochs.
-        for b in &mut s.buckets {
-            b.clear();
-        }
         SpParts {
             epoch: s.epoch,
             stamp: &mut s.stamp,
@@ -283,7 +277,6 @@ impl TraversalWorkspace {
             touched: &mut s.touched,
             frontier: &mut s.frontier,
             heap: &mut s.heap,
-            buckets: &mut s.buckets,
         }
     }
 
@@ -396,9 +389,6 @@ pub struct SpParts<'w> {
     pub frontier: &'w mut Vec<NodeId>,
     /// Scratch priority queue (distance bits, node index).
     pub heap: &'w mut BinaryHeap<Reverse<(u64, usize)>>,
-    /// Cyclic bucket slots for Δ-stepping (emptied by
-    /// [`begin_sp`](TraversalWorkspace::begin_sp), capacity retained).
-    pub buckets: &'w mut Vec<Vec<NodeId>>,
 }
 
 impl SpParts<'_> {

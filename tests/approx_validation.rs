@@ -1,13 +1,11 @@
 //! Property-based tests (proptest) for the approximate validation tier:
 //! the HyperBall estimators stay inside their documented error model,
-//! the Δ-stepping oracle is distance-identical to Dijkstra and
-//! Bellman–Ford, and the approximate validator's accept/reject gates
-//! coincide with the exact validator's.
+//! Dijkstra is distance-identical to Bellman–Ford on full and subset
+//! views, and the approximate validator's accept/reject gates coincide
+//! with the exact validator's.
 
 use proptest::prelude::*;
-use sdnd::graph::algo::{
-    self, auto_delta, bellman_ford, delta_stepping, dijkstra, HyperBall, HyperBallParams,
-};
+use sdnd::graph::algo::{self, bellman_ford, dijkstra, HyperBall, HyperBallParams};
 use sdnd::graph::{gen, Graph, NodeId, NodeSet};
 use sdnd_clustering::{validate_carving, validate_carving_approx, BallCarving};
 
@@ -77,25 +75,22 @@ proptest! {
         );
     }
 
-    /// Δ-stepping, Dijkstra, and Bellman–Ford agree on every distance —
-    /// on integer and fractional weights, on the full view and on a
-    /// random subset view.
+    /// Dijkstra and Bellman–Ford agree on every distance — on integer
+    /// and fractional weights, on the full view and on a random subset
+    /// view.
     #[test]
-    fn delta_stepping_matches_dijkstra_and_bellman_ford(
+    fn dijkstra_matches_bellman_ford_on_full_and_subset_views(
         g in arb_weighted_graph(),
         source in 0usize..8,
         drop_mod in 5usize..12,
     ) {
-        let delta = auto_delta(&g).unwrap_or(1.0);
         let full = g.full_view();
         let src = NodeId::new(source % g.n());
 
-        let ds = delta_stepping(&full, [src], delta);
         let dj = dijkstra(&full, [src]);
         let bf = bellman_ford(&full, [src]);
         for v in g.nodes() {
-            prop_assert_eq!(ds.dist(v), dj.dist(v), "delta vs dijkstra at {}", v);
-            prop_assert_eq!(ds.dist(v), bf[v.index()], "delta vs bellman-ford at {}", v);
+            prop_assert_eq!(dj.dist(v), bf[v.index()], "dijkstra vs bellman-ford at {}", v);
         }
 
         // Subset view: drop a deterministic residue class (keeping the
@@ -106,12 +101,10 @@ proptest! {
                 .filter(|v| v.index() % drop_mod != drop_mod - 1 || *v == src),
         );
         let view = g.view(&alive);
-        let ds = delta_stepping(&view, [src], delta);
         let dj = dijkstra(&view, [src]);
         let bf = bellman_ford(&view, [src]);
         for v in g.nodes() {
-            prop_assert_eq!(ds.dist(v), dj.dist(v), "subset delta vs dijkstra at {}", v);
-            prop_assert_eq!(ds.dist(v), bf[v.index()], "subset delta vs bellman-ford at {}", v);
+            prop_assert_eq!(dj.dist(v), bf[v.index()], "subset dijkstra vs bellman-ford at {}", v);
         }
     }
 
