@@ -3,9 +3,9 @@
 //! - [`Mpx13`]: the Miller–Peng–Xu random-shift clustering \[MPX13\], the
 //!   randomized *strong*-diameter carving used by Elkin–Neiman \[EN16\]
 //!   (`O(log n / eps)` diameter in `O(log n / eps)` rounds, w.h.p.).
-//! - [`en16_decomposition`]: the `(O(log n), O(log n))` randomized
-//!   strong-diameter decomposition obtained from MPX via the LS93
-//!   reduction.
+//!   The LS93 reduction over it is the `(O(log n), O(log n))`
+//!   randomized strong-diameter decomposition of EN16 (`en16` in
+//!   `sdnd_core::registry`).
 //! - [`Abcp96`]: the classic weak→strong transformation of Awerbuch,
 //!   Berger, Cowen and Peleg \[ABCP96\] — runs a weak decomposition on
 //!   the power graph `G^{2d}` and then gathers whole cluster
@@ -24,5 +24,5 @@ mod mpx;
 mod sequential;
 
 pub use abcp96::Abcp96;
-pub use mpx::{en16_decomposition, Mpx13};
+pub use mpx::Mpx13;
 pub use sequential::SequentialGreedy;

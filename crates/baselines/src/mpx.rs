@@ -1,5 +1,5 @@
-//! Miller–Peng–Xu random-shift clustering and the Elkin–Neiman
-//! decomposition.
+//! Miller–Peng–Xu random-shift clustering, the carver behind the
+//! Elkin–Neiman decomposition.
 //!
 //! Every node `v` draws an integer shift `delta_v` (discretized
 //! exponential with rate `beta = eps/4`, capped at `O(log n / beta)`).
@@ -21,7 +21,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use sdnd_clustering::{decompose_by_carving, BallCarving, NetworkDecomposition, StrongCarver};
+use sdnd_clustering::{BallCarving, StrongCarver};
 use sdnd_congest::{bits_for_value, primitives, RoundLedger};
 use sdnd_graph::{Adjacency, Graph, NodeId, NodeSet};
 use std::cell::Cell;
@@ -229,22 +229,10 @@ impl sdnd_clustering::EdgeCarver for Mpx13 {
     }
 }
 
-/// The EN16 randomized strong-diameter network decomposition:
-/// `O(log n)` repetitions of MPX carving at `eps = 1/2` (the LS93
-/// reduction), giving `O(log n)` colors and `O(log n)` strong diameter
-/// w.h.p.
-pub fn en16_decomposition(g: &Graph, seed: u64, ledger: &mut RoundLedger) -> NetworkDecomposition {
-    let carver = Mpx13::new(seed);
-    let start = NodeSet::full(g.n());
-    decompose_by_carving(g, &start, 0.5, ledger, |g, alive, eps, ledger| {
-        carver.carve_strong(g, alive, eps, ledger)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdnd_clustering::{validate_carving, validate_decomposition};
+    use sdnd_clustering::{decompose_with_strong_carver, validate_carving, validate_decomposition};
     use sdnd_graph::gen;
 
     fn check_carving(g: &Graph, eps: f64, seed: u64) -> BallCarving {
@@ -305,7 +293,7 @@ mod tests {
         for seed in 0..3 {
             let g = gen::grid(8, 8);
             let mut ledger = RoundLedger::new();
-            let d = en16_decomposition(&g, seed, &mut ledger);
+            let d = decompose_with_strong_carver(&g, &Mpx13::new(seed), 0.5, &mut ledger);
             let report = validate_decomposition(&g, &d);
             assert!(report.is_valid(), "seed {seed}: {:?}", report.violations);
             let n = 64f64;

@@ -106,10 +106,7 @@ fn bench_carve(c: &mut Criterion) {
         });
 
         group.bench_with_input(BenchmarkId::new("thm2.3-decompose", &name), &g, |b, g| {
-            b.iter(|| {
-                let mut l = RoundLedger::new();
-                sdnd_core::decompose_strong_with(g, &params, &mut l)
-            })
+            b.iter(|| sdnd_core::decompose_strong(g, &params))
         });
 
         group.bench_with_input(

@@ -30,7 +30,7 @@ fn bench_decompositions(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("en16-strong", n), &g, |b, g| {
             b.iter(|| {
                 let mut l = RoundLedger::new();
-                sdnd_baselines::en16_decomposition(g, 3, &mut l)
+                decompose_with_strong_carver(g, &sdnd_baselines::Mpx13::new(3), 0.5, &mut l)
             })
         });
         group.bench_with_input(BenchmarkId::new("ls93-sequential-strong", n), &g, |b, g| {
@@ -45,16 +45,10 @@ fn bench_decompositions(c: &mut Criterion) {
             })
         });
         group.bench_with_input(BenchmarkId::new("cg21-thm2.3-strong", n), &g, |b, g| {
-            b.iter(|| {
-                let mut l = RoundLedger::new();
-                sdnd_core::decompose_strong_with(g, &Params::default(), &mut l)
-            })
+            b.iter(|| sdnd_core::decompose_strong(g, &Params::default()))
         });
         group.bench_with_input(BenchmarkId::new("cg21-thm3.4-strong", n), &g, |b, g| {
-            b.iter(|| {
-                let mut l = RoundLedger::new();
-                sdnd_core::decompose_strong_improved_with(g, &Params::default(), &mut l)
-            })
+            b.iter(|| sdnd_core::decompose_strong_improved(g, &Params::default()))
         });
     }
     group.finish();

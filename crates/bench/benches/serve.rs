@@ -13,7 +13,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sdnd_bench::env_usize;
 use sdnd_graph::Deadline;
-use sdnd_serve::{DecomposeAlgo, Request, ServeState, SharedCounters};
+use sdnd_serve::{Request, ServeState, SharedCounters};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -40,7 +40,7 @@ fn loaded_state(spec: &str) -> ServeState {
 
 fn decompose(seed: u64) -> Request {
     Request::Decompose {
-        algo: DecomposeAlgo::Thm23,
+        algo: sdnd_core::registry::find_decompose("thm2.3").expect("registered"),
         eps: 0.5,
         seed,
     }

@@ -14,7 +14,7 @@
 //! Usage: `cargo run --release -p sdnd-bench --bin ablation`
 
 use sdnd_bench::{env_seed, env_usize, opt, Table};
-use sdnd_clustering::{metrics, validate_weak_carving, StrongCarver, WeakCarver};
+use sdnd_clustering::{validate_carving, validate_weak_carving, StrongCarver, WeakCarver};
 use sdnd_congest::RoundLedger;
 use sdnd_core::{transform, Params, Theorem22Carver, Theorem33Carver};
 use sdnd_graph::{gen, NodeSet};
@@ -44,7 +44,7 @@ fn main() {
     ] {
         let mut ledger = RoundLedger::new();
         let c = carver.carve_strong(&g, &alive, eps, &mut ledger);
-        let q = metrics::carving_quality(&g, &c);
+        let q = validate_carving(&g, &c);
         t1.row([
             name.to_string(),
             opt(q.max_strong_diameter),
@@ -103,7 +103,7 @@ fn main() {
         let carver = Theorem22Carver::new(params);
         let mut ledger = RoundLedger::new();
         let out = carver.carve_strong(&g, &alive, eps, &mut ledger);
-        let q = metrics::carving_quality(&g, &out);
+        let q = validate_carving(&g, &out);
         t3.row([
             format!("{c}"),
             opt(q.max_strong_diameter),
@@ -164,11 +164,11 @@ fn main() {
         let r_meas = wc.forest().max_depth().unwrap();
         let mut ledger = RoundLedger::new();
         let out = transform::weak_to_strong(&cyc, &cyc_alive, eps, &shallow, &params, &mut ledger);
-        let q = metrics::carving_quality(&cyc, &out);
+        let q = validate_carving(&cyc, &out);
         t5.row([
             "ls93 (shallow, rand)".to_string(),
             r_meas.to_string(),
-            q.clusters.to_string(),
+            out.num_clusters().to_string(),
             opt(q.max_strong_diameter),
             format!("{:.3}", q.dead_fraction),
         ]);
@@ -185,11 +185,11 @@ fn main() {
         let r_meas = wc.forest().max_depth().unwrap();
         let mut ledger = RoundLedger::new();
         let out = transform::weak_to_strong(&cyc, &cyc_alive, eps, &deep, &params, &mut ledger);
-        let q = metrics::carving_quality(&cyc, &out);
+        let q = validate_carving(&cyc, &out);
         t5.row([
             "ggr21 (deep, det)".to_string(),
             r_meas.to_string(),
-            q.clusters.to_string(),
+            out.num_clusters().to_string(),
             opt(q.max_strong_diameter),
             format!("{:.3}", q.dead_fraction),
         ]);

@@ -10,7 +10,7 @@
 //! Usage: `cargo run --release -p sdnd-bench --bin applications`
 
 use sdnd_bench::{env_seed, env_usize, graph_suite, opt, Table};
-use sdnd_clustering::metrics;
+use sdnd_clustering::{decompose_with_strong_carver, validate_decomposition};
 use sdnd_congest::RoundLedger;
 use sdnd_core::{apply, Params};
 
@@ -36,17 +36,16 @@ fn main() {
         let decomps = vec![
             (
                 "cg21-thm2.3",
-                sdnd_core::decompose_strong(&g, &Params::default())
-                    .expect("valid params")
-                    .0,
+                sdnd_core::decompose_strong(&g, &Params::default()).0,
             ),
             ("mpx13/en16", {
                 let mut l = RoundLedger::new();
-                sdnd_baselines::en16_decomposition(&g, seed, &mut l)
+                let mpx = sdnd_baselines::Mpx13::new(seed);
+                decompose_with_strong_carver(&g, &mpx, 0.5, &mut l)
             }),
         ];
         for (dname, d) in decomps {
-            let q = metrics::decomposition_quality(&g, &d);
+            let q = validate_decomposition(&g, &d);
             let mut mis_ledger = RoundLedger::new();
             let mis = apply::mis_via_decomposition(&g, &d, &mut mis_ledger);
             let mut col_ledger = RoundLedger::new();
@@ -56,7 +55,7 @@ fn main() {
                 dname.to_string(),
                 q.colors.to_string(),
                 opt(q.max_strong_diameter),
-                opt(q.cd_product),
+                opt(q.cd_product()),
                 mis_ledger.rounds().to_string(),
                 col_ledger.rounds().to_string(),
                 if apply::is_mis(&g, &mis) {

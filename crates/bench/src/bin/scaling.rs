@@ -19,20 +19,31 @@
 //! `SDND_BENCH_QUICK=1` truncates to the two smallest bins so the CI
 //! smoke run stays fast.
 
-use sdnd_baselines::SequentialGreedy;
 use sdnd_bench::{env_seed, env_usize, ls_slope, Table};
-use sdnd_clustering::{decompose_with_strong_carver, CarveCtx, StrongCarver};
+use sdnd_clustering::CarveCtx;
 use sdnd_congest::RoundLedger;
-use sdnd_core::{Params, Theorem22Carver, Theorem33Carver};
+use sdnd_core::registry::{self, Algorithm};
 use sdnd_graph::{gen, Graph, NodeSet};
 
-/// A boxed "run the algorithm, return the round count" closure. `FnMut`
-/// so each algorithm can hold a warm [`CarveCtx`] across its bins.
-type AlgoFn = Box<dyn FnMut(&Graph, &mut RoundLedger) -> u64>;
-
-fn rounds_of<F: FnOnce(&mut RoundLedger)>(f: F) -> u64 {
+/// The rounds one carving (or, with `decompose`, one LS93 reduction)
+/// of `g` charges at `eps`.
+fn rounds(
+    algo: &Algorithm,
+    decompose: bool,
+    g: &Graph,
+    eps: f64,
+    seed: u64,
+    ctx: &mut CarveCtx,
+) -> u64 {
     let mut ledger = RoundLedger::new();
-    f(&mut ledger);
+    if decompose {
+        algo.decompose_in(seed, g, &mut ledger, ctx).map(drop)
+    } else {
+        let alive = NodeSet::full(g.n());
+        algo.carve_in(seed, g, &alive, eps, &mut ledger, ctx)
+            .map(drop)
+    }
+    .expect("unarmed ctx never cancels");
     ledger.rounds()
 }
 
@@ -40,7 +51,6 @@ fn main() {
     let seed = env_seed();
     let quick = std::env::var("SDND_BENCH_QUICK").is_ok_and(|v| v == "1");
     let n_max = env_usize("SDND_N", 1024);
-    let params = Params::default();
 
     // --- Sweep n at eps = 1/2 (grids: deterministic, structured). ---
     let mut ns: Vec<usize> = vec![64, 144, 256, 484];
@@ -60,66 +70,36 @@ fn main() {
         }
     }
     let mut table = Table::new(["algorithm", "n", "rounds", "rounds/dominant-term"]);
-    let mut series: Vec<(&str, Vec<f64>, Vec<f64>)> = Vec::new();
+    let mut series: Vec<(String, Vec<f64>, Vec<f64>)> = Vec::new();
 
-    let algorithms: Vec<(&str, AlgoFn)> = vec![
-        ("cg21-thm2.2-carve", {
-            let p = params.clone();
-            let mut ctx = CarveCtx::new();
-            Box::new(move |g: &Graph, l: &mut RoundLedger| {
-                let c = Theorem22Carver::new(p.clone());
-                let _ = c.carve_strong_in(g, &NodeSet::full(g.n()), 0.5, l, &mut ctx);
-                l.rounds()
-            })
-        }),
-        ("cg21-thm2.3-decompose", {
-            let p = params.clone();
-            let mut ctx = CarveCtx::new();
-            Box::new(move |g: &Graph, l: &mut RoundLedger| {
-                let _ = sdnd_core::decompose_strong_with_in(g, &p, l, &mut ctx);
-                l.rounds()
-            })
-        }),
-        ("cg21-thm3.3-carve", {
-            let p = params.clone();
-            let mut ctx = CarveCtx::new();
-            Box::new(move |g: &Graph, l: &mut RoundLedger| {
-                let c = Theorem33Carver::new(p.clone());
-                let _ = c.carve_strong_in(g, &NodeSet::full(g.n()), 0.5, l, &mut ctx);
-                l.rounds()
-            })
-        }),
-        ("cg21-thm3.4-decompose", {
-            let p = params.clone();
-            let mut ctx = CarveCtx::new();
-            Box::new(move |g: &Graph, l: &mut RoundLedger| {
-                let _ = sdnd_core::decompose_strong_improved_with_in(g, &p, l, &mut ctx);
-                l.rounds()
-            })
-        }),
-        (
-            "ls93-sequential-decompose",
-            Box::new(move |g: &Graph, l: &mut RoundLedger| {
-                let c = SequentialGreedy::new();
-                let _ = decompose_with_strong_carver(g, &c, 0.5, l);
-                l.rounds()
-            }),
-        ),
+    // Registry carve names; `true` runs the LS93 reduction over them.
+    let runs = [
+        ("thm2.2", false),
+        ("thm2.2", true),
+        ("thm3.3", false),
+        ("thm3.3", true),
+        ("sequential", true),
     ];
 
     println!("# Scaling in n (grids, eps = 1/2)\n");
-    for (name, mut run) in algorithms {
+    for (carver, decompose) in runs {
+        let algo = registry::find_carve(carver).expect("registered");
+        let name = if decompose {
+            format!("{}-decompose", algo.decompose_label)
+        } else {
+            format!("{}-carve", algo.label)
+        };
+        // One warm context per row, held across its bins.
+        let mut ctx = CarveCtx::new();
         let mut xs = Vec::new();
         let mut ys = Vec::new();
         for &n in &ns {
             let side = (n as f64).sqrt().round() as usize;
             let g = gen::grid(side, side);
-            let rounds = rounds_of(|l| {
-                run(&g, l);
-            });
+            let rounds = rounds(algo, decompose, &g, 0.5, seed, &mut ctx);
             let logn = (g.n() as f64).ln();
             table.row([
-                name.to_string(),
+                name.clone(),
                 g.n().to_string(),
                 rounds.to_string(),
                 format!("{:.2}", rounds as f64 / logn.powi(3)),
@@ -134,7 +114,7 @@ fn main() {
 
     let mut fit = Table::new(["algorithm", "fitted polylog exponent k (rounds ~ log^k n)"]);
     for (name, xs, ys) in &series {
-        fit.row([name.to_string(), format!("{:.2}", ls_slope(xs, ys))]);
+        fit.row([name.clone(), format!("{:.2}", ls_slope(xs, ys))]);
     }
     println!("\n## Polylog exponent fits\n\n{}", fit.to_markdown());
     println!(
@@ -148,27 +128,16 @@ fn main() {
     let mut eps_table = Table::new(["algorithm", "eps", "rounds", "rounds*eps^2"]);
     let mut ctx = CarveCtx::new();
     for eps in [0.5, 0.25, 0.125] {
-        let p = params.clone();
-        let r22 = rounds_of(|l| {
-            let c = Theorem22Carver::new(p.clone());
-            let _ = c.carve_strong_in(&g, &NodeSet::full(g.n()), eps, l, &mut ctx);
-        });
-        eps_table.row([
-            "cg21-thm2.2-carve".to_string(),
-            format!("{eps}"),
-            r22.to_string(),
-            format!("{:.1}", r22 as f64 * eps * eps),
-        ]);
-        let r33 = rounds_of(|l| {
-            let c = Theorem33Carver::new(p.clone());
-            let _ = c.carve_strong_in(&g, &NodeSet::full(g.n()), eps, l, &mut ctx);
-        });
-        eps_table.row([
-            "cg21-thm3.3-carve".to_string(),
-            format!("{eps}"),
-            r33.to_string(),
-            format!("{:.1}", r33 as f64 * eps * eps),
-        ]);
+        for carver in ["thm2.2", "thm3.3"] {
+            let algo = registry::find_carve(carver).expect("registered");
+            let r = rounds(algo, false, &g, eps, seed, &mut ctx);
+            eps_table.row([
+                format!("{}-carve", algo.label),
+                format!("{eps}"),
+                r.to_string(),
+                format!("{:.1}", r as f64 * eps * eps),
+            ]);
+        }
     }
     println!(
         "\n# Scaling in eps (grid {side}x{side})\n\n{}",
@@ -177,5 +146,4 @@ fn main() {
 
     let _ = table.write_csv("scaling_n.csv");
     let _ = eps_table.write_csv("scaling_eps.csv");
-    let _ = seed; // reserved for future randomized rows
 }

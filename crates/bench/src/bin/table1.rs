@@ -13,7 +13,7 @@
 //! Usage: `SDND_N=256 cargo run --release -p sdnd-bench --bin table1`
 
 use sdnd_bench::{
-    env_seed, env_usize, graph_suite, measurement_headers, push_measurement, run_table1_row_set,
+    env_seed, env_usize, graph_suite, measurement_cells, measurement_headers, run_table1_row_set,
     Table,
 };
 
@@ -34,7 +34,7 @@ fn main() {
     for (name, g) in graph_suite(n, seed) {
         eprintln!("running {name} (n = {}, m = {}) ...", g.n(), g.m());
         for m in run_table1_row_set(&g, seed) {
-            push_measurement(&mut table, &name, g.n(), &m);
+            table.row(measurement_cells(&name, g.n(), &m));
         }
     }
 

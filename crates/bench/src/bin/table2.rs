@@ -10,7 +10,8 @@
 //! Usage: `SDND_N=256 cargo run --release -p sdnd-bench --bin table2`
 
 use sdnd_bench::{
-    env_seed, env_usize, graph_suite, measurement_headers, run_table2_row_set, Table,
+    env_seed, env_usize, graph_suite, measurement_cells, measurement_headers, run_table2_row_set,
+    Table,
 };
 
 fn main() {
@@ -36,26 +37,7 @@ fn main() {
             eprintln!("running {name} at eps = {eps} ...");
             for m in run_table2_row_set(&g, eps, seed) {
                 let mut cells = vec![format!("{eps}")];
-                cells.extend([
-                    name.clone(),
-                    g.n().to_string(),
-                    m.algorithm.clone(),
-                    m.model.clone(),
-                    m.class.clone(),
-                    sdnd_bench::opt(m.colors),
-                    sdnd_bench::opt(m.strong_diameter),
-                    sdnd_bench::opt(m.weak_diameter),
-                    sdnd_bench::wopt(m.weighted_strong_diameter),
-                    sdnd_bench::wopt(m.weighted_weak_diameter),
-                    sdnd_bench::frac(m.dead_fraction),
-                    m.rounds.to_string(),
-                    m.max_message_bits.to_string(),
-                    if m.congest_ok {
-                        "yes".into()
-                    } else {
-                        "NO".into()
-                    },
-                ]);
+                cells.extend(measurement_cells(&name, g.n(), &m));
                 table.row(cells);
             }
         }

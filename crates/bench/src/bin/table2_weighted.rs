@@ -21,7 +21,7 @@
 //! (`SDND_BENCH_QUICK=1` shrinks the instances for the CI smoke run.)
 
 use sdnd_bench::{
-    env_seed, env_usize, measurement_headers, push_measurement, run_table1_row_set,
+    env_seed, env_usize, measurement_cells, measurement_headers, run_table1_row_set,
     run_table2_row_set, weighted_graph_suite, Measurement, Table,
 };
 use std::fmt::Write as _;
@@ -78,26 +78,7 @@ fn main() {
             eprintln!("carving {name} at eps = {eps} ...");
             for m in run_table2_row_set(g, eps, seed) {
                 let mut cells = vec![format!("{eps}")];
-                cells.extend([
-                    name.clone(),
-                    g.n().to_string(),
-                    m.algorithm.clone(),
-                    m.model.clone(),
-                    m.class.clone(),
-                    sdnd_bench::opt(m.colors),
-                    sdnd_bench::opt(m.strong_diameter),
-                    sdnd_bench::opt(m.weak_diameter),
-                    sdnd_bench::wopt(m.weighted_strong_diameter),
-                    sdnd_bench::wopt(m.weighted_weak_diameter),
-                    sdnd_bench::frac(m.dead_fraction),
-                    m.rounds.to_string(),
-                    m.max_message_bits.to_string(),
-                    if m.congest_ok {
-                        "yes".into()
-                    } else {
-                        "NO".into()
-                    },
-                ]);
+                cells.extend(measurement_cells(name, g.n(), &m));
                 carve_table.row(cells);
                 if m.algorithm.starts_with("cg21") || m.algorithm == "mpx13" {
                     json_rows.push(json_row("carve", name, g.n(), Some(eps), &m));
@@ -116,7 +97,7 @@ fn main() {
     for (name, g) in &suite {
         eprintln!("decomposing {name} ...");
         for m in run_table1_row_set(g, seed) {
-            push_measurement(&mut decomp_table, name, g.n(), &m);
+            decomp_table.row(measurement_cells(name, g.n(), &m));
             if m.algorithm.starts_with("cg21") || m.algorithm == "mpx13/en16" {
                 json_rows.push(json_row("decompose", name, g.n(), None, &m));
             }

@@ -4,8 +4,9 @@
 //! decomposition in CONGEST) and **Table 2** (ball carving in CONGEST),
 //! plus the Section 3 barrier construction. The binaries in `src/bin/`
 //! regenerate each of them empirically; this library provides the shared
-//! machinery: the graph suite, the algorithm registries, measurement
-//! records, and table/CSV emitters.
+//! machinery: the graph suite, the row sets (one row per entry of
+//! [`sdnd_core::registry`]), measurement records, and table/CSV
+//! emitters.
 //!
 //! Environment knobs:
 //!
@@ -15,15 +16,10 @@
 
 #![forbid(unsafe_code)]
 
-use sdnd_baselines::{Abcp96, Mpx13, SequentialGreedy};
-use sdnd_clustering::{
-    decompose_with_strong_carver, decompose_with_weak_carver, metrics, CarveCtx,
-    NetworkDecomposition, StrongCarver, WeakCarver,
-};
+use sdnd_clustering::{validate_carving_in, validate_decomposition_in, CarveCtx};
 use sdnd_congest::{CostModel, RoundLedger};
-use sdnd_core::{Params, Theorem22Carver, Theorem33Carver};
+use sdnd_core::registry::{Algorithm, ALGORITHMS};
 use sdnd_graph::{gen, Graph, NodeSet};
-use sdnd_weak::{Ls93, Rg20};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -115,223 +111,76 @@ pub struct Measurement {
 }
 
 impl Measurement {
-    fn from_decomposition(
-        name: &str,
-        model: &str,
-        class: &str,
-        g: &Graph,
-        d: &NetworkDecomposition,
-        ledger: &RoundLedger,
-        ctx: &mut CarveCtx,
-    ) -> Measurement {
-        let q = metrics::decomposition_quality_in(g, d, ctx);
-        let cost = CostModel::congest_for(g.n());
+    /// The columns every row shares: names from the registry entry,
+    /// costs from the ledger, diameters left for the caller.
+    fn new(algorithm: &str, algo: &Algorithm, g: &Graph, ledger: &RoundLedger) -> Measurement {
         Measurement {
-            algorithm: name.to_string(),
-            model: model.to_string(),
-            class: class.to_string(),
-            colors: Some(q.colors),
-            strong_diameter: q.max_strong_diameter,
-            weak_diameter: q.max_weak_diameter,
-            dead_fraction: None,
-            weighted_strong_diameter: q.weighted_strong_diameter,
-            weighted_weak_diameter: q.weighted_weak_diameter,
-            rounds: ledger.rounds(),
-            max_message_bits: ledger.max_message_bits(),
-            congest_ok: ledger.complies_with(&cost),
-        }
-    }
-
-    fn from_carving(
-        name: &str,
-        model: &str,
-        class: &str,
-        g: &Graph,
-        c: &sdnd_clustering::BallCarving,
-        ledger: &RoundLedger,
-        ctx: &mut CarveCtx,
-    ) -> Measurement {
-        let q = metrics::carving_quality_in(g, c, ctx);
-        let cost = CostModel::congest_for(g.n());
-        Measurement {
-            algorithm: name.to_string(),
-            model: model.to_string(),
-            class: class.to_string(),
+            algorithm: algorithm.to_string(),
+            model: algo.model.to_string(),
+            class: algo.class.as_str().to_string(),
             colors: None,
-            strong_diameter: q.max_strong_diameter,
-            weak_diameter: q.max_weak_diameter,
-            dead_fraction: Some(q.dead_fraction),
-            weighted_strong_diameter: q.weighted_strong_diameter,
-            weighted_weak_diameter: q.weighted_weak_diameter,
+            strong_diameter: None,
+            weak_diameter: None,
+            dead_fraction: None,
+            weighted_strong_diameter: None,
+            weighted_weak_diameter: None,
             rounds: ledger.rounds(),
             max_message_bits: ledger.max_message_bits(),
-            congest_ok: ledger.complies_with(&cost),
+            congest_ok: ledger.complies_with(&CostModel::congest_for(g.n())),
         }
     }
 }
 
-/// Runs every Table 1 algorithm (network decomposition) on `g`.
+/// Runs every Table 1 algorithm (network decomposition) on `g`: the
+/// LS93 reduction over each registry entry.
 ///
-/// One [`CarveCtx`] serves every CG21 pipeline run and every quality
-/// sweep in the row set, so repeated bins amortize traversal scratch.
+/// One [`CarveCtx`] serves every pipeline run and every validation in
+/// the row set, so repeated bins amortize traversal scratch.
 pub fn run_table1_row_set(g: &Graph, seed: u64) -> Vec<Measurement> {
-    let params = Params::default();
     let mut ctx = CarveCtx::new();
-    let ctx = &mut ctx;
-    let mut rows = Vec::new();
-
-    // Weak-diameter rows.
-    {
-        let mut ledger = RoundLedger::new();
-        let carver = Ls93::new(seed);
-        let d = decompose_with_weak_carver(g, &carver, 0.5, &mut ledger);
-        rows.push(Measurement::from_decomposition(
-            "ls93", "rand", "weak", g, &d, &ledger, ctx,
-        ));
-    }
-    for (name, carver) in [("rg20", Rg20::rg20()), ("ggr21", Rg20::ggr21())] {
-        let mut ledger = RoundLedger::new();
-        let d = decompose_with_weak_carver(g, &carver, 0.5, &mut ledger);
-        rows.push(Measurement::from_decomposition(
-            name, "det", "weak", g, &d, &ledger, ctx,
-        ));
-    }
-
-    // Strong-diameter rows.
-    {
-        let mut ledger = RoundLedger::new();
-        let d = sdnd_baselines::en16_decomposition(g, seed, &mut ledger);
-        rows.push(Measurement::from_decomposition(
-            "mpx13/en16",
-            "rand",
-            "strong",
-            g,
-            &d,
-            &ledger,
-            ctx,
-        ));
-    }
-    {
-        let mut ledger = RoundLedger::new();
-        let carver = SequentialGreedy::new();
-        let d = decompose_with_strong_carver(g, &carver, 0.5, &mut ledger);
-        rows.push(Measurement::from_decomposition(
-            "ls93-sequential",
-            "det*",
-            "strong",
-            g,
-            &d,
-            &ledger,
-            ctx,
-        ));
-    }
-    {
-        let mut ledger = RoundLedger::new();
-        let carver = Abcp96::new();
-        let d = decompose_with_strong_carver(g, &carver, 0.5, &mut ledger);
-        rows.push(Measurement::from_decomposition(
-            "abcp96-local",
-            "det",
-            "strong",
-            g,
-            &d,
-            &ledger,
-            ctx,
-        ));
-    }
-    {
-        let mut ledger = RoundLedger::new();
-        let d = sdnd_core::decompose_strong_with_in(g, &params, &mut ledger, ctx)
-            .expect("unarmed ctx never cancels");
-        rows.push(Measurement::from_decomposition(
-            "cg21-thm2.3",
-            "det",
-            "strong",
-            g,
-            &d,
-            &ledger,
-            ctx,
-        ));
-    }
-    {
-        let mut ledger = RoundLedger::new();
-        let d = sdnd_core::decompose_strong_improved_with_in(g, &params, &mut ledger, ctx)
-            .expect("unarmed ctx never cancels");
-        rows.push(Measurement::from_decomposition(
-            "cg21-thm3.4",
-            "det",
-            "strong",
-            g,
-            &d,
-            &ledger,
-            ctx,
-        ));
-    }
-    rows
+    ALGORITHMS
+        .iter()
+        .map(|algo| {
+            let mut ledger = RoundLedger::new();
+            let d = algo
+                .decompose_in(seed, g, &mut ledger, &mut ctx)
+                .expect("unarmed ctx never cancels");
+            let report = validate_decomposition_in(g, &d, &mut ctx).expect("unarmed ctx");
+            Measurement {
+                colors: Some(report.colors),
+                strong_diameter: report.max_strong_diameter,
+                weak_diameter: report.max_weak_diameter,
+                weighted_strong_diameter: report.weighted_strong_diameter,
+                weighted_weak_diameter: report.weighted_weak_diameter,
+                ..Measurement::new(algo.decompose_label, algo, g, &ledger)
+            }
+        })
+        .collect()
 }
 
-/// Runs every Table 2 algorithm (ball carving) on `g` at `eps`.
+/// Runs every Table 2 algorithm (ball carving) on `g` at `eps`: one
+/// carving per registry entry.
 pub fn run_table2_row_set(g: &Graph, eps: f64, seed: u64) -> Vec<Measurement> {
-    let params = Params::default();
     let alive = NodeSet::full(g.n());
     let mut ctx = CarveCtx::new();
-    let ctx = &mut ctx;
-    let mut rows = Vec::new();
-
-    // Weak carvings.
-    {
-        let mut ledger = RoundLedger::new();
-        let wc = Ls93::new(seed).carve_weak(g, &alive, eps, &mut ledger);
-        rows.push(Measurement::from_carving(
-            "ls93",
-            "rand",
-            "weak",
-            g,
-            wc.carving(),
-            &ledger,
-            ctx,
-        ));
-    }
-    for (name, carver) in [("rg20", Rg20::rg20()), ("ggr21", Rg20::ggr21())] {
-        let mut ledger = RoundLedger::new();
-        let wc = carver.carve_weak(g, &alive, eps, &mut ledger);
-        rows.push(Measurement::from_carving(
-            name,
-            "det",
-            "weak",
-            g,
-            wc.carving(),
-            &ledger,
-            ctx,
-        ));
-    }
-
-    // Strong carvings.
-    let strong: Vec<(&str, &str, Box<dyn StrongCarver>)> = vec![
-        ("mpx13", "rand", Box::new(Mpx13::new(seed))),
-        ("ls93-sequential", "det*", Box::new(SequentialGreedy::new())),
-        ("abcp96-local", "det", Box::new(Abcp96::new())),
-        (
-            "cg21-thm2.2",
-            "det",
-            Box::new(Theorem22Carver::new(params.clone())),
-        ),
-        (
-            "cg21-thm3.3",
-            "det",
-            Box::new(Theorem33Carver::new(params.clone())),
-        ),
-    ];
-    for (name, model, carver) in strong {
-        let mut ledger = RoundLedger::new();
-        let c = carver
-            .carve_strong_in(g, &alive, eps, &mut ledger, ctx)
-            .expect("unarmed ctx never cancels");
-        rows.push(Measurement::from_carving(
-            name, model, "strong", g, &c, &ledger, ctx,
-        ));
-    }
-    rows
+    ALGORITHMS
+        .iter()
+        .map(|algo| {
+            let mut ledger = RoundLedger::new();
+            let c = algo
+                .carve_in(seed, g, &alive, eps, &mut ledger, &mut ctx)
+                .expect("unarmed ctx never cancels");
+            let report = validate_carving_in(g, &c, &mut ctx).expect("unarmed ctx");
+            Measurement {
+                strong_diameter: report.max_strong_diameter,
+                weak_diameter: report.max_weak_diameter,
+                dead_fraction: Some(report.dead_fraction),
+                weighted_strong_diameter: report.weighted_strong_diameter,
+                weighted_weak_diameter: report.weighted_weak_diameter,
+                ..Measurement::new(algo.label, algo, g, &ledger)
+            }
+        })
+        .collect()
 }
 
 /// A printable experiment table with CSV export.
@@ -449,9 +298,10 @@ pub fn ls_slope(xs: &[f64], ys: &[f64]) -> f64 {
     (n * sxy - sx * sy) / (n * sxx - sx * sx)
 }
 
-/// Appends the standard measurement columns to a table.
-pub fn push_measurement(table: &mut Table, graph: &str, n: usize, m: &Measurement) {
-    table.row([
+/// The standard measurement cells of one row, in the order of
+/// [`measurement_headers`].
+pub fn measurement_cells(graph: &str, n: usize, m: &Measurement) -> Vec<String> {
+    vec![
         graph.to_string(),
         n.to_string(),
         m.algorithm.clone(),
@@ -470,11 +320,11 @@ pub fn push_measurement(table: &mut Table, graph: &str, n: usize, m: &Measuremen
         } else {
             "NO".into()
         },
-    ]);
+    ]
 }
 
 /// The standard measurement column headers matching
-/// [`push_measurement`].
+/// [`measurement_cells`].
 pub fn measurement_headers() -> Vec<&'static str> {
     vec![
         "graph",

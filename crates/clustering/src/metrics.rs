@@ -1,9 +1,5 @@
-//! Quality metrics for carvings and decompositions.
-//!
-//! These are the quantities the experiment tables report: strong/weak
-//! cluster diameters, color counts, dead fractions, and the `C · D`
-//! product that governs the cost of the standard "process colors one by
-//! one" template.
+//! Cluster diameters: the quantities the validators (and through their
+//! reports, the experiment tables) measure.
 //!
 //! Every diameter is computed through a
 //! [`DistanceOracle`]: the `u32` functions fix the
@@ -39,7 +35,7 @@
 //!
 //! Every `G[C]` path is a `G` path with the same rounded sum, so the
 //! computed weak diameter never exceeds the computed strong one. The
-//! validators and quality summaries compute strong before weak and hand
+//! validators compute strong before weak and hand
 //! the strong value to the weak sweep as an upper bound, which returns
 //! as soon as its lower bound reaches it — on a cluster whose weak and
 //! strong diameters agree, after a sweep or two.
@@ -704,115 +700,8 @@ pub fn approx_weak_diameter_of_in(
     out
 }
 
-/// Per-carving quality summary.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CarvingQuality {
-    /// Number of clusters.
-    pub clusters: usize,
-    /// Fraction of the input set left dead.
-    pub dead_fraction: f64,
-    /// Largest exact strong diameter over clusters (`None` if some
-    /// cluster induces a disconnected subgraph).
-    pub max_strong_diameter: Option<u32>,
-    /// Largest exact weak diameter over clusters (`None` if some pair of
-    /// cluster members is disconnected in `G`).
-    pub max_weak_diameter: Option<u32>,
-    /// Largest exact *weighted* strong diameter over clusters; populated
-    /// only when the graph carries weights (`None` otherwise, and `None`
-    /// when some cluster is disconnected).
-    pub weighted_strong_diameter: Option<f64>,
-    /// Largest exact *weighted* weak diameter over clusters (weighted
-    /// graphs only).
-    pub weighted_weak_diameter: Option<f64>,
-    /// Size of the largest cluster.
-    pub max_cluster_size: usize,
-}
-
-/// Computes quality metrics for a carving (exact diameters, hop and, on
-/// weighted graphs, weighted). Thin wrapper over [`carving_quality_in`].
-pub fn carving_quality(g: &Graph, carving: &crate::BallCarving) -> CarvingQuality {
-    carving_quality_in(g, carving, &mut CarveCtx::new())
-}
-
-/// [`carving_quality`] with a caller-held context: one workspace serves
-/// every sweep across all clusters.
-pub fn carving_quality_in(
-    g: &Graph,
-    carving: &crate::BallCarving,
-    ctx: &mut CarveCtx,
-) -> CarvingQuality {
-    let mut diameters = DiameterFold::new(g);
-    for c in carving.clusters() {
-        diameters.add(g, c, ctx);
-    }
-    CarvingQuality {
-        clusters: carving.num_clusters(),
-        dead_fraction: carving.dead_fraction(),
-        max_strong_diameter: diameters.strong,
-        max_weak_diameter: diameters.weak,
-        weighted_strong_diameter: diameters.weighted_strong,
-        weighted_weak_diameter: diameters.weighted_weak,
-        max_cluster_size: carving.max_cluster_size(),
-    }
-}
-
-/// Per-decomposition quality summary.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DecompositionQuality {
-    /// Number of colors `C`.
-    pub colors: u32,
-    /// Number of clusters.
-    pub clusters: usize,
-    /// Largest exact strong diameter over clusters (`None` if some
-    /// cluster is internally disconnected — possible for weak-diameter
-    /// decompositions).
-    pub max_strong_diameter: Option<u32>,
-    /// Largest exact weak diameter over clusters.
-    pub max_weak_diameter: Option<u32>,
-    /// Largest exact *weighted* strong diameter over clusters (weighted
-    /// graphs only).
-    pub weighted_strong_diameter: Option<f64>,
-    /// Largest exact *weighted* weak diameter over clusters (weighted
-    /// graphs only).
-    pub weighted_weak_diameter: Option<f64>,
-    /// `C * (max strong diameter + 1)` — the cost driver of the standard
-    /// color-by-color template (`None` if strong diameter undefined).
-    pub cd_product: Option<u64>,
-    /// Size of the largest cluster.
-    pub max_cluster_size: usize,
-}
-
-/// Computes quality metrics for a decomposition. Thin wrapper over
-/// [`decomposition_quality_in`].
-pub fn decomposition_quality(g: &Graph, d: &crate::NetworkDecomposition) -> DecompositionQuality {
-    decomposition_quality_in(g, d, &mut CarveCtx::new())
-}
-
-/// [`decomposition_quality`] with a caller-held context.
-pub fn decomposition_quality_in(
-    g: &Graph,
-    d: &crate::NetworkDecomposition,
-    ctx: &mut CarveCtx,
-) -> DecompositionQuality {
-    let mut diameters = DiameterFold::new(g);
-    for c in d.clusters() {
-        diameters.add(g, c, ctx);
-    }
-    let max_strong = diameters.strong;
-    DecompositionQuality {
-        colors: d.num_colors(),
-        clusters: d.num_clusters(),
-        max_strong_diameter: max_strong,
-        max_weak_diameter: diameters.weak,
-        weighted_strong_diameter: diameters.weighted_strong,
-        weighted_weak_diameter: diameters.weighted_weak,
-        cd_product: max_strong.map(|s| d.num_colors() as u64 * (s as u64 + 1)),
-        max_cluster_size: d.max_cluster_size(),
-    }
-}
-
 /// Largest per-cluster diameters over a cluster list, in every metric
-/// the validators and quality summaries report: the one fold they share.
+/// the validators report: the one fold they share.
 /// A `None` field stays `None` (some cluster has no diameter there); the
 /// weighted fields are `None` from the start on unweighted graphs.
 #[derive(Debug)]
@@ -869,7 +758,7 @@ fn fold_max<T>(acc: Option<T>, x: Option<T>, max: fn(T, T) -> T) -> Option<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdnd_graph::{gen, NodeSet};
+    use sdnd_graph::gen;
 
     fn ids(v: &[usize]) -> Vec<NodeId> {
         v.iter().copied().map(NodeId::new).collect()
@@ -912,18 +801,6 @@ mod tests {
     }
 
     #[test]
-    fn carving_quality_summary() {
-        let g = gen::path(6);
-        let carving =
-            crate::BallCarving::new(NodeSet::full(6), vec![ids(&[0, 1]), ids(&[3, 4, 5])]).unwrap();
-        let q = carving_quality(&g, &carving);
-        assert_eq!(q.clusters, 2);
-        assert_eq!(q.max_strong_diameter, Some(2));
-        assert_eq!(q.max_cluster_size, 3);
-        assert!((q.dead_fraction - 1.0 / 6.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn weighted_diameters_follow_the_weights() {
         // 0 -4.0- 1 -0.5- 2: hop diameter 2, weighted diameter 4.5.
         let g = sdnd_graph::Graph::from_weighted_edges(3, [(0, 1, 4.0), (1, 2, 0.5)]).unwrap();
@@ -934,23 +811,6 @@ mod tests {
         // Disconnected member sets report None in both metrics.
         assert_eq!(weighted_strong_diameter_of(&g, &ids(&[0, 2])), None);
         assert_eq!(weighted_weak_diameter_of(&g, &ids(&[0, 2])), Some(4.5));
-    }
-
-    #[test]
-    fn quality_populates_weighted_fields_only_for_weighted_graphs() {
-        let unweighted = gen::path(6);
-        let carving =
-            crate::BallCarving::new(NodeSet::full(6), vec![ids(&[0, 1]), ids(&[3, 4, 5])]).unwrap();
-        let q = carving_quality(&unweighted, &carving);
-        assert_eq!(q.weighted_strong_diameter, None);
-        assert_eq!(q.weighted_weak_diameter, None);
-
-        let weighted =
-            gen::reweight(&unweighted, gen::WeightDist::UniformInt { lo: 2, hi: 2 }, 0).unwrap();
-        let q = carving_quality(&weighted, &carving);
-        assert_eq!(q.max_strong_diameter, Some(2), "hop metric unchanged");
-        assert_eq!(q.weighted_strong_diameter, Some(4.0), "2 edges of weight 2");
-        assert_eq!(q.weighted_weak_diameter, Some(4.0));
     }
 
     #[test]
@@ -1009,19 +869,5 @@ mod tests {
             approx_strong_diameter_of_in(&two, &[], &mut hb, &mut ctx),
             Ok(None)
         );
-    }
-
-    #[test]
-    fn decomposition_quality_summary() {
-        let g = gen::path(4);
-        let d = crate::NetworkDecomposition::new(
-            &NodeSet::full(4),
-            vec![(ids(&[0, 1]), 0), (ids(&[2, 3]), 1)],
-        )
-        .unwrap();
-        let q = decomposition_quality(&g, &d);
-        assert_eq!(q.colors, 2);
-        assert_eq!(q.max_strong_diameter, Some(1));
-        assert_eq!(q.cd_product, Some(4));
     }
 }

@@ -596,6 +596,15 @@ impl DecompositionReport {
     pub fn is_valid_weak(&self) -> bool {
         self.colors_separate
     }
+
+    /// `C · (D + 1)` for `C` colors and maximum strong diameter `D`: the
+    /// cost driver of the standard "process colors one by one" template
+    /// (`None` when the strong diameter is undefined).
+    #[must_use]
+    pub fn cd_product(&self) -> Option<u64> {
+        self.max_strong_diameter
+            .map(|d| u64::from(self.colors) * (u64::from(d) + 1))
+    }
 }
 
 /// Validates a network decomposition against `g`. Thin wrapper over
@@ -1041,7 +1050,11 @@ mod tests {
             vec![(ids(&[0, 1]), 0), (ids(&[2, 3]), 1)],
         )
         .unwrap();
-        assert!(validate_decomposition(&g, &good).is_valid());
+        let report = validate_decomposition(&g, &good);
+        assert!(report.is_valid());
+        assert_eq!(report.colors, 2);
+        assert_eq!(report.max_strong_diameter, Some(1));
+        assert_eq!(report.cd_product(), Some(4));
 
         let bad = NetworkDecomposition::new(
             &NodeSet::full(4),

@@ -144,7 +144,7 @@ mod tests {
     use sdnd_graph::gen;
 
     fn decompose(g: &Graph) -> NetworkDecomposition {
-        decompose_strong(g, &Params::default()).unwrap().0
+        decompose_strong(g, &Params::default()).0
     }
 
     #[test]

@@ -62,34 +62,6 @@ impl StrongCarver for Theorem22Carver {
     }
 }
 
-/// One-call form of Theorem 2.2.
-pub fn strong_ball_carving(
-    g: &Graph,
-    alive: &NodeSet,
-    eps: f64,
-    params: &Params,
-    ledger: &mut RoundLedger,
-) -> BallCarving {
-    Theorem22Carver::new(params.clone()).carve_strong(g, alive, eps, ledger)
-}
-
-/// [`strong_ball_carving`] with a caller-held [`CarveCtx`].
-///
-/// # Errors
-///
-/// [`Cancelled`] when the context's armed deadline trips at a phase
-/// boundary; the context stays safely reusable.
-pub fn strong_ball_carving_in(
-    g: &Graph,
-    alive: &NodeSet,
-    eps: f64,
-    params: &Params,
-    ledger: &mut RoundLedger,
-    ctx: &mut CarveCtx,
-) -> Result<BallCarving, Cancelled> {
-    Theorem22Carver::new(params.clone()).carve_strong_in(g, alive, eps, ledger, ctx)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,11 +78,10 @@ mod tests {
         ];
         for (name, g) in graphs {
             let mut ledger = RoundLedger::new();
-            let out = strong_ball_carving(
+            let out = Theorem22Carver::default().carve_strong(
                 &g,
                 &NodeSet::full(g.n()),
                 0.5,
-                &Params::default(),
                 &mut ledger,
             );
             let report = validate_carving(&g, &out);

@@ -2,44 +2,24 @@
 //!
 //! Both follow from the ball carvings by the standard LS93 reduction:
 //! `O(log n)` repetitions at `eps = 1/2`, each clustering at least half
-//! of the remaining nodes; repetition `i` becomes color `i`.
+//! of the remaining nodes; repetition `i` becomes color `i`. The
+//! [`registry`](crate::registry) runs the same reduction over every
+//! carver of the experiment tables.
 
-use crate::{CoreError, Params, Theorem22Carver, Theorem33Carver};
-use sdnd_clustering::{
-    decompose_with_strong_carver_in, Cancelled, CarveCtx, NetworkDecomposition, StrongCarver,
-};
+use crate::{Params, Theorem22Carver, Theorem33Carver};
+use sdnd_clustering::{decompose_with_strong_carver_in, Cancelled, CarveCtx, NetworkDecomposition};
 use sdnd_congest::RoundLedger;
 use sdnd_graph::Graph;
 
 /// Theorem 2.3: a deterministic strong-diameter network decomposition
 /// with `O(log n)` colors and `O(log^3 n)` cluster diameter, with a
-/// fresh ledger returned alongside.
-///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidEps`] if `params.eps` is outside `(0, 1)`
-/// (the reduction itself always carves at `1/2`; `params.eps` is
-/// validated because the same `Params` drive the inner windows).
-pub fn decompose_strong(
-    g: &Graph,
-    params: &Params,
-) -> Result<(NetworkDecomposition, RoundLedger), CoreError> {
-    if !(params.eps > 0.0 && params.eps < 1.0) {
-        return Err(CoreError::InvalidEps { eps: params.eps });
-    }
+/// fresh ledger returned alongside. Thin wrapper over
+/// [`decompose_strong_with_in`] with a throwaway context.
+pub fn decompose_strong(g: &Graph, params: &Params) -> (NetworkDecomposition, RoundLedger) {
     let mut ledger = RoundLedger::new();
-    let d = decompose_strong_with(g, params, &mut ledger);
-    Ok((d, ledger))
-}
-
-/// Theorem 2.3 with caller-provided ledger.
-pub fn decompose_strong_with(
-    g: &Graph,
-    params: &Params,
-    ledger: &mut RoundLedger,
-) -> NetworkDecomposition {
-    decompose_strong_with_in(g, params, ledger, &mut CarveCtx::new())
-        .expect("unarmed ctx never cancels")
+    let d = decompose_strong_with_in(g, params, &mut ledger, &mut CarveCtx::new())
+        .expect("unarmed ctx never cancels");
+    (d, ledger)
 }
 
 /// Theorem 2.3 with caller-provided ledger and [`CarveCtx`]: one
@@ -62,31 +42,16 @@ pub fn decompose_strong_with_in(
 }
 
 /// Theorem 3.4: the improved decomposition with `O(log n)` colors and
-/// `O(log^2 n)` cluster diameter.
-///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidEps`] as in [`decompose_strong`].
+/// `O(log^2 n)` cluster diameter. Thin wrapper over
+/// [`decompose_strong_improved_with_in`] with a throwaway context.
 pub fn decompose_strong_improved(
     g: &Graph,
     params: &Params,
-) -> Result<(NetworkDecomposition, RoundLedger), CoreError> {
-    if !(params.eps > 0.0 && params.eps < 1.0) {
-        return Err(CoreError::InvalidEps { eps: params.eps });
-    }
+) -> (NetworkDecomposition, RoundLedger) {
     let mut ledger = RoundLedger::new();
-    let d = decompose_strong_improved_with(g, params, &mut ledger);
-    Ok((d, ledger))
-}
-
-/// Theorem 3.4 with caller-provided ledger.
-pub fn decompose_strong_improved_with(
-    g: &Graph,
-    params: &Params,
-    ledger: &mut RoundLedger,
-) -> NetworkDecomposition {
-    decompose_strong_improved_with_in(g, params, ledger, &mut CarveCtx::new())
-        .expect("unarmed ctx never cancels")
+    let d = decompose_strong_improved_with_in(g, params, &mut ledger, &mut CarveCtx::new())
+        .expect("unarmed ctx never cancels");
+    (d, ledger)
 }
 
 /// Theorem 3.4 with caller-provided ledger and [`CarveCtx`].
@@ -104,35 +69,10 @@ pub fn decompose_strong_improved_with_in(
     decompose_with_strong_carver_in(g, &carver, 0.5, ledger, ctx)
 }
 
-/// Generic form: decompose with any strong carver (used by the
-/// experiment harness to put every algorithm through the same
-/// reduction).
-pub fn decompose_with<C: StrongCarver + ?Sized>(
-    g: &Graph,
-    carver: &C,
-    ledger: &mut RoundLedger,
-) -> NetworkDecomposition {
-    decompose_with_in(g, carver, ledger, &mut CarveCtx::new()).expect("unarmed ctx never cancels")
-}
-
-/// [`decompose_with`] with a caller-held [`CarveCtx`].
-///
-/// # Errors
-///
-/// [`Cancelled`] when the context's armed deadline trips mid-reduction.
-pub fn decompose_with_in<C: StrongCarver + ?Sized>(
-    g: &Graph,
-    carver: &C,
-    ledger: &mut RoundLedger,
-    ctx: &mut CarveCtx,
-) -> Result<NetworkDecomposition, Cancelled> {
-    decompose_with_strong_carver_in(g, carver, 0.5, ledger, ctx)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdnd_clustering::{metrics, validate_decomposition};
+    use sdnd_clustering::validate_decomposition;
     use sdnd_graph::gen;
 
     #[test]
@@ -144,7 +84,7 @@ mod tests {
             ("gnp", gen::gnp_connected(60, 0.08, 2)),
         ];
         for (name, g) in graphs {
-            let (d, ledger) = decompose_strong(&g, &Params::default()).unwrap();
+            let (d, ledger) = decompose_strong(&g, &Params::default());
             let report = validate_decomposition(&g, &d);
             assert!(report.is_valid(), "{name}: {:?}", report.violations);
 
@@ -168,11 +108,11 @@ mod tests {
     #[test]
     fn theorem34_improves_diameter_class() {
         let g = gen::grid(9, 9);
-        let (d23, _) = decompose_strong(&g, &Params::default()).unwrap();
-        let (d34, _) = decompose_strong_improved(&g, &Params::default()).unwrap();
-        let q23 = metrics::decomposition_quality(&g, &d23);
-        let q34 = metrics::decomposition_quality(&g, &d34);
-        assert!(validate_decomposition(&g, &d34).is_valid());
+        let (d23, _) = decompose_strong(&g, &Params::default());
+        let (d34, _) = decompose_strong_improved(&g, &Params::default());
+        let q23 = validate_decomposition(&g, &d23);
+        let q34 = validate_decomposition(&g, &d34);
+        assert!(q34.is_valid());
         // Not a strict per-instance guarantee, but the improved variant
         // must stay within a small factor on a benign grid.
         let (a, b) = (
@@ -183,23 +123,9 @@ mod tests {
     }
 
     #[test]
-    fn invalid_eps_rejected() {
-        let g = gen::path(4);
-        let bad = Params {
-            eps: 0.0,
-            ..Params::default()
-        };
-        assert_eq!(
-            decompose_strong(&g, &bad).unwrap_err(),
-            CoreError::InvalidEps { eps: 0.0 }
-        );
-        assert!(decompose_strong_improved(&g, &bad).is_err());
-    }
-
-    #[test]
     fn empty_graph() {
         let g = Graph::empty(0);
-        let (d, _) = decompose_strong(&g, &Params::default()).unwrap();
+        let (d, _) = decompose_strong(&g, &Params::default());
         assert_eq!(d.num_clusters(), 0);
     }
 }

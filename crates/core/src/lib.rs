@@ -8,15 +8,16 @@
 //! | Paper artifact | API |
 //! |---|---|
 //! | Theorem 2.1 — weak→strong carving transformation | [`transform::weak_to_strong`] |
-//! | Theorem 2.2 — strong carving, diameter `O(log^3 n/eps)` | [`Theorem22Carver`], [`strong_ball_carving`] |
+//! | Theorem 2.2 — strong carving, diameter `O(log^3 n/eps)` | [`Theorem22Carver`] |
 //! | Theorem 2.3 — strong decomposition `(O(log n), O(log^3 n))` | [`decompose_strong`] |
 //! | Lemma 3.1 — balanced sparse cut or large small-diameter component | [`sparse_cut::cut_or_component`] |
 //! | Theorem 3.2 — diameter-improving transformation | [`improve::improve_diameter`] |
-//! | Theorem 3.3 — strong carving, diameter `O(log^2 n/eps)` | [`Theorem33Carver`], [`strong_ball_carving_improved`] |
+//! | Theorem 3.3 — strong carving, diameter `O(log^2 n/eps)` | [`Theorem33Carver`] |
 //! | Theorem 3.4 — strong decomposition `(O(log n), O(log^2 n))` | [`decompose_strong_improved`] |
 //! | §1.3 note — the *edge version* of the carvings | [`transform_edge::weak_to_strong_edges`] |
 //! | §1.1 template — applications (MIS, Δ+1 coloring) | [`apply`] |
 //! | §3 barrier construction analysis | [`barrier`] |
+//! | Tables 1 and 2 — every carver and its LS93 decomposition, by name | [`registry`] |
 //!
 //! # Example
 //!
@@ -25,11 +26,10 @@
 //! use sdnd_clustering::validate_decomposition;
 //!
 //! let g = sdnd_graph::gen::grid(8, 8);
-//! let (decomp, ledger) = decompose_strong(&g, &Params::default())?;
+//! let (decomp, ledger) = decompose_strong(&g, &Params::default());
 //! let report = validate_decomposition(&g, &decomp);
 //! assert!(report.is_valid());
 //! assert!(ledger.rounds() > 0);
-//! # Ok::<(), sdnd_core::CoreError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -39,60 +39,21 @@ pub mod apply;
 pub mod barrier;
 mod carving;
 mod decomposition;
-mod error;
 pub mod improve;
 mod params;
+pub mod registry;
 pub mod sparse_cut;
 pub mod transform;
 pub mod transform_edge;
 pub mod under_faults;
 
-pub use carving::{strong_ball_carving, strong_ball_carving_in, Theorem22Carver};
+pub use carving::Theorem22Carver;
 pub use decomposition::{
-    decompose_strong, decompose_strong_improved, decompose_strong_improved_with,
-    decompose_strong_improved_with_in, decompose_strong_with, decompose_strong_with_in,
-    decompose_with, decompose_with_in,
+    decompose_strong, decompose_strong_improved, decompose_strong_improved_with_in,
+    decompose_strong_with_in,
 };
-pub use error::CoreError;
 pub use improve::Theorem33Carver;
 pub use params::Params;
 pub use sdnd_clustering::CarveCtx;
 pub use sparse_cut::CutOrComponent;
 pub use under_faults::{decompose_under_faults, FaultedDecomposition};
-
-use sdnd_congest::RoundLedger;
-use sdnd_graph::{Graph, NodeSet};
-
-/// Theorem 3.3 as a one-call carving: strong diameter `O(log^2 n/eps)`.
-///
-/// Equivalent to wrapping [`Theorem22Carver`] in
-/// [`improve::improve_diameter`]; see [`Theorem33Carver`] for the
-/// reusable [`StrongCarver`](sdnd_clustering::StrongCarver) object.
-pub fn strong_ball_carving_improved(
-    g: &Graph,
-    alive: &NodeSet,
-    eps: f64,
-    params: &Params,
-    ledger: &mut RoundLedger,
-) -> sdnd_clustering::BallCarving {
-    let carver = Theorem33Carver::new(params.clone());
-    sdnd_clustering::StrongCarver::carve_strong(&carver, g, alive, eps, ledger)
-}
-
-/// [`strong_ball_carving_improved`] with a caller-held [`CarveCtx`].
-///
-/// # Errors
-///
-/// [`Cancelled`](sdnd_clustering::Cancelled) when the context's armed
-/// deadline trips at a phase boundary.
-pub fn strong_ball_carving_improved_in(
-    g: &Graph,
-    alive: &NodeSet,
-    eps: f64,
-    params: &Params,
-    ledger: &mut RoundLedger,
-    ctx: &mut CarveCtx,
-) -> Result<sdnd_clustering::BallCarving, sdnd_clustering::Cancelled> {
-    let carver = Theorem33Carver::new(params.clone());
-    sdnd_clustering::StrongCarver::carve_strong_in(&carver, g, alive, eps, ledger, ctx)
-}

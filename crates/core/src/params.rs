@@ -9,9 +9,6 @@ use sdnd_weak::Rg20;
 /// pin down. The ablation benches sweep them.
 #[derive(Debug, Clone)]
 pub struct Params {
-    /// Boundary parameter for carvings (`eps`); decompositions always
-    /// carve at `1/2` per the LS93 reduction.
-    pub eps: f64,
     /// Constant `c` in Theorem 2.1's radius-growth window
     /// `ceil(c * ln n / eps)`.
     pub growth_window_c: f64,
@@ -33,7 +30,6 @@ pub struct Params {
 impl Default for Params {
     fn default() -> Self {
         Params {
-            eps: 0.5,
             growth_window_c: 4.0,
             cut_window_c: 8.0,
             inner_eps_divisor: 2.0,

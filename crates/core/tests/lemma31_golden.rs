@@ -254,7 +254,7 @@ fn theorem34_decompositions_match_the_pinned_outputs() {
     let got: Vec<(&str, Pin)> = inputs
         .iter()
         .map(|(name, g)| {
-            let (d, ledger) = decompose_strong_improved(g, &Params::default()).expect("valid eps");
+            let (d, ledger) = decompose_strong_improved(g, &Params::default());
             (*name, decomposition_pin(&d, &ledger))
         })
         .collect();

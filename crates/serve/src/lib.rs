@@ -9,9 +9,13 @@
 //! `distance-in-cluster`, `validate`, `stats`) over a newline-framed
 //! line protocol on stdin/stdout or a Unix socket, with an LRU of
 //! finished decompositions keyed by `(graph content hash, algorithm,
-//! eps, seed)`.
+//! eps, seed)`. `decompose` and `carve` answer every name of
+//! [`sdnd_core::registry`] and run it through the registry's
+//! [`decompose_in`](sdnd_core::registry::Algorithm::decompose_in) and
+//! [`carve_in`](sdnd_core::registry::Algorithm::carve_in); the request
+//! seed seeds the randomized entries (`ls93`, `en16`).
 //!
-//! The robustness spine (this PR's tentpole):
+//! The robustness spine:
 //!
 //! - **Cooperative deadlines** — `deadline=<ms>` arms a
 //!   [`Deadline`](sdnd_graph::Deadline) at *admission*; the carving
@@ -41,7 +45,6 @@ pub mod state;
 
 pub use daemon::{run_stdio, spawn_unix, DaemonHandle, ServeConfig};
 pub use protocol::{
-    classify_response, parse_request, split_prefix, CarveAlgo, DecomposeAlgo, Request,
-    ResponseKind, ValidateTier,
+    classify_response, parse_request, split_prefix, Request, ResponseKind, ValidateTier, CARVE_SEED,
 };
 pub use state::{CostEstimator, DecompKey, DecompLru, ServeState, SharedCounters};

@@ -8,16 +8,24 @@
 //! tag      := "id=" TOKEN          (echoed verbatim on the response)
 //! deadline := "deadline=" MILLIS   (wall-clock budget, armed at admission)
 //! verb     := "load" SPEC
-//!           | "decompose" ALGO EPS SEED
-//!           | "carve" CALGO EPS
+//!           | "decompose" DNAME EPS SEED
+//!           | "carve" CNAME EPS
 //!           | "cluster-of" NODE
 //!           | "distance-in-cluster" NODE NODE
 //!           | "validate" | "validate:approx"
 //!           | "stats" | "debug-panic" | "shutdown"
 //! SPEC     := a path to an edge list / `.csrbin` cache, or a generator
 //!             spec: grid:RxC | cycle:N | path:N | gnp:N:SEED
-//! ALGO     := thm2.3 | thm3.4        CALGO := thm2.2 | thm3.3
+//! DNAME    := a `decompose` name of sdnd_core::registry
+//!             (ls93 | rg20 | ggr21 | en16 | sequential | abcp96 | thm2.3 | thm3.4)
+//! CNAME    := a `carve` name of sdnd_core::registry
+//!             (ls93 | rg20 | ggr21 | mpx13 | sequential | abcp96 | thm2.2 | thm3.3)
 //! ```
+//!
+//! `SEED` seeds the randomized entries' decompositions (`ls93`,
+//! `en16`); the deterministic ones ignore it, though it stays part of
+//! the cache key. `carve` has no seed on the wire and runs the
+//! randomized carvers with seed [`CARVE_SEED`].
 //!
 //! Responses start with `ok ` or `err ` (after the echoed tag, when the
 //! request carried one). The error frames the daemon's robustness story
@@ -30,49 +38,11 @@
 //! err bad-request <reason> | err no-graph | err no-decomposition ...
 //! ```
 
+use sdnd_core::registry::{self, Algorithm};
 use std::time::Duration;
 
-/// Decomposition algorithms the daemon can run (both deterministic;
-/// the request's `seed` participates in the cache key for symmetry
-/// with seeded algorithms but does not change these outputs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DecomposeAlgo {
-    /// Theorem 2.3: `O(log n)` colors, `O(log^3 n)` diameter.
-    Thm23,
-    /// Theorem 3.4: `O(log n)` colors, `O(log^2 n)` diameter.
-    Thm34,
-}
-
-impl DecomposeAlgo {
-    /// The wire name (`thm2.3` / `thm3.4`).
-    #[must_use]
-    pub fn wire_name(self) -> &'static str {
-        match self {
-            DecomposeAlgo::Thm23 => "thm2.3",
-            DecomposeAlgo::Thm34 => "thm3.4",
-        }
-    }
-}
-
-/// Ball-carving algorithms the daemon can run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CarveAlgo {
-    /// Theorem 2.2: strong diameter `O(log^3 n / eps)`.
-    Thm22,
-    /// Theorem 3.3: strong diameter `O(log^2 n / eps)`.
-    Thm33,
-}
-
-impl CarveAlgo {
-    /// The wire name (`thm2.2` / `thm3.3`).
-    #[must_use]
-    pub fn wire_name(self) -> &'static str {
-        match self {
-            CarveAlgo::Thm22 => "thm2.2",
-            CarveAlgo::Thm33 => "thm3.3",
-        }
-    }
-}
+/// The seed `carve` runs the randomized carvers (`ls93`, `mpx13`) with.
+pub const CARVE_SEED: u64 = 0;
 
 /// Which validation tier the client asked for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,8 +65,8 @@ pub enum Request {
     },
     /// Compute (or fetch from the LRU) a network decomposition.
     Decompose {
-        /// The algorithm.
-        algo: DecomposeAlgo,
+        /// The algorithm, by its `decompose` name.
+        algo: &'static Algorithm,
         /// Boundary parameter; part of the cache key.
         eps: f64,
         /// Seed; part of the cache key.
@@ -104,8 +74,8 @@ pub enum Request {
     },
     /// Compute a single ball carving (never cached).
     Carve {
-        /// The algorithm.
-        algo: CarveAlgo,
+        /// The algorithm, by its `carve` name.
+        algo: &'static Algorithm,
         /// Boundary parameter.
         eps: f64,
     },
@@ -196,11 +166,9 @@ pub fn parse_request(verb: &str) -> Result<Request, String> {
                 .to_string(),
         },
         "decompose" => {
-            let algo = match tokens.next().ok_or("decompose wants: algo eps seed")? {
-                "thm2.3" => DecomposeAlgo::Thm23,
-                "thm3.4" => DecomposeAlgo::Thm34,
-                other => return Err(format!("unknown decompose algorithm `{other}`")),
-            };
+            let name = tokens.next().ok_or("decompose wants: algo eps seed")?;
+            let algo = registry::find_decompose(name)
+                .ok_or_else(|| format!("unknown decompose algorithm `{name}`"))?;
             let eps: f64 = parse_num(tokens.next(), "eps")?;
             if !(eps > 0.0 && eps < 1.0) {
                 return Err(format!("eps must be in (0, 1), got {eps}"));
@@ -209,11 +177,9 @@ pub fn parse_request(verb: &str) -> Result<Request, String> {
             Request::Decompose { algo, eps, seed }
         }
         "carve" => {
-            let algo = match tokens.next().ok_or("carve wants: algo eps")? {
-                "thm2.2" => CarveAlgo::Thm22,
-                "thm3.3" => CarveAlgo::Thm33,
-                other => return Err(format!("unknown carve algorithm `{other}`")),
-            };
+            let name = tokens.next().ok_or("carve wants: algo eps")?;
+            let algo = registry::find_carve(name)
+                .ok_or_else(|| format!("unknown carve algorithm `{name}`"))?;
             let eps: f64 = parse_num(tokens.next(), "eps")?;
             if !(eps > 0.0 && eps < 1.0) {
                 return Err(format!("eps must be in (0, 1), got {eps}"));
@@ -339,7 +305,7 @@ mod tests {
         assert_eq!(
             parse_request("decompose thm3.4 0.5 9").unwrap(),
             Request::Decompose {
-                algo: DecomposeAlgo::Thm34,
+                algo: registry::find_decompose("thm3.4").unwrap(),
                 eps: 0.5,
                 seed: 9
             }

@@ -7,13 +7,13 @@
 //! [`daemon`](crate::daemon), so every robustness property of the core
 //! can be tested without threads.
 
-use crate::protocol::{CarveAlgo, DecomposeAlgo, Request, ValidateTier};
+use crate::protocol::{Request, ValidateTier, CARVE_SEED};
 use sdnd_clustering::{
     validate_decomposition_approx_in, validate_decomposition_timed_in, CarveCtx,
-    NetworkDecomposition, StrongCarver,
+    NetworkDecomposition,
 };
 use sdnd_congest::RoundLedger;
-use sdnd_core::{decompose_strong_improved_with_in, decompose_strong_with_in, Params};
+use sdnd_core::registry::Algorithm;
 use sdnd_graph::algo::{bfs_to_in, HyperBallParams};
 use sdnd_graph::dataset::{load_cached, CacheStatus, LoadOptions, WeightMode};
 use sdnd_graph::{gen, Cancelled, Deadline, Graph, NodeId, NodeSet, SubsetView};
@@ -31,7 +31,7 @@ pub struct DecompKey {
     /// [`Graph::content_hash`] of the input graph.
     pub graph: u64,
     /// The algorithm.
-    pub algo: DecomposeAlgo,
+    pub algo: &'static Algorithm,
     /// `eps.to_bits()` — exact bit equality, no float fuzz.
     pub eps_bits: u64,
     /// The request seed.
@@ -251,8 +251,8 @@ impl ServeState {
         deadline.check("admission")?;
         match req {
             Request::Load { spec } => Ok(self.load(spec)),
-            Request::Decompose { algo, eps, seed } => self.decompose(*algo, *eps, *seed),
-            Request::Carve { algo, eps } => self.carve(*algo, *eps),
+            Request::Decompose { algo, eps, seed } => self.decompose(algo, *eps, *seed),
+            Request::Carve { algo, eps } => self.carve(algo, *eps),
             Request::ClusterOf { v } => Ok(self.cluster_of(*v)),
             Request::DistanceInCluster { u, v } => self.distance_in_cluster(*u, *v),
             Request::Validate { tier } => self.validate(*tier, deadline),
@@ -280,7 +280,12 @@ impl ServeState {
         Ok((hash, g.clone()))
     }
 
-    fn decompose(&mut self, algo: DecomposeAlgo, eps: f64, seed: u64) -> Result<String, Cancelled> {
+    fn decompose(
+        &mut self,
+        algo: &'static Algorithm,
+        eps: f64,
+        seed: u64,
+    ) -> Result<String, Cancelled> {
         let (hash, g) = match self.current_graph() {
             Ok(pair) => pair,
             Err(e) => return Ok(e),
@@ -298,56 +303,25 @@ impl ServeState {
             return Ok(decompose_frame(algo, eps, seed, &d, true, started));
         }
         self.stats.lru_misses += 1;
-        let params = Params {
-            eps,
-            ..Params::default()
-        };
         let mut ledger = RoundLedger::new();
-        let d = match algo {
-            DecomposeAlgo::Thm23 => {
-                decompose_strong_with_in(&g, &params, &mut ledger, &mut self.ctx)?
-            }
-            DecomposeAlgo::Thm34 => {
-                decompose_strong_improved_with_in(&g, &params, &mut ledger, &mut self.ctx)?
-            }
-        };
-        let d = Arc::new(d);
+        let d = Arc::new(algo.decompose_in(seed, &g, &mut ledger, &mut self.ctx)?);
         self.lru.insert(key, d.clone());
         self.current = Some((key, d.clone()));
         Ok(decompose_frame(algo, eps, seed, &d, false, started))
     }
 
-    fn carve(&mut self, algo: CarveAlgo, eps: f64) -> Result<String, Cancelled> {
+    fn carve(&mut self, algo: &'static Algorithm, eps: f64) -> Result<String, Cancelled> {
         let (_, g) = match self.current_graph() {
             Ok(pair) => pair,
             Err(e) => return Ok(e),
         };
         let started = Instant::now();
         let alive = NodeSet::full(g.n());
-        let params = Params {
-            eps,
-            ..Params::default()
-        };
         let mut ledger = RoundLedger::new();
-        let carving = match algo {
-            CarveAlgo::Thm22 => sdnd_core::Theorem22Carver::new(params).carve_strong_in(
-                &g,
-                &alive,
-                eps,
-                &mut ledger,
-                &mut self.ctx,
-            )?,
-            CarveAlgo::Thm33 => sdnd_core::Theorem33Carver::new(params).carve_strong_in(
-                &g,
-                &alive,
-                eps,
-                &mut ledger,
-                &mut self.ctx,
-            )?,
-        };
+        let carving = algo.carve_in(CARVE_SEED, &g, &alive, eps, &mut ledger, &mut self.ctx)?;
         Ok(format!(
             "ok carving algo={} eps={eps} clusters={} dead-fraction={:.4} ms={:.3}",
-            algo.wire_name(),
+            algo.carve_name,
             carving.num_clusters(),
             carving.dead_fraction(),
             started.elapsed().as_secs_f64() * 1e3,
@@ -491,7 +465,7 @@ fn opt(v: Option<u32>) -> String {
 }
 
 fn decompose_frame(
-    algo: DecomposeAlgo,
+    algo: &Algorithm,
     eps: f64,
     seed: u64,
     d: &NetworkDecomposition,
@@ -501,7 +475,7 @@ fn decompose_frame(
     format!(
         "ok decomposition algo={} eps={eps} seed={seed} clusters={} colors={} cached={cached} \
          ms={:.3}",
-        algo.wire_name(),
+        algo.decompose_name,
         d.num_clusters(),
         d.num_colors(),
         started.elapsed().as_secs_f64() * 1e3,
@@ -559,6 +533,7 @@ mod tests {
     use super::*;
     use crate::protocol::classify_response;
     use crate::protocol::ResponseKind;
+    use sdnd_core::registry::{find_carve, find_decompose};
     use std::time::Duration;
 
     fn state() -> ServeState {
@@ -578,7 +553,7 @@ mod tests {
         );
         let key = |seed| DecompKey {
             graph: 1,
-            algo: DecomposeAlgo::Thm23,
+            algo: find_decompose("thm2.3").unwrap(),
             eps_bits: 0.5f64.to_bits(),
             seed,
         };
@@ -621,7 +596,7 @@ mod tests {
 
         // Cold decompose, then the same key served from the LRU.
         let req = Request::Decompose {
-            algo: DecomposeAlgo::Thm23,
+            algo: find_decompose("thm2.3").unwrap(),
             eps: 0.5,
             seed: 0,
         };
@@ -642,7 +617,7 @@ mod tests {
 
         let r = s.execute(
             &Request::Carve {
-                algo: CarveAlgo::Thm33,
+                algo: find_carve("thm3.3").unwrap(),
                 eps: 0.5,
             },
             &unarmed(),
@@ -675,7 +650,7 @@ mod tests {
         assert_eq!(
             s.execute(
                 &Request::Decompose {
-                    algo: DecomposeAlgo::Thm23,
+                    algo: find_decompose("thm2.3").unwrap(),
                     eps: 0.5,
                     seed: 0
                 },
@@ -712,7 +687,7 @@ mod tests {
             &unarmed(),
         );
         let req = Request::Decompose {
-            algo: DecomposeAlgo::Thm34,
+            algo: find_decompose("thm3.4").unwrap(),
             eps: 0.5,
             seed: 3,
         };
@@ -735,7 +710,7 @@ mod tests {
         );
         s.execute(
             &Request::Decompose {
-                algo: DecomposeAlgo::Thm23,
+                algo: find_decompose("thm2.3").unwrap(),
                 eps: 0.5,
                 seed: 0,
             },
@@ -777,7 +752,7 @@ mod tests {
         );
         s.execute(
             &Request::Decompose {
-                algo: DecomposeAlgo::Thm23,
+                algo: find_decompose("thm2.3").unwrap(),
                 eps: 0.5,
                 seed: 0,
             },
@@ -787,7 +762,7 @@ mod tests {
         assert_eq!(s.stats().panics, 1);
         let r = s.execute(
             &Request::Decompose {
-                algo: DecomposeAlgo::Thm23,
+                algo: find_decompose("thm2.3").unwrap(),
                 eps: 0.5,
                 seed: 0,
             },

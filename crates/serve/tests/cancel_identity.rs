@@ -4,9 +4,10 @@
 //! run, and bit-identical to the library's direct entry point.
 
 use proptest::prelude::*;
+use sdnd_core::registry::find_decompose;
 use sdnd_core::Params;
 use sdnd_graph::Deadline;
-use sdnd_serve::protocol::{classify_response, DecomposeAlgo, Request, ResponseKind};
+use sdnd_serve::protocol::{classify_response, Request, ResponseKind};
 use sdnd_serve::{ServeState, SharedCounters};
 use std::sync::Arc;
 use std::time::Duration;
@@ -40,7 +41,7 @@ proptest! {
         budget_us in 0u64..1500,
     ) {
         let spec = format!("gnp:{n}:{graph_seed}");
-        let algo = if improved { DecomposeAlgo::Thm34 } else { DecomposeAlgo::Thm23 };
+        let algo = find_decompose(if improved { "thm3.4" } else { "thm2.3" }).unwrap();
         let req = Request::Decompose { algo, eps: 0.5, seed: 0 };
 
         // Session A: a possibly-cancelled attempt, then the real run.
@@ -67,12 +68,11 @@ proptest! {
 
         // And both match the library's direct (infallible) entry point.
         let g = sdnd_graph::gen::gnp_connected(n, 6.0 / n.max(7) as f64, graph_seed);
-        let mut ledger = sdnd_congest::RoundLedger::new();
-        let params = Params { eps: 0.5, ..Params::default() };
-        let direct = if improved {
-            sdnd_core::decompose_strong_improved_with(&g, &params, &mut ledger)
+        let params = Params::default();
+        let (direct, _) = if improved {
+            sdnd_core::decompose_strong_improved(&g, &params)
         } else {
-            sdnd_core::decompose_strong_with(&g, &params, &mut ledger)
+            sdnd_core::decompose_strong(&g, &params)
         };
         prop_assert_eq!(da, &direct, "serve session vs direct library call");
 

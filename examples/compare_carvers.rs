@@ -4,16 +4,16 @@
 //!
 //! Also demonstrates the *black-box* nature of Theorem 2.1: the same
 //! transformation is instantiated with two different weak carvers (the
-//! deterministic RG20 and the randomized shallow LS93), producing a
+//! deterministic GGR21 and the randomized shallow LS93), producing a
 //! deterministic and a randomized strong carver respectively.
 //!
 //! Run with: `cargo run --release --example compare_carvers`
 
-use sdnd::baselines::{Mpx13, SequentialGreedy};
-use sdnd::core::{transform, Params, Theorem22Carver};
+use sdnd::clustering::CarveCtx;
+use sdnd::core::registry::ALGORITHMS;
+use sdnd::core::{transform, Params};
 use sdnd::prelude::*;
-use sdnd::weak::{Ls93, Rg20};
-use sdnd_clustering::metrics;
+use sdnd::weak::Ls93;
 
 fn main() {
     // A high-diameter network where carving actually has to chop: a cycle.
@@ -32,12 +32,12 @@ fn main() {
     );
 
     let report = |name: &str, class: &str, c: &sdnd_clustering::BallCarving, rounds: u64| {
-        let q = metrics::carving_quality(&g, c);
+        let q = validate_carving(&g, c);
         println!(
             "{:<34} {:>7} {:>8} {:>8} {:>8.3} {:>10}",
             name,
             class,
-            q.clusters,
+            c.num_clusters(),
             q.max_strong_diameter
                 .map(|d| d.to_string())
                 .unwrap_or_else(|| "—".into()),
@@ -46,36 +46,17 @@ fn main() {
         );
     };
 
-    // Weak carvers (diameter measured in G, clusters may be disconnected).
-    for (name, carver) in [
-        ("rg20 (det, weak)", Rg20::rg20()),
-        ("ggr21 (det, weak)", Rg20::ggr21()),
-    ] {
+    // Every registered carver: weak ones (diameter measured in G,
+    // clusters may be disconnected), then strong ones; seed 5 for the
+    // randomized ones.
+    let mut ctx = CarveCtx::new();
+    for algo in &ALGORITHMS {
         let mut l = RoundLedger::new();
-        let wc = carver.carve_weak(&g, &alive, eps, &mut l);
-        report(name, "weak", wc.carving(), l.rounds());
-    }
-    {
-        let mut l = RoundLedger::new();
-        let wc = Ls93::new(5).carve_weak(&g, &alive, eps, &mut l);
-        report("ls93 (rand, weak)", "weak", wc.carving(), l.rounds());
-    }
-
-    // Strong carvers.
-    {
-        let mut l = RoundLedger::new();
-        let c = Mpx13::new(5).carve_strong(&g, &alive, eps, &mut l);
-        report("mpx13 (rand, strong)", "strong", &c, l.rounds());
-    }
-    {
-        let mut l = RoundLedger::new();
-        let c = SequentialGreedy::new().carve_strong(&g, &alive, eps, &mut l);
-        report("ls93-sequential (strong)", "strong", &c, l.rounds());
-    }
-    {
-        let mut l = RoundLedger::new();
-        let c = Theorem22Carver::new(params.clone()).carve_strong(&g, &alive, eps, &mut l);
-        report("cg21-thm2.2 = T(rg20) (det)", "strong", &c, l.rounds());
+        let c = algo
+            .carve_in(5, &g, &alive, eps, &mut l, &mut ctx)
+            .expect("unarmed ctx never cancels");
+        let name = format!("{} ({})", algo.label, algo.model);
+        report(&name, algo.class.as_str(), &c, l.rounds());
     }
     {
         // Theorem 2.1 is black-box: plug the shallow randomized LS93
@@ -90,7 +71,7 @@ fn main() {
     println!(
         "\nReading guide: the transformation rows are strong-diameter and never exceed the\n\
          eps dead budget; instantiating Theorem 2.1 with a shallow weak carving yields\n\
-         small strong clusters, while the deep deterministic RG20 trees make its strong\n\
+         small strong clusters, while the deep deterministic GGR21 trees make its strong\n\
          clusters as large as the component at this scale (the polylog bound exceeds the\n\
          cycle's diameter). The sequential row shows the best-possible parameters at a\n\
          round cost that grows linearly with n."

@@ -11,7 +11,6 @@
 
 use sdnd::core::{apply, Params};
 use sdnd::prelude::*;
-use sdnd_clustering::metrics;
 
 fn main() {
     // A mid-sized random network.
@@ -24,9 +23,8 @@ fn main() {
     );
 
     // Step 1: the strong-diameter decomposition (Theorem 2.3).
-    let (decomp, decomp_ledger) =
-        sdnd::core::decompose_strong(&g, &Params::default()).expect("valid parameters");
-    let q = metrics::decomposition_quality(&g, &decomp);
+    let (decomp, decomp_ledger) = sdnd::core::decompose_strong(&g, &Params::default());
+    let q = validate_decomposition(&g, &decomp);
     println!(
         "decomposition: C = {} colors, D = {} strong diameter, {} rounds",
         q.colors,
@@ -44,7 +42,7 @@ fn main() {
         "MIS: {} nodes selected, {} template rounds (<= 2 * C * max cluster = {})",
         mis.len(),
         mis_ledger.rounds(),
-        2 * q.colors as usize * q.max_cluster_size
+        2 * q.colors as usize * decomp.max_cluster_size()
     );
 
     // Step 3: same template, different problem — (Δ+1)-coloring.

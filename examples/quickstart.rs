@@ -4,7 +4,6 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use sdnd::prelude::*;
-use sdnd_clustering::metrics;
 
 fn main() {
     // The network: a 16x16 grid of 256 processors.
@@ -15,22 +14,21 @@ fn main() {
     // with O(log n) colors and O(log^3 n) cluster diameter, computed in
     // the CONGEST model (O(log n)-bit messages).
     let params = Params::default();
-    let (decomp, ledger) = sdnd::core::decompose_strong(&g, &params).expect("valid parameters");
+    let (decomp, ledger) = sdnd::core::decompose_strong(&g, &params);
 
     // Validate every promise the definition makes.
     let report = validate_decomposition(&g, &decomp);
     assert!(report.is_valid(), "violations: {:?}", report.violations);
 
-    let quality = metrics::decomposition_quality(&g, &decomp);
-    println!("colors (C):                {}", quality.colors);
-    println!("clusters:                  {}", quality.clusters);
+    println!("colors (C):                {}", report.colors);
+    println!("clusters:                  {}", decomp.num_clusters());
     println!(
         "max strong diameter (D):   {}",
-        quality.max_strong_diameter.expect("clusters are connected")
+        report.max_strong_diameter.expect("clusters are connected")
     );
     println!(
         "C * (D + 1) template cost: {}",
-        quality.cd_product.expect("strong diameter defined")
+        report.cd_product().expect("strong diameter defined")
     );
     println!("simulated CONGEST rounds:  {}", ledger.rounds());
     println!(

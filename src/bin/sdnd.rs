@@ -19,14 +19,12 @@
 //! stores weight 1 on every edge, and by default the third column is
 //! used when present.
 
-use sdnd::baselines::{Abcp96, Mpx13, SequentialGreedy};
+use sdnd::clustering::{validate_carving_in, validate_decomposition_in, CarveCtx};
 use sdnd::congest::{primitives, Engine};
-use sdnd::core::Params;
+use sdnd::core::registry::{self, Algorithm, ALGORITHMS};
 use sdnd::graph::dataset::{self, CacheStatus, LoadOptions, SourceStamp, WeightMode};
 use sdnd::graph::{NodeOrder, Relabeling};
 use sdnd::prelude::*;
-use sdnd::weak::{Ls93, Rg20};
-use sdnd_clustering::{metrics, StrongCarver, WeakCarver};
 use std::io::Write as _;
 use std::path::Path;
 use std::process::ExitCode;
@@ -39,7 +37,7 @@ fn main() -> ExitCode {
             eprintln!("error: {}", e.msg);
             if e.show_usage {
                 eprintln!();
-                eprintln!("{USAGE}");
+                eprintln!("{}", usage());
             }
             ExitCode::FAILURE
         }
@@ -98,7 +96,7 @@ commands:
              binary CSR cache next to it (`<file>.csrbin`), and reports
              load statistics; a second ingest hits the cache and skips
              the text parse entirely
-  decompose  --algorithm <thm2.3|thm3.4|en16|sequential|abcp96|rg20|ls93>
+  decompose  --algorithm <{decompose}>
              --input <edges.txt> [--nodes N] [--seed S] [--output out.csv]
              [--max-rounds R] [--weights uniform:lo,hi|file|unit]
              [--layout L] [--cache]
@@ -107,7 +105,7 @@ commands:
              weighted diameters; fails cleanly if the simulated cost
              exceeds R rounds (post-hoc: the local computation runs to
              completion)
-  carve      --algorithm <thm2.2|thm3.3|mpx13|rg20|ggr21|ls93|sequential|abcp96>
+  carve      --algorithm <{carve}>
              --eps <f> --input <edges.txt> [--nodes N] [--seed S] [--output out.csv]
              [--weights uniform:lo,hi|file|unit] [--layout L] [--cache]
              computes a single ball carving
@@ -176,6 +174,16 @@ layouts (--layout, default natural):
 caching (--cache):
   load through the binary CSR cache next to the input (`.csrbin`),
   writing it on the first (cold) run; stale caches are re-parsed";
+
+/// [`USAGE`] with the registry's names filled in.
+fn usage() -> String {
+    let names = |name: fn(&Algorithm) -> &'static str| {
+        ALGORITHMS.iter().map(name).collect::<Vec<_>>().join("|")
+    };
+    USAGE
+        .replace("{decompose}", &names(|a| a.decompose_name))
+        .replace("{carve}", &names(|a| a.carve_name))
+}
 
 fn run(args: &[String]) -> Result<(), CliError> {
     let cmd = args.first().ok_or("missing command")?;
@@ -551,34 +559,19 @@ fn write_clusters(
 }
 
 fn cmd_decompose(opts: &Opts) -> Result<(), CliError> {
-    // Validate the round budget up front — a bad flag must not cost a
-    // full decomposition run.
+    // Validate the round budget and the name up front — a bad flag must
+    // not cost a full decomposition run.
     let round_budget = opts.u64_opt("max-rounds")?;
+    let name = opts.require("algorithm")?;
+    let algo =
+        registry::find_decompose(name).ok_or_else(|| format!("unknown algorithm `{name}`"))?;
     let (g, relab) = load_graph(opts).map_err(CliError::runtime)?;
-    let algorithm = opts.require("algorithm")?;
-    let seed = opts.usize_or("seed", 42)? as u64;
-    let params = Params::default();
+    let seed = opts.u64_or("seed", 42)?;
     let mut ledger = RoundLedger::new();
-
-    let d = match algorithm {
-        "thm2.3" => sdnd::core::decompose_strong_with(&g, &params, &mut ledger),
-        "thm3.4" => sdnd::core::decompose_strong_improved_with(&g, &params, &mut ledger),
-        "en16" => sdnd::baselines::en16_decomposition(&g, seed, &mut ledger),
-        "sequential" => sdnd_clustering::decompose_with_strong_carver(
-            &g,
-            &SequentialGreedy::new(),
-            0.5,
-            &mut ledger,
-        ),
-        "abcp96" => {
-            sdnd_clustering::decompose_with_strong_carver(&g, &Abcp96::new(), 0.5, &mut ledger)
-        }
-        "rg20" => sdnd_clustering::decompose_with_weak_carver(&g, &Rg20::rg20(), 0.5, &mut ledger),
-        "ls93" => {
-            sdnd_clustering::decompose_with_weak_carver(&g, &Ls93::new(seed), 0.5, &mut ledger)
-        }
-        other => return Err(format!("unknown algorithm `{other}`").into()),
-    };
+    let mut ctx = CarveCtx::new();
+    let d = algo
+        .decompose_in(seed, &g, &mut ledger, &mut ctx)
+        .expect("unarmed ctx never cancels");
 
     if let Some(limit) = round_budget {
         if ledger.rounds() > limit {
@@ -594,35 +587,19 @@ fn cmd_decompose(opts: &Opts) -> Result<(), CliError> {
         }
     }
 
-    let q = metrics::decomposition_quality(&g, &d);
-    let report = sdnd_clustering::validate_decomposition(&g, &d);
+    let report = validate_decomposition_in(&g, &d, &mut ctx).expect("unarmed ctx never cancels");
     println!("graph:          n = {}, m = {}", g.n(), g.m());
-    println!("algorithm:      {algorithm}");
-    println!(
-        "metric:         {}",
-        if g.is_weighted() {
-            "weighted (Dijkstra oracle)"
-        } else {
-            "hop (unweighted input)"
-        }
+    println!("algorithm:      {name}");
+    println!("metric:         {}", metric_line(&g));
+    println!("colors (C):     {}", d.num_colors());
+    println!("clusters:       {}", d.num_clusters());
+    print_diameters(
+        &g,
+        report.max_strong_diameter,
+        report.max_weak_diameter,
+        report.weighted_strong_diameter,
+        report.weighted_weak_diameter,
     );
-    println!("colors (C):     {}", q.colors);
-    println!("clusters:       {}", q.clusters);
-    println!(
-        "strong D:       {}",
-        q.max_strong_diameter.map_or("—".into(), |d| d.to_string())
-    );
-    println!(
-        "weak D:         {}",
-        q.max_weak_diameter.map_or("—".into(), |d| d.to_string())
-    );
-    if g.is_weighted() {
-        println!(
-            "w strong D:     {}",
-            fmt_weighted(q.weighted_strong_diameter)
-        );
-        println!("w weak D:       {}", fmt_weighted(q.weighted_weak_diameter));
-    }
     println!("rounds:         {}", ledger.rounds());
     println!("max msg bits:   {}", ledger.max_message_bits());
     println!(
@@ -647,72 +624,34 @@ fn cmd_decompose(opts: &Opts) -> Result<(), CliError> {
 }
 
 fn cmd_carve(opts: &Opts) -> Result<(), CliError> {
-    let (g, relab) = load_graph(opts).map_err(CliError::runtime)?;
-    let algorithm = opts.require("algorithm")?;
+    let name = opts.require("algorithm")?;
+    let algo = registry::find_carve(name).ok_or_else(|| format!("unknown algorithm `{name}`"))?;
     let eps = opts.f64_or("eps", 0.5)?;
     if !(eps > 0.0 && eps < 1.0) {
         return Err(format!("--eps must lie in (0, 1), got {eps}").into());
     }
-    let seed = opts.usize_or("seed", 42)? as u64;
+    let (g, relab) = load_graph(opts).map_err(CliError::runtime)?;
+    let seed = opts.u64_or("seed", 42)?;
     let alive = NodeSet::full(g.n());
-    let params = Params::default();
     let mut ledger = RoundLedger::new();
+    let mut ctx = CarveCtx::new();
+    let carving = algo
+        .carve_in(seed, &g, &alive, eps, &mut ledger, &mut ctx)
+        .expect("unarmed ctx never cancels");
 
-    let carving = match algorithm {
-        "thm2.2" => sdnd::core::strong_ball_carving(&g, &alive, eps, &params, &mut ledger),
-        "thm3.3" => sdnd::core::strong_ball_carving_improved(&g, &alive, eps, &params, &mut ledger),
-        "mpx13" => Mpx13::new(seed).carve_strong(&g, &alive, eps, &mut ledger),
-        "sequential" => SequentialGreedy::new().carve_strong(&g, &alive, eps, &mut ledger),
-        "abcp96" => Abcp96::new().carve_strong(&g, &alive, eps, &mut ledger),
-        "rg20" => {
-            Rg20::rg20()
-                .carve_weak(&g, &alive, eps, &mut ledger)
-                .into_parts()
-                .0
-        }
-        "ggr21" => {
-            Rg20::ggr21()
-                .carve_weak(&g, &alive, eps, &mut ledger)
-                .into_parts()
-                .0
-        }
-        "ls93" => {
-            Ls93::new(seed)
-                .carve_weak(&g, &alive, eps, &mut ledger)
-                .into_parts()
-                .0
-        }
-        other => return Err(format!("unknown algorithm `{other}`").into()),
-    };
-
-    let q = metrics::carving_quality(&g, &carving);
+    let report = validate_carving_in(&g, &carving, &mut ctx).expect("unarmed ctx never cancels");
     println!("graph:          n = {}, m = {}", g.n(), g.m());
-    println!("algorithm:      {algorithm} (eps = {eps})");
-    println!(
-        "metric:         {}",
-        if g.is_weighted() {
-            "weighted (Dijkstra oracle)"
-        } else {
-            "hop (unweighted input)"
-        }
+    println!("algorithm:      {name} (eps = {eps})");
+    println!("metric:         {}", metric_line(&g));
+    println!("clusters:       {}", carving.num_clusters());
+    println!("dead fraction:  {:.4}", report.dead_fraction);
+    print_diameters(
+        &g,
+        report.max_strong_diameter,
+        report.max_weak_diameter,
+        report.weighted_strong_diameter,
+        report.weighted_weak_diameter,
     );
-    println!("clusters:       {}", q.clusters);
-    println!("dead fraction:  {:.4}", q.dead_fraction);
-    println!(
-        "strong D:       {}",
-        q.max_strong_diameter.map_or("—".into(), |d| d.to_string())
-    );
-    println!(
-        "weak D:         {}",
-        q.max_weak_diameter.map_or("—".into(), |d| d.to_string())
-    );
-    if g.is_weighted() {
-        println!(
-            "w strong D:     {}",
-            fmt_weighted(q.weighted_strong_diameter)
-        );
-        println!("w weak D:       {}", fmt_weighted(q.weighted_weak_diameter));
-    }
     println!("rounds:         {}", ledger.rounds());
     if let Some(path) = opts.get("output") {
         write_clusters(
@@ -724,6 +663,38 @@ fn cmd_carve(opts: &Opts) -> Result<(), CliError> {
         println!("clusters csv:   {path}");
     }
     Ok(())
+}
+
+/// The `metric:` line of `decompose` and `carve`.
+fn metric_line(g: &Graph) -> &'static str {
+    if g.is_weighted() {
+        "weighted (Dijkstra oracle)"
+    } else {
+        "hop (unweighted input)"
+    }
+}
+
+/// The diameter lines of `decompose` and `carve`; the weighted pair
+/// only for weighted inputs.
+fn print_diameters(
+    g: &Graph,
+    strong: Option<u32>,
+    weak: Option<u32>,
+    weighted_strong: Option<f64>,
+    weighted_weak: Option<f64>,
+) {
+    println!(
+        "strong D:       {}",
+        strong.map_or("—".into(), |d| d.to_string())
+    );
+    println!(
+        "weak D:         {}",
+        weak.map_or("—".into(), |d| d.to_string())
+    );
+    if g.is_weighted() {
+        println!("w strong D:     {}", fmt_weighted(weighted_strong));
+        println!("w weak D:       {}", fmt_weighted(weighted_weak));
+    }
 }
 
 fn cmd_simulate(opts: &Opts) -> Result<(), CliError> {
@@ -1096,23 +1067,20 @@ fn cmd_validate(opts: &Opts) -> Result<(), CliError> {
         // Malformed clusters files are runtime diagnostics (bad data, not
         // bad flags): no usage dump.
         let bad = |what: &str| CliError::runtime(format!("{path}: line {}: {what}", lineno + 1));
-        let mut it = line.split(',');
-        let v: usize = it
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| bad("bad node column"))?;
+        let (v, c, col) = parse_cluster_line(line).map_err(bad)?;
         if v >= g.n() {
             return Err(bad(&format!("node {v} out of range (n = {})", g.n())));
         }
-        let c: usize = it
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| bad("bad cluster column"))?;
-        let col: u32 = it.next().and_then(|t| t.parse().ok()).unwrap_or(0);
+        let e = colored.entry(c).or_insert_with(|| (Vec::new(), col));
+        if e.1 != col {
+            return Err(bad(&format!(
+                "cluster {c} already has color {}, not {col}",
+                e.1
+            )));
+        }
         // The CSV speaks original ids; check against the loaded layout's
         // in-memory counterpart.
         let v = relab.new_of(NodeId::new(v));
-        let e = colored.entry(c).or_insert_with(|| (Vec::new(), col));
         e.0.push(v);
         covered.insert(v);
     }
@@ -1240,6 +1208,27 @@ fn cmd_validate(opts: &Opts) -> Result<(), CliError> {
     Ok(())
 }
 
+/// One data line of a clusters CSV, `node,cluster[,color]`: the node
+/// and cluster columns must parse, and so must the color column when
+/// present; an absent one means color 0. Columns past the third are
+/// ignored.
+fn parse_cluster_line(line: &str) -> Result<(usize, usize, u32), &'static str> {
+    let mut it = line.split(',');
+    let v = it
+        .next()
+        .and_then(|t| t.parse().ok())
+        .ok_or("bad node column")?;
+    let c = it
+        .next()
+        .and_then(|t| t.parse().ok())
+        .ok_or("bad cluster column")?;
+    let col = match it.next() {
+        None => 0,
+        Some(t) => t.parse().map_err(|_| "bad color column")?,
+    };
+    Ok((v, c, col))
+}
+
 fn cmd_serve(opts: &Opts) -> Result<(), CliError> {
     let config = sdnd_serve::ServeConfig {
         queue_cap: opts.usize_or("queue", 32)?,
@@ -1264,6 +1253,7 @@ fn cmd_serve(opts: &Opts) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn opts(pairs: &[(&str, &str)]) -> Opts {
         let mut map = std::collections::HashMap::new();
@@ -1681,6 +1671,14 @@ mod tests {
             ("node,cluster,color\n99,0,0\n", "out of range"),
             ("node,cluster,color\nx,0,0\n", "bad node column"),
             ("node,cluster,color\n1,y,0\n", "bad cluster column"),
+            (
+                "node,cluster,color\n0,0,0\n2,1,x\n",
+                "line 3: bad color column",
+            ),
+            (
+                "node,cluster,color\n0,0,0\n1,0,1\n",
+                "line 3: cluster 0 already has color 0, not 1",
+            ),
         ] {
             let clusters = dir.join("val_clusters.csv");
             std::fs::write(&clusters, csv).unwrap();
@@ -1853,5 +1851,78 @@ mod tests {
             path.to_str().unwrap().into(),
         ];
         assert!(run(&args).is_err());
+    }
+
+    #[test]
+    fn every_registry_name_runs_through_the_cli() {
+        let dir = std::env::temp_dir().join("sdnd_cli_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let edges = dir.join("registry.txt");
+        let mut text = String::new();
+        for (u, v) in sdnd::graph::gen::grid(6, 6).edges() {
+            text.push_str(&format!("{u} {v}\n"));
+        }
+        std::fs::write(&edges, text).unwrap();
+        let csv = dir.join("registry.csv");
+        let (edges, csv) = (edges.to_str().unwrap(), csv.to_str().unwrap());
+        let args = |words: &[&str]| words.iter().map(|w| w.to_string()).collect::<Vec<_>>();
+        for algo in &ALGORITHMS {
+            for (verb, name) in [
+                ("decompose", algo.decompose_name),
+                ("carve", algo.carve_name),
+            ] {
+                let run_verb =
+                    args(&[verb, "--algorithm", name, "--input", edges, "--output", csv]);
+                assert!(run(&run_verb).is_ok(), "{verb} {name}");
+                // Every export validates: carvings as one color class.
+                let validate = args(&["validate", "--input", edges, "--clusters", csv]);
+                assert!(run(&validate).is_ok(), "validate after {verb} {name}");
+            }
+        }
+        for verb in ["decompose", "carve"] {
+            let err = run(&args(&[verb, "--algorithm", "nope", "--input", edges])).unwrap_err();
+            assert_eq!(err.msg, "unknown algorithm `nope`");
+            assert!(err.show_usage);
+        }
+    }
+
+    /// Argument words the fuzzer mixes with junk: option names (bare,
+    /// paired and inline), their values, clusters-CSV lines, and the
+    /// registry's names.
+    fn argv_word() -> impl Strategy<Value = String> {
+        let words: Vec<&str> = "--weights --layout --algorithm --approx --cache --timing \
+            --eps=0.5 --weights=uniform:1,8 --layout=hilbert -- - = uniform:1,8 uniform: \
+            uniform:, uniform:x,y uniform:8,1 unit file natural hilbert morton bfs 0,0,0 1,2 \
+            1,2,x x,0,0 ,, 3,1,4294967296"
+            .split_whitespace()
+            .chain(ALGORITHMS.iter().map(|a| a.decompose_name))
+            .collect();
+        let pick = 0..words.len() + 1;
+        (pick, prop::collection::vec(0u8..=255, 0..12)).prop_map(move |(i, junk)| {
+            words.get(i).map_or_else(
+                || String::from_utf8_lossy(&junk).into_owned(),
+                |w| w.to_string(),
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The option, weight, layout, registry and clusters-CSV parsers
+        /// return errors on arbitrary input; none of them panics.
+        #[test]
+        fn cli_parsers_never_panic(argv in prop::collection::vec(argv_word(), 0..8)) {
+            if let Ok(opts) = parse_opts(&argv) {
+                let _ = WeightSpec::parse(&opts).map(|spec| spec.dist());
+                let _ = parse_layout(&opts);
+                if let Some(name) = opts.get("algorithm") {
+                    let _ = (registry::find_carve(name), registry::find_decompose(name));
+                }
+            }
+            for word in &argv {
+                let _ = parse_cluster_line(word);
+            }
+        }
     }
 }

@@ -18,7 +18,8 @@
 //! - [`weak`] — deterministic weak-diameter ball carving (RG20/GGR21) and
 //!   the LS93 randomized carving ([`sdnd_weak`]).
 //! - [`core`] — the paper's contribution: Theorems 2.1–2.3, Lemma 3.1,
-//!   Theorems 3.2–3.4 ([`sdnd_core`]).
+//!   Theorems 3.2–3.4, and the registry of every algorithm by name
+//!   ([`sdnd_core`]).
 //! - [`baselines`] — MPX13/EN16 random shifts, the ABCP96 LOCAL
 //!   transformation, and the sequential existential carving
 //!   ([`sdnd_baselines`]).
@@ -36,7 +37,7 @@
 //! let g = sdnd::graph::gen::grid(16, 16);
 //!
 //! // Deterministic strong-diameter network decomposition (Theorem 2.3).
-//! let (decomp, ledger) = sdnd::core::decompose_strong(&g, &Params::default())?;
+//! let (decomp, ledger) = sdnd::core::decompose_strong(&g, &Params::default());
 //!
 //! // Every node is clustered, same-colored clusters are non-adjacent, and
 //! // every cluster has small strong diameter.
@@ -48,7 +49,6 @@
 //!     report.max_strong_diameter,
 //!     ledger.rounds()
 //! );
-//! # Ok::<(), sdnd::core::CoreError>(())
 //! ```
 
 pub use sdnd_baselines as baselines;

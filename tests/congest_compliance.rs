@@ -40,12 +40,10 @@ fn congest_algorithms_fit_the_budget() {
     let _ = SequentialGreedy::new().carve_strong(&g, &alive, 0.5, &mut l);
     checks.push(("ls93-sequential", l));
 
-    let mut l = RoundLedger::new();
-    let _ = sdnd::core::decompose_strong_with(&g, &Params::default(), &mut l);
+    let (_, l) = sdnd::core::decompose_strong(&g, &Params::default());
     checks.push(("cg21-thm2.3", l));
 
-    let mut l = RoundLedger::new();
-    let _ = sdnd::core::decompose_strong_improved_with(&g, &Params::default(), &mut l);
+    let (_, l) = sdnd::core::decompose_strong_improved(&g, &Params::default());
     checks.push(("cg21-thm3.4", l));
 
     for (name, ledger) in checks {

@@ -64,8 +64,8 @@ fn seeded_generators_vary_with_the_seed() {
 fn decompose_strong_is_deterministic_across_families() {
     let params = Params::default();
     for (name, g) in graph_families() {
-        let (d1, l1) = decompose_strong(&g, &params).expect("decomposes");
-        let (d2, l2) = decompose_strong(&g, &params).expect("decomposes");
+        let (d1, l1) = decompose_strong(&g, &params);
+        let (d2, l2) = decompose_strong(&g, &params);
         assert_eq!(d1, d2, "decomposition differs across reruns on {name}");
         assert_eq!(l1, l2, "round ledger differs across reruns on {name}");
     }
@@ -75,8 +75,8 @@ fn decompose_strong_is_deterministic_across_families() {
 fn decompose_strong_improved_is_deterministic_across_families() {
     let params = Params::default();
     for (name, g) in graph_families() {
-        let (d1, l1) = decompose_strong_improved(&g, &params).expect("decomposes");
-        let (d2, l2) = decompose_strong_improved(&g, &params).expect("decomposes");
+        let (d1, l1) = decompose_strong_improved(&g, &params);
+        let (d2, l2) = decompose_strong_improved(&g, &params);
         assert_eq!(d1, d2, "decomposition differs across reruns on {name}");
         assert_eq!(l1, l2, "round ledger differs across reruns on {name}");
     }
@@ -261,7 +261,7 @@ fn decompositions_survive_a_serde_round_trip() {
     // Determinism extends to persistence: a decomposition written to JSON
     // and read back must be the same decomposition.
     let g = gen::gnp_connected(40, 0.1, 3);
-    let (d, _) = decompose_strong(&g, &Params::default()).expect("decomposes");
+    let (d, _) = decompose_strong(&g, &Params::default());
     let json = serde_json::to_string(&d).expect("serializable");
     let back: NetworkDecomposition = serde_json::from_str(&json).expect("deserializable");
     assert_eq!(back, d);

@@ -6,7 +6,7 @@
 use sdnd::baselines::{Mpx13, SequentialGreedy};
 use sdnd::core::{apply, decompose_strong, decompose_strong_improved, Params};
 use sdnd::prelude::*;
-use sdnd_clustering::{metrics, validate_decomposition};
+use sdnd_clustering::validate_decomposition;
 use sdnd_graph::gen;
 
 fn families() -> Vec<(&'static str, Graph)> {
@@ -25,7 +25,7 @@ fn families() -> Vec<(&'static str, Graph)> {
 #[test]
 fn theorem23_end_to_end_on_all_families() {
     for (name, g) in families() {
-        let (d, ledger) = decompose_strong(&g, &Params::default()).unwrap();
+        let (d, ledger) = decompose_strong(&g, &Params::default());
         let report = validate_decomposition(&g, &d);
         assert!(report.is_valid(), "{name}: {:?}", report.violations);
         assert!(
@@ -46,7 +46,7 @@ fn theorem23_end_to_end_on_all_families() {
 #[test]
 fn theorem34_end_to_end_on_all_families() {
     for (name, g) in families() {
-        let (d, ledger) = decompose_strong_improved(&g, &Params::default()).unwrap();
+        let (d, ledger) = decompose_strong_improved(&g, &Params::default());
         let report = validate_decomposition(&g, &d);
         assert!(report.is_valid(), "{name}: {:?}", report.violations);
         assert!(ledger.rounds() > 0, "{name}: free lunch");
@@ -56,7 +56,7 @@ fn theorem34_end_to_end_on_all_families() {
 #[test]
 fn decomposition_supports_the_template_everywhere() {
     for (name, g) in families() {
-        let (d, _) = decompose_strong(&g, &Params::default()).unwrap();
+        let (d, _) = decompose_strong(&g, &Params::default());
         let mut ledger = RoundLedger::new();
         let mis = apply::mis_via_decomposition(&g, &d, &mut ledger);
         assert!(apply::is_mis(&g, &mis), "{name}: invalid MIS");
@@ -100,15 +100,15 @@ fn randomized_vs_deterministic_diameter_shape() {
     // graph diameter — while both decompositions stay valid.
     let g = gen::cycle(512);
     let mut ledger = RoundLedger::new();
-    let en16 = sdnd::baselines::en16_decomposition(&g, 9, &mut ledger);
-    let q = metrics::decomposition_quality(&g, &en16);
+    let en16 = sdnd_clustering::decompose_with_strong_carver(&g, &Mpx13::new(9), 0.5, &mut ledger);
+    let q = validate_decomposition(&g, &en16);
     let log_bound = 24.0 * (512f64).ln(); // generous constant on O(log n)
     assert!(
         (q.max_strong_diameter.unwrap() as f64) <= log_bound,
         "EN16 diameter {} exceeds O(log n) envelope {log_bound}",
         q.max_strong_diameter.unwrap()
     );
-    assert!(validate_decomposition(&g, &en16).is_valid());
+    assert!(q.is_valid());
 }
 
 #[test]
@@ -117,7 +117,7 @@ fn decompositions_partition_regardless_of_ids() {
     let g = gen::grid(7, 7);
     let ids: Vec<u64> = (0..49u64).map(|i| 48 - i + 1000).collect();
     let g = g.with_ids(ids).unwrap();
-    let (d, _) = decompose_strong(&g, &Params::default()).unwrap();
+    let (d, _) = decompose_strong(&g, &Params::default());
     assert!(validate_decomposition(&g, &d).is_valid());
 }
 
@@ -132,7 +132,7 @@ fn disconnected_graphs_are_decomposed_per_component() {
     }
     // Nodes 40..59 isolated.
     let g = b.build().unwrap();
-    let (d, _) = decompose_strong(&g, &Params::default()).unwrap();
+    let (d, _) = decompose_strong(&g, &Params::default());
     let report = validate_decomposition(&g, &d);
     assert!(report.is_valid(), "{:?}", report.violations);
     // Isolated nodes become singleton clusters.

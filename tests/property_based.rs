@@ -69,7 +69,7 @@ proptest! {
 
     #[test]
     fn theorem23_decomposition_valid(g in arb_graph()) {
-        let (d, ledger) = sdnd::core::decompose_strong(&g, &Params::default()).unwrap();
+        let (d, ledger) = sdnd::core::decompose_strong(&g, &Params::default());
         let report = sdnd_clustering::validate_decomposition(&g, &d);
         prop_assert!(report.is_valid(), "violations: {:?}", report.violations);
         prop_assert!(ledger.complies_with(&CostModel::congest_for(g.n())));
@@ -122,7 +122,7 @@ proptest! {
     #[test]
     fn mis_template_valid_on_random_graphs(g in arb_graph()) {
         use sdnd::core::apply;
-        let (d, _) = sdnd::core::decompose_strong(&g, &Params::default()).unwrap();
+        let (d, _) = sdnd::core::decompose_strong(&g, &Params::default());
         let mut ledger = RoundLedger::new();
         let mis = apply::mis_via_decomposition(&g, &d, &mut ledger);
         prop_assert!(apply::is_mis(&g, &mis));

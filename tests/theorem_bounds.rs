@@ -85,7 +85,7 @@ fn theorem_envelope_suite() {
         let mut l = RoundLedger::new();
         let c22 = sdnd::core::Theorem22Carver::new(params.clone());
         let out = c22.carve_strong(&g, &alive, 0.5, &mut l);
-        let q = metrics::carving_quality(&g, &out);
+        let q = validate_carving(&g, &out);
         let bound22 = (8.0 * ln(n).powi(3)).ceil() as u32 + 8;
         assert!(
             q.max_strong_diameter.unwrap() <= bound22,
@@ -95,7 +95,7 @@ fn theorem_envelope_suite() {
         assert!(q.dead_fraction <= 0.5 + 1e-9, "{name}: thm2.2 eps budget");
 
         // Thm 2.3: colors within 2 log2 n + 2; diameter same class.
-        let (d23, _) = sdnd::core::decompose_strong(&g, &params).unwrap();
+        let (d23, _) = sdnd::core::decompose_strong(&g, &params);
         assert!(
             (d23.num_colors() as f64) <= 2.0 * (n as f64).log2() + 2.0,
             "{name}: thm2.3 colors {}",
@@ -106,7 +106,7 @@ fn theorem_envelope_suite() {
         let mut l = RoundLedger::new();
         let c33 = sdnd::core::Theorem33Carver::new(params.clone());
         let out = c33.carve_strong(&g, &alive, 0.5, &mut l);
-        let q33 = metrics::carving_quality(&g, &out);
+        let q33 = validate_carving(&g, &out);
         let bound33 = (64.0 * ln(n).powi(2)).ceil() as u32 + 8;
         assert!(
             q33.max_strong_diameter.unwrap() <= bound33,
@@ -115,7 +115,7 @@ fn theorem_envelope_suite() {
         );
 
         // Thm 3.4: full decomposition valid with bounded colors.
-        let (d34, _) = sdnd::core::decompose_strong_improved(&g, &params).unwrap();
+        let (d34, _) = sdnd::core::decompose_strong_improved(&g, &params);
         assert!(
             (d34.num_colors() as f64) <= 2.0 * (n as f64).log2() + 2.0,
             "{name}: thm3.4 colors {}",

@@ -111,8 +111,8 @@ proptest! {
         prop_assert_eq!(l_auto.rounds(), l_hop.rounds());
         prop_assert_eq!(l_auto.messages(), l_hop.messages());
 
-        let (d1, r1) = sdnd::core::decompose_strong(&g, &params).unwrap();
-        let (d2, r2) = sdnd::core::decompose_strong(&g, &params).unwrap();
+        let (d1, r1) = sdnd::core::decompose_strong(&g, &params);
+        let (d2, r2) = sdnd::core::decompose_strong(&g, &params);
         prop_assert_eq!(d1.clusters(), d2.clusters());
         prop_assert_eq!(r1.rounds(), r2.rounds());
     }
@@ -122,7 +122,7 @@ proptest! {
     /// weighted diameters it reports dominate the hop diameters.
     #[test]
     fn weighted_decomposition_contract(g in arb_weighted_graph()) {
-        let (d, ledger) = sdnd::core::decompose_strong(&g, &Params::default()).unwrap();
+        let (d, ledger) = sdnd::core::decompose_strong(&g, &Params::default());
         let report = validate_decomposition(&g, &d);
         prop_assert!(report.is_valid(), "violations: {:?}", report.violations);
         prop_assert!(ledger.complies_with(&CostModel::congest_for(g.n())));
@@ -182,7 +182,7 @@ fn weighted_expander_end_to_end() {
         gen::random_regular_connected_weighted(128, 4, 42, WeightDist::UniformInt { lo: 1, hi: 8 })
             .unwrap();
     assert!(g.is_weighted());
-    let (d, ledger) = sdnd::core::decompose_strong(&g, &Params::default()).unwrap();
+    let (d, ledger) = sdnd::core::decompose_strong(&g, &Params::default());
     let report = validate_decomposition(&g, &d);
     assert!(report.is_valid(), "violations: {:?}", report.violations);
     assert!(report.weighted_strong_diameter.is_some());
@@ -193,7 +193,7 @@ fn weighted_expander_end_to_end() {
         gen::random_regular_connected_weighted(128, 4, 42, WeightDist::UniformInt { lo: 1, hi: 8 })
             .unwrap();
     assert_eq!(g, g2);
-    let (d2, ledger2) = sdnd::core::decompose_strong(&g2, &Params::default()).unwrap();
+    let (d2, ledger2) = sdnd::core::decompose_strong(&g2, &Params::default());
     assert_eq!(d.clusters(), d2.clusters());
     assert_eq!(ledger.rounds(), ledger2.rounds());
 }

@@ -72,16 +72,14 @@ proptest! {
             prop_assert_eq!(lf, lw, "thm3.3 ledger");
 
             // Theorem 2.3 / 3.4 reductions.
-            let mut lf = RoundLedger::new();
-            let fresh = sdnd::core::decompose_strong_with(&g, &params, &mut lf);
+            let (fresh, lf) = sdnd::core::decompose_strong(&g, &params);
             let mut lw = RoundLedger::new();
             let shared = sdnd::core::decompose_strong_with_in(&g, &params, &mut lw, &mut ctx)
                 .expect("unarmed ctx never cancels");
             prop_assert_eq!(&fresh, &shared, "thm2.3 decomposition");
             prop_assert_eq!(lf, lw, "thm2.3 ledger");
 
-            let mut lf = RoundLedger::new();
-            let fresh = sdnd::core::decompose_strong_improved_with(&g, &params, &mut lf);
+            let (fresh, lf) = sdnd::core::decompose_strong_improved(&g, &params);
             let mut lw = RoundLedger::new();
             let shared =
                 sdnd::core::decompose_strong_improved_with_in(&g, &params, &mut lw, &mut ctx)
@@ -177,8 +175,7 @@ proptest! {
             validate_carving_in(&g, &carving, &mut ctx).expect("unarmed ctx never cancels");
         prop_assert_eq!(format!("{fresh:?}"), format!("{shared:?}"), "carving report");
 
-        let mut ledger = RoundLedger::new();
-        let d = sdnd::core::decompose_strong_with(&g, &Params::default(), &mut ledger);
+        let (d, _) = sdnd::core::decompose_strong(&g, &Params::default());
         let fresh = validate_decomposition(&g, &d);
         let shared =
             validate_decomposition_in(&g, &d, &mut ctx).expect("unarmed ctx never cancels");
