@@ -14,17 +14,24 @@
 //! workload always run too: a U[1,8]-weighted geometric graph on 600
 //! nodes (mean degree 20), whose weighted diameters take one Dijkstra
 //! per iFUB source, and a 4-regular expander on 2000 nodes. `-ctx` rows
-//! reuse one [`CarveCtx`] across iterations. `BENCH_validate.json`
-//! records the committed exact-vs-approx baseline.
+//! reuse one [`CarveCtx`] across iterations.
+//!
+//! The `validate-decomposition` rows validate the decompositions the
+//! benchmark's carve-grid and validate-flat workloads validate, over one
+//! warm context as they do: Theorem 2.3 on gnp-2000 (mean degree 8),
+//! expander-2000 and geometric-5000 (mean degree 12), and Theorem 2.3
+//! and 3.4 on grid-102x102 when `SDND_N` allows. `BENCH_validate.json`
+//! records the committed exact-vs-approx baseline and the same-host A/B
+//! rows of the exact tier.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sdnd_bench::env_usize;
 use sdnd_clustering::{
     validate_carving, validate_carving_approx, validate_carving_approx_in, validate_carving_in,
-    BallCarving, CarveCtx, StrongCarver,
+    validate_decomposition_in, BallCarving, CarveCtx, StrongCarver,
 };
 use sdnd_congest::RoundLedger;
-use sdnd_core::{Params, Theorem22Carver};
+use sdnd_core::{registry, Params, Theorem22Carver};
 use sdnd_graph::algo::HyperBallParams;
 use sdnd_graph::gen::WeightDist;
 use sdnd_graph::{gen, Graph, NodeSet};
@@ -92,5 +99,56 @@ fn bench_validate(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_validate);
+/// The workloads' validated decompositions: each graph with the
+/// registry names that decompose it.
+fn decompositions() -> Vec<(&'static str, Graph, Vec<&'static str>)> {
+    let radius = (12.0 / (std::f64::consts::PI * 5000.0)).sqrt();
+    let mut out = vec![
+        (
+            "gnp-2000",
+            gen::gnp_connected(2000, 8.0 / 2000.0, 7),
+            vec!["thm2.3"],
+        ),
+        (
+            "expander-2000",
+            gen::random_regular_connected(2000, 4, 7).expect("expander generates"),
+            vec!["thm2.3"],
+        ),
+        (
+            "geometric-5000",
+            gen::random_geometric(5000, radius, 7).expect("valid geometric parameters"),
+            vec!["thm2.3"],
+        ),
+    ];
+    if env_usize("SDND_N", 1024) >= 10404 {
+        out.push((
+            "grid-102x102",
+            gen::grid(102, 102),
+            vec!["thm2.3", "thm3.4"],
+        ));
+    }
+    out
+}
+
+fn bench_validate_decomposition(c: &mut Criterion) {
+    let mut group = c.benchmark_group("validate-decomposition");
+    group.sample_size(10);
+
+    for (name, g, algos) in decompositions() {
+        for algo in algos {
+            let entry = registry::find_decompose(algo).expect("registered name");
+            let mut ctx = CarveCtx::new();
+            let d = entry
+                .decompose_in(0, &g, &mut RoundLedger::new(), &mut ctx)
+                .expect("unarmed ctx never cancels");
+            let id = BenchmarkId::new("exact-ctx", format!("{name}-{algo}"));
+            group.bench_with_input(id, &g, |b, g| {
+                b.iter(|| validate_decomposition_in(g, &d, &mut ctx).expect("unarmed ctx"))
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_validate, bench_validate_decomposition);
 criterion_main!(benches);

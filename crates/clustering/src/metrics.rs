@@ -12,24 +12,46 @@
 //!
 //! Strong and weak diameters, in the hop and the weighted metric, all
 //! come from one iFUB sweep (Crescenzi et al., "On computing the
-//! diameter of real-world graphs"): 64 sources per MS-BFS pass when the
-//! oracle has a batched backend ([`DistanceOracle::batch_distances_in`],
-//! the hop metric), one Dijkstra per source otherwise. Strong sweeps run
-//! in the member view `G[C]`; weak sweeps run in `G` and stop once every
-//! member is reached. The result is the largest distance the oracle
-//! computes over ordered member pairs, so it is bit-identical to one
-//! sweep per member.
+//! diameter of real-world graphs"). Strong sweeps run in the member
+//! view `G[C]`; weak sweeps run in `G` and stop once every member is
+//! reached. The result is the largest distance the oracle computes over
+//! ordered member pairs, so it is bit-identical to one sweep per member.
 //!
-//! iFUB's cut-off needs nothing but the triangle inequality, and that
-//! holds for exact distances. Dijkstra's computed distance is the
-//! minimum, over paths, of the path's left-to-right rounded weight sum
+//! The first sweep, the double sweep and the root sweeps are plain
+//! single-source traversals. After them a member is *certified*, and
+//! never swept, when either bound shows it cannot realize a distance
+//! above the running maximum `lb`:
+//!
+//! - iFUB's level bound: `2·d_r(v)·(1 + m) ≤ lb` (`d_r` = distance from
+//!   the root; `m` below);
+//! - in an exact metric, its eccentricity bound `eu(v) ≤ lb`, where
+//!   `eu(v) = min ecc(s) + d(s, v)` over swept sources `s` (the upper
+//!   bound of Takes and Kosters' BoundingDiameters), folded from every
+//!   sweep.
+//!
+//! The members certified neither way are swept by decreasing `d_r`, up
+//! to 64 per MS-BFS pass when the oracle batches
+//! ([`DistanceOracle::batch_distances_in`], the hop metric) and one
+//! Dijkstra at a time otherwise; the open set is filtered again after
+//! every pass, so a pass carries no member that an earlier one
+//! certified. A pair farther apart than the final `lb` would have an
+//! endpoint with `2·d_r > lb` and `eu ≥ ecc > lb`, and that endpoint is
+//! swept, so the result is exact. On a grid the double sweep and its
+//! roots leave a member or two to sweep; on flat gnp clusters the
+//! eccentricity bound certifies most of what the level bound leaves; on
+//! expanders, where nearly every eccentricity equals the diameter, it
+//! certifies little.
+//!
+//! Both bounds need nothing but the triangle inequality, and that holds
+//! for exact distances. Dijkstra's computed distance is the minimum,
+//! over paths, of the path's left-to-right rounded weight sum
 //! (`fl(d + w)` is monotone in `d`), and such a sum of at most `n`
 //! non-negative terms lies within a factor of about `1 ± n·ε/2` of the
-//! exact sum. A weighted sweep therefore widens its bounds by `1 + m`
-//! with `m = 2·n·ε` (`n` = the view's universe): the fringe stops only
-//! once `lb ≥ 2L·(1 + m)`, and afterwards every unprocessed member whose
-//! largest computed distance `d` from a processed source satisfies
-//! `d·(1 + m) > lb` is swept too, until none is left — the reverse
+//! exact sum. A weighted sweep therefore widens the level bound by
+//! `1 + m` with `m = 2·n·ε` (`n` = the view's universe), does without
+//! the eccentricity bound, and after the fringe sweeps every unprocessed
+//! member whose largest computed distance `d` from a processed source
+//! satisfies `d·(1 + m) > lb`, until none is left — the reverse
 //! direction of a processed pair can round one ulp higher. Hop distances
 //! are exact integers: `m = 0`, and the reverse step never fires.
 //!
@@ -44,8 +66,8 @@ use std::cmp::Reverse;
 
 use crate::CarveCtx;
 use sdnd_graph::algo::{
-    self, DistanceMapIn, DistanceOracle, HopOracle, HyperBall, MsBfsRun, TraversalWorkspace,
-    WeightedOracle, MS_LANES, UNREACHED,
+    self, DistanceOracle, HopOracle, HyperBall, MsBfsRun, TraversalWorkspace, WeightedOracle,
+    MS_LANES,
 };
 use sdnd_graph::{Adjacency, Cancelled, Graph, NodeId, NodeSet};
 
@@ -162,18 +184,19 @@ fn weak_in<O: DistanceOracle>(
 /// (see [`central_idx`]) and refined once against the proxy's own
 /// distance vector, then sweeps members by decreasing `d_r`. Every
 /// unprocessed pair `u, v` with `d_r ≤ L` satisfies `d(u, v) ≤ d_r(u) +
-/// d_r(v) ≤ 2L` (triangle inequality), so once the running maximum `lb`
-/// of processed eccentricities reaches `2L` — `2L·(1 + m)` under
-/// rounding, see the module docs — the remaining pairs cannot beat it.
-/// On diameter-realizing geometries (grids, tori) the double sweep alone
-/// reaches the bound; adversarial instances degrade to one sweep per
-/// member, 64 lanes at a time with ties ball-packed by
-/// [`algo::ms_batch_order_in`] when the oracle batches.
+/// d_r(v) ≤ 2L` (triangle inequality), so a member with `2·d_r ≤ lb` —
+/// `2·d_r·(1 + m) ≤ lb` under rounding, see the module docs — cannot
+/// realize a larger distance. In an exact metric each sweep from `s`
+/// also bounds every member's eccentricity by `ecc(s) + d(s, v)`, and a
+/// member whose bound `eu` is at most `lb` is certified as well. Only
+/// members certified neither way are swept, 64 lanes at a time with
+/// ties ball-packed by [`algo::ms_batch_order_in`] when the oracle
+/// batches and more than one pass is left.
 fn ifub<O: DistanceOracle, A: Adjacency>(
     g: &Graph,
     set: &NodeSet,
     members: &[NodeId],
-    mut sweeper: Sweeper<'_, O, A>,
+    sweeper: Sweeper<'_, O, A>,
     at_most: f64,
     ws: &mut TraversalWorkspace,
 ) -> Option<f64> {
@@ -183,15 +206,8 @@ fn ifub<O: DistanceOracle, A: Adjacency>(
         _ => {}
     }
     // The first sweep checks connectivity (`G` is undirected, so one
-    // member reaching every member puts the set in one component) and
-    // finds out whether the oracle batches.
-    let d0 = match sweeper.batch(&members[..1], ws) {
-        Some(run) => run.row(members, 0),
-        None => {
-            sweeper.batched = false;
-            sweeper.single(members[0], ws).row(members, 0)
-        }
-    };
+    // member reaching every member puts the set in one component).
+    let d0 = sweeper.row(members, 0, ws);
     if d0.contains(&f64::INFINITY) {
         return None;
     }
@@ -243,14 +259,16 @@ fn sweep_members<O: DistanceOracle, A: Adjacency>(
         }
     };
 
-    // Fringe: unprocessed members by decreasing d_r; a batched oracle
-    // gets ties ball-packed for lane locality within each level band
-    // (the packing sweep never leaves the member view). When the root's
-    // own eccentricity already certifies `lb` — the common case on
-    // grid-like clusters — the fringe and its packing sweep are skipped.
-    let lanes = sweeper.lanes();
-    if st.lb < 2.0 * max_of(&dr) * st.grow {
-        let rank: Vec<u32> = if sweeper.batched {
+    // Fringe: the members neither bound certifies, by decreasing d_r. The
+    // open set only shrinks (`lb` grows, `eu` falls), so it is filtered
+    // again after every pass and never re-sorted; when more than one pass
+    // is left, a batched oracle gets ties ball-packed for lane locality
+    // within each level band (the packing sweep never leaves the member
+    // view).
+    let mut open: Vec<u32> = (0..n as u32).filter(|&i| st.open(i, &dr)).collect();
+    let lanes = if open.len() > 1 { sweeper.lanes(ws) } else { 1 };
+    if open.len() > lanes {
+        let rank: Vec<u32> = if lanes > 1 {
             let pos = algo::ms_batch_order_in(ws, &g.view(set), members);
             let mut rank = vec![0u32; n];
             for (p, &i) in pos.iter().enumerate() {
@@ -262,14 +280,11 @@ fn sweep_members<O: DistanceOracle, A: Adjacency>(
         };
         // Distances are non-negative, so their bit patterns sort like
         // their values.
-        let mut idx: Vec<u32> = (0..n as u32).filter(|&i| !st.done[i as usize]).collect();
-        idx.sort_unstable_by_key(|&i| (Reverse(dr[i as usize].to_bits()), rank[i as usize]));
-        for chunk in idx.chunks(lanes) {
-            if st.lb >= 2.0 * dr[chunk[0] as usize] * st.grow {
-                break;
-            }
-            st.sweep(sweeper, chunk, members, ws)?;
-        }
+        open.sort_unstable_by_key(|&i| (Reverse(dr[i as usize].to_bits()), rank[i as usize]));
+    }
+    while !open.is_empty() {
+        st.sweep(sweeper, &open[..open.len().min(lanes)], members, ws)?;
+        open.retain(|&i| st.open(i, &dr));
     }
     // Reverse pairs (weighted metrics only): a processed source `v` bounds
     // `d(v, u)` by `lb`, but `d(u, v)` may round higher.
@@ -284,8 +299,8 @@ fn sweep_members<O: DistanceOracle, A: Adjacency>(
             if pending.is_empty() {
                 break;
             }
-            for chunk in pending.chunks(lanes) {
-                st.sweep(sweeper, chunk, members, ws)?;
+            for i in pending {
+                st.sweep(sweeper, &[i], members, ws)?;
             }
         }
     }
@@ -299,9 +314,6 @@ struct Sweeper<'a, O, A> {
     oracle: &'a O,
     view: &'a A,
     targets: Option<&'a NodeSet>,
-    /// Whether the oracle has a batched backend (assumed until the first
-    /// sweep finds out).
-    batched: bool,
 }
 
 impl<'a, O: DistanceOracle, A: Adjacency> Sweeper<'a, O, A> {
@@ -310,13 +322,13 @@ impl<'a, O: DistanceOracle, A: Adjacency> Sweeper<'a, O, A> {
             oracle,
             view,
             targets,
-            batched: true,
         }
     }
 
-    /// Sources per pass: a lane word when batched, else one.
-    fn lanes(&self) -> usize {
-        if self.batched {
+    /// Sources per pass: a lane word when the oracle batches, else one.
+    /// An empty batch asks without sweeping anything.
+    fn lanes(&self, ws: &mut TraversalWorkspace) -> usize {
+        if self.batch(&[], ws).is_some() {
             MS_LANES
         } else {
             1
@@ -324,79 +336,29 @@ impl<'a, O: DistanceOracle, A: Adjacency> Sweeper<'a, O, A> {
     }
 
     /// One batched pass (`None`: the oracle has no batched backend).
-    fn batch<'w>(&self, sources: &[NodeId], ws: &'w mut TraversalWorkspace) -> Option<Run<'w>> {
+    fn batch<'w>(
+        &self,
+        sources: &[NodeId],
+        ws: &'w mut TraversalWorkspace,
+    ) -> Option<MsBfsRun<'w>> {
+        #[cfg(test)]
+        tally(sources.len(), 0);
         match self.targets {
             None => self.oracle.batch_distances_in(self.view, sources, ws),
             Some(t) => self.oracle.batch_distances_to_in(self.view, sources, t, ws),
         }
-        .map(|run| Run::Batch(run, self.targets.is_some()))
     }
 
-    /// One single-source sweep.
-    fn single<'w>(&self, source: NodeId, ws: &'w mut TraversalWorkspace) -> Run<'w> {
-        Run::Single(match self.targets {
-            None => self.oracle.distances_in(self.view, source, ws),
-            Some(t) => self.oracle.distances_to_in(self.view, source, t, ws),
-        })
-    }
-
-    /// One pass over at most [`lanes`](Self::lanes) sources.
-    fn run<'w>(&self, sources: &[NodeId], ws: &'w mut TraversalWorkspace) -> Run<'w> {
-        if self.batched {
-            self.batch(sources, ws)
-                .expect("the batched backend answered the first sweep")
-        } else {
-            debug_assert_eq!(sources.len(), 1);
-            self.single(sources[0], ws)
-        }
-    }
-}
-
-/// One finished pass of a [`Sweeper`].
-enum Run<'w> {
-    /// An MS-BFS batch; `true` when its lanes were targeted on the members.
-    Batch(MsBfsRun<'w>, bool),
-    /// One single-source sweep.
-    Single(DistanceMapIn<'w>),
-}
-
-impl Run<'_> {
-    /// Distance from lane `lane`'s source to member `v` (infinite when
-    /// unreached).
-    fn dist(&self, v: NodeId, lane: usize) -> f64 {
-        match self {
-            Run::Batch(run, _) => match run.dist(v, lane) {
-                UNREACHED => f64::INFINITY,
-                d => f64::from(d),
-            },
-            Run::Single(run) => run.dist(v),
-        }
-    }
-
-    /// Lane `lane`'s distances to `members`, in member order.
-    fn row(&self, members: &[NodeId], lane: usize) -> Vec<f64> {
-        match self {
-            Run::Batch(run, _) => members
-                .iter()
-                .map(|&v| match run.dist(v, lane) {
-                    UNREACHED => f64::INFINITY,
-                    d => f64::from(d),
-                })
-                .collect(),
-            Run::Single(run) => members.iter().map(|&v| run.dist(v)).collect(),
-        }
-    }
-
-    /// Lane `lane`'s largest member distance, read in `O(1)`: the
-    /// eccentricity in the member view, or the last-target level of a
-    /// targeted lane (a targeted single sweep settles its last target
-    /// last).
-    fn ecc(&self, lane: usize) -> f64 {
-        match *self {
-            Run::Batch(run, false) => f64::from(run.eccentricity(lane).unwrap_or(0)),
-            Run::Batch(run, true) => f64::from(run.last_target_level(lane)),
-            Run::Single(run) => run.eccentricity().unwrap_or(0.0),
-        }
+    /// One single-source sweep from member `i`, as its distances to the
+    /// members in member order (infinite when unreached).
+    fn row(&self, members: &[NodeId], i: usize, ws: &mut TraversalWorkspace) -> Vec<f64> {
+        #[cfg(test)]
+        tally(1, 0);
+        let run = match self.targets {
+            None => self.oracle.distances_in(self.view, members[i], ws),
+            Some(t) => self.oracle.distances_to_in(self.view, members[i], t, ws),
+        };
+        members.iter().map(|&v| run.dist(v)).collect()
     }
 }
 
@@ -414,20 +376,26 @@ struct Bounds {
     /// source; empty for exact metrics, where the reverse step never
     /// fires.
     from_done: Vec<f64>,
+    /// Per member, the eccentricity bound `min ecc(s) + d(s, v)` over
+    /// processed sources `s`; empty for rounded metrics, where it would
+    /// need the slack too.
+    eu: Vec<f64>,
 }
 
 impl Bounds {
     fn new(members: usize, slack: f64, at_most: f64) -> Self {
+        let (from_done, eu) = if slack > 0.0 {
+            (vec![0.0; members], Vec::new())
+        } else {
+            (Vec::new(), vec![f64::INFINITY; members])
+        };
         Bounds {
             lb: 0.0,
             at_most,
             grow: 1.0 + slack,
             done: vec![false; members],
-            from_done: if slack > 0.0 {
-                vec![0.0; members]
-            } else {
-                Vec::new()
-            },
+            from_done,
+            eu,
         }
     }
 
@@ -440,12 +408,25 @@ impl Bounds {
         }
     }
 
+    /// Whether member `i` is unswept and certified by neither iFUB's
+    /// level bound (root distances `dr`) nor its eccentricity bound.
+    fn open(&self, i: u32, dr: &[f64]) -> bool {
+        let i = i as usize;
+        !self.done[i]
+            && 2.0 * dr[i] * self.grow > self.lb
+            && self.eu.get(i).is_none_or(|&eu| eu > self.lb)
+    }
+
     /// Folds the distance row of processed member `i`.
     fn fold(&mut self, i: usize, row: &[f64]) -> Result<(), f64> {
         self.done[i] = true;
-        self.lb = self.lb.max(max_of(row));
+        let ecc = max_of(row);
+        self.lb = self.lb.max(ecc);
         for (m, &d) in self.from_done.iter_mut().zip(row) {
             *m = m.max(d);
+        }
+        for (eu, &d) in self.eu.iter_mut().zip(row) {
+            *eu = eu.min(ecc + d);
         }
         self.check()
     }
@@ -458,12 +439,13 @@ impl Bounds {
         i: usize,
         ws: &mut TraversalWorkspace,
     ) -> Result<Vec<f64>, f64> {
-        let row = sweeper.run(&[members[i]], ws).row(members, 0);
+        let row = sweeper.row(members, i, ws);
         self.fold(i, &row)?;
         Ok(row)
     }
 
-    /// Sweeps the members indexed by `chunk` in one pass.
+    /// Sweeps the members indexed by `chunk` in one pass: a plain sweep
+    /// for a lone source, else one batch.
     fn sweep<O: DistanceOracle, A: Adjacency>(
         &mut self,
         sweeper: &Sweeper<'_, O, A>,
@@ -471,25 +453,64 @@ impl Bounds {
         members: &[NodeId],
         ws: &mut TraversalWorkspace,
     ) -> Result<(), f64> {
+        #[cfg(test)]
+        tally(0, chunk.len());
+        if let [i] = *chunk {
+            return self.row(sweeper, members, i as usize, ws).map(drop);
+        }
         let mut sources = [NodeId::new(0); MS_LANES];
         for (s, &i) in sources.iter_mut().zip(chunk) {
             *s = members[i as usize];
         }
-        let run = sweeper.run(&sources[..chunk.len()], ws);
+        let run = sweeper
+            .batch(&sources[..chunk.len()], ws)
+            .expect("a multi-source pass runs only on a batched oracle");
+        // Batched distances are hop levels: exact, so `eu` is live.
+        debug_assert!(self.from_done.is_empty());
+        let mut ecc = [0u32; MS_LANES];
         for (lane, &i) in chunk.iter().enumerate() {
             self.done[i as usize] = true;
-            if self.from_done.is_empty() {
-                self.lb = self.lb.max(run.ecc(lane));
-            } else {
-                for (m, &v) in self.from_done.iter_mut().zip(members) {
-                    let d = run.dist(v, lane);
-                    self.lb = self.lb.max(d);
-                    *m = m.max(d);
-                }
+            // The lane's farthest member: its eccentricity in the member
+            // view, or its last target level in `G`.
+            ecc[lane] = match sweeper.targets {
+                None => run.eccentricity(lane).unwrap_or(0),
+                Some(_) => run.last_target_level(lane),
+            };
+            self.lb = self.lb.max(f64::from(ecc[lane]));
+        }
+        let ecc = &ecc[..chunk.len()];
+        for (eu, &v) in self.eu.iter_mut().zip(members) {
+            // Every lane reaches every member of a connected set; a row
+            // that is missing would only leave the bound looser.
+            if let Some(d) = run.lane_dists(v) {
+                let bound = d
+                    .iter()
+                    .zip(ecc)
+                    .fold(u32::MAX, |b, (&d, &e)| b.min(d.saturating_add(e)));
+                *eu = eu.min(f64::from(bound));
             }
         }
         self.check()
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test-only census of the calling thread's iFUB sweeps, read by
+    /// the work pins below: sources swept, sources swept after the root,
+    /// and the widest pass.
+    static TALLY: std::cell::Cell<(usize, usize, usize)> =
+        const { std::cell::Cell::new((0, 0, 0)) };
+}
+
+/// Records a pass over `swept` sources, and `fringe` sources swept after
+/// the root (an empty batch asks whether the oracle batches).
+#[cfg(test)]
+fn tally(swept: usize, fringe: usize) {
+    TALLY.with(|t| {
+        let (s, f, w) = t.get();
+        t.set((s + swept, f + fringe, w.max(swept)));
+    });
 }
 
 /// Largest entry.
@@ -826,6 +847,41 @@ mod tests {
             weak_diameter_of(&g, &members).map(f64::from),
             weak_diameter_of_with(&g, &members, &HopOracle)
         );
+    }
+
+    /// The whole grid takes the first sweep, the double sweep, its roots
+    /// and a lone fringe member: at most six sources per diameter, no
+    /// pass wider than four lanes (the padded fringe swept one 64-lane
+    /// pass here).
+    #[test]
+    fn whole_grid_sweeps_a_handful_of_sources() {
+        let g = gen::grid(102, 102);
+        let members: Vec<NodeId> = g.nodes().collect();
+        TALLY.take();
+        assert_eq!(strong_diameter_of(&g, &members), Some(202));
+        let strong = TALLY.take();
+        assert_eq!(weak_diameter_of(&g, &members), Some(202));
+        let weak = TALLY.take();
+        for (what, (sources, _, widest)) in [("strong", strong), ("weak", weak)] {
+            assert!(
+                sources <= 6 && widest <= 4,
+                "{what}: {sources} sources, {widest} wide"
+            );
+        }
+    }
+
+    /// On a flat gnp graph (mean degree 8) the eccentricity bounds
+    /// certify most of the members the level bound leaves: at most 600
+    /// sources are swept after the root (the level bound alone swept
+    /// 1,216 here).
+    #[test]
+    fn whole_gnp_fringe_is_mostly_certified() {
+        let g = gen::gnp_connected(2000, 8.0 / 2000.0, 1);
+        let members: Vec<NodeId> = g.nodes().collect();
+        TALLY.take();
+        assert_eq!(strong_diameter_of(&g, &members), Some(7));
+        let (_, fringe, _) = TALLY.take();
+        assert!(fringe <= 600, "{fringe} fringe sources");
     }
 
     #[test]

@@ -81,6 +81,9 @@ pub struct Algorithm {
     pub model: &'static str,
     /// The diameter guarantee of the clusters.
     pub class: Class,
+    /// Whether the carver reads the seed (`ls93`, `mpx13`). The other
+    /// entries ignore it, so their output depends on the graph alone.
+    pub seeded: bool,
     build: fn(u64) -> Carver,
 }
 
@@ -167,6 +170,7 @@ pub static ALGORITHMS: [Algorithm; 8] = [
         decompose_label: "ls93",
         model: "rand",
         class: Class::Weak,
+        seeded: true,
         build: |seed| Carver::Weak(Box::new(sdnd_weak::Ls93::new(seed))),
     },
     Algorithm {
@@ -176,6 +180,7 @@ pub static ALGORITHMS: [Algorithm; 8] = [
         decompose_label: "rg20",
         model: "det",
         class: Class::Weak,
+        seeded: false,
         build: |_| Carver::Weak(Box::new(sdnd_weak::Rg20::rg20())),
     },
     Algorithm {
@@ -185,6 +190,7 @@ pub static ALGORITHMS: [Algorithm; 8] = [
         decompose_label: "ggr21",
         model: "det",
         class: Class::Weak,
+        seeded: false,
         build: |_| Carver::Weak(Box::new(sdnd_weak::Rg20::ggr21())),
     },
     Algorithm {
@@ -194,6 +200,7 @@ pub static ALGORITHMS: [Algorithm; 8] = [
         decompose_label: "mpx13/en16",
         model: "rand",
         class: Class::Strong,
+        seeded: true,
         build: |seed| Carver::Strong(Box::new(Mpx13::new(seed))),
     },
     Algorithm {
@@ -203,6 +210,7 @@ pub static ALGORITHMS: [Algorithm; 8] = [
         decompose_label: "ls93-sequential",
         model: "det*",
         class: Class::Strong,
+        seeded: false,
         build: |_| Carver::Strong(Box::new(SequentialGreedy::new())),
     },
     Algorithm {
@@ -212,6 +220,7 @@ pub static ALGORITHMS: [Algorithm; 8] = [
         decompose_label: "abcp96-local",
         model: "det",
         class: Class::Strong,
+        seeded: false,
         build: |_| Carver::Strong(Box::new(Abcp96::new())),
     },
     Algorithm {
@@ -221,6 +230,7 @@ pub static ALGORITHMS: [Algorithm; 8] = [
         decompose_label: "cg21-thm2.3",
         model: "det",
         class: Class::Strong,
+        seeded: false,
         build: |_| Carver::Strong(Box::new(Theorem22Carver::new(Params::default()))),
     },
     Algorithm {
@@ -230,6 +240,7 @@ pub static ALGORITHMS: [Algorithm; 8] = [
         decompose_label: "cg21-thm3.4",
         model: "det",
         class: Class::Strong,
+        seeded: false,
         build: |_| Carver::Strong(Box::new(Theorem33Carver::new(Params::default()))),
     },
 ];
@@ -271,5 +282,31 @@ mod tests {
                 "{names:?}"
             );
         }
+    }
+
+    /// The daemon keys finished decompositions on the seed only for
+    /// seeded entries, so every other entry must not depend on it.
+    #[test]
+    fn unseeded_entries_ignore_the_seed() {
+        let graphs = [
+            sdnd_graph::gen::grid(8, 8),
+            sdnd_graph::gen::gnp_connected(64, 6.0 / 64.0, 7),
+        ];
+        for algo in ALGORITHMS.iter().filter(|a| !a.seeded) {
+            for g in &graphs {
+                let run = |seed| {
+                    let mut ctx = CarveCtx::new();
+                    algo.decompose_in(seed, g, &mut RoundLedger::new(), &mut ctx)
+                        .expect("unarmed ctx never cancels")
+                };
+                assert_eq!(run(1), run(2), "{algo:?}");
+            }
+        }
+        let seeded: Vec<&str> = ALGORITHMS
+            .iter()
+            .filter(|a| a.seeded)
+            .map(|a| a.carve_name)
+            .collect();
+        assert_eq!(seeded, ["ls93", "mpx13"]);
     }
 }

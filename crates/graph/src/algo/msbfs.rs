@@ -483,7 +483,7 @@ pub struct MsBfsRun<'w> {
     target_last: &'w [u32],
 }
 
-impl MsBfsRun<'_> {
+impl<'w> MsBfsRun<'w> {
     /// Number of lanes in this batch.
     pub fn lanes(&self) -> usize {
         self.lanes
@@ -499,6 +499,21 @@ impl MsBfsRun<'_> {
         } else {
             UNREACHED
         }
+    }
+
+    /// Every lane's distance to `v` in one contiguous read (the grid is
+    /// node-major): entry `l` is lane `l`'s [`dist`](Self::dist). `None`
+    /// unless every lane reached `v`.
+    #[inline]
+    pub fn lane_dists(&self, v: NodeId) -> Option<&'w [u32]> {
+        let i = v.index();
+        let all = if self.lanes == MS_LANES {
+            !0u64
+        } else {
+            (1u64 << self.lanes) - 1
+        };
+        (i < self.stamp.len() && self.stamp[i] == self.epoch && self.seen[i] == all)
+            .then(|| &self.dist[i * self.lanes..(i + 1) * self.lanes])
     }
 
     /// Whether lane `lane` reached `v`.
@@ -585,6 +600,20 @@ mod tests {
                         "lane {lane} r {r}"
                     );
                 }
+            }
+        }
+        // The node-major row holds exactly the per-lane distances, and
+        // only where every lane reached the node.
+        for i in 0..view.universe() {
+            let v = NodeId::new(i);
+            let every = (0..sources.len()).all(|lane| run.reached(v, lane));
+            match run.lane_dists(v) {
+                Some(row) => {
+                    assert!(every, "node {i}: a row without every lane");
+                    let per_lane: Vec<u32> = (0..sources.len()).map(|l| run.dist(v, l)).collect();
+                    assert_eq!(row, &per_lane[..], "node {i}");
+                }
+                None => assert!(!every, "node {i}: every lane reached it"),
             }
         }
     }

@@ -2,12 +2,14 @@
 //!
 //! Each client thread holds one connection and drives it closed-loop:
 //! send a request, wait for the response, pick the next request. The
-//! synthetic mix is zipf-skewed — a few decompose keys dominate, so the
-//! daemon's LRU sees a realistic hot set — and heavy requests
-//! (`decompose`, `validate`) can carry a configurable deadline
-//! distribution. `err overloaded` responses are retried with jittered
-//! exponential backoff (bounded attempts), matching how a well-behaved
-//! client consumes the daemon's `retry-after-ms` hint.
+//! synthetic mix draws decompose seeds from a zipf distribution, but its
+//! two algorithms (Theorems 2.3 and 3.4) ignore the seed, so the
+//! daemon's LRU holds two decompose keys and misses only on their first
+//! use. Heavy requests (`decompose`, `validate`) can carry a
+//! configurable deadline distribution. `err overloaded` responses are
+//! retried with jittered exponential backoff (bounded attempts),
+//! matching how a well-behaved client consumes the daemon's
+//! `retry-after-ms` hint.
 //!
 //! ```text
 //! sdnd-loadgen --socket /tmp/sdnd.sock [--requests N] [--clients C]

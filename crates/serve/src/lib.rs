@@ -8,8 +8,8 @@
 //! once, then serve a request mix (`decompose`, `carve`, `cluster-of`,
 //! `distance-in-cluster`, `validate`, `stats`) over a newline-framed
 //! line protocol on stdin/stdout or a Unix socket, with an LRU of
-//! finished decompositions keyed by `(graph content hash, algorithm,
-//! eps, seed)`. `decompose` and `carve` answer every name of
+//! finished decompositions keyed by what determines them (see
+//! [`DecompKey`]). `decompose` and `carve` answer every name of
 //! [`sdnd_core::registry`] and run it through the registry's
 //! [`decompose_in`](sdnd_core::registry::Algorithm::decompose_in) and
 //! [`carve_in`](sdnd_core::registry::Algorithm::carve_in); the request

@@ -23,9 +23,10 @@
 //! ```
 //!
 //! `SEED` seeds the randomized entries' decompositions (`ls93`,
-//! `en16`); the deterministic ones ignore it, though it stays part of
-//! the cache key. `carve` has no seed on the wire and runs the
-//! randomized carvers with seed [`CARVE_SEED`].
+//! `en16`) and is part of their cache key; the deterministic ones
+//! ignore it. `EPS` is checked and echoed but keys nothing: every
+//! decomposition carves at eps = 1/2. `carve` has no seed on the wire
+//! and runs the randomized carvers with seed [`CARVE_SEED`].
 //!
 //! Responses start with `ok ` or `err ` (after the echoed tag, when the
 //! request carried one). The error frames the daemon's robustness story
@@ -67,9 +68,10 @@ pub enum Request {
     Decompose {
         /// The algorithm, by its `decompose` name.
         algo: &'static Algorithm,
-        /// Boundary parameter; part of the cache key.
+        /// Boundary parameter, checked and echoed (every decomposition
+        /// carves at eps = 1/2).
         eps: f64,
-        /// Seed; part of the cache key.
+        /// Seed; part of the cache key for the entries that read it.
         seed: u64,
     },
     /// Compute a single ball carving (never cached).

@@ -23,19 +23,31 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Cache key for a finished decomposition: the *content* hash of the
-/// graph (provenance-independent, see [`Graph::content_hash`]), the
-/// algorithm, the eps bits, and the seed.
+/// Cache key for a finished decomposition: what determines it. That is
+/// the *content* hash of the graph (provenance-independent, see
+/// [`Graph::content_hash`]), the algorithm, and the seed for the entries
+/// that read it ([`Algorithm::seeded`]). A request's EPS is not part of
+/// it: every decomposition carves at eps = 1/2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DecompKey {
     /// [`Graph::content_hash`] of the input graph.
     pub graph: u64,
     /// The algorithm.
     pub algo: &'static Algorithm,
-    /// `eps.to_bits()` — exact bit equality, no float fuzz.
-    pub eps_bits: u64,
-    /// The request seed.
-    pub seed: u64,
+    /// The request seed, `None` for an entry that ignores it.
+    pub seed: Option<u64>,
+}
+
+impl DecompKey {
+    /// The key of `algo`'s decomposition of graph `graph` under `seed`.
+    #[must_use]
+    pub fn new(graph: u64, algo: &'static Algorithm, seed: u64) -> Self {
+        DecompKey {
+            graph,
+            algo,
+            seed: algo.seeded.then_some(seed),
+        }
+    }
 }
 
 /// A small exact-LRU over finished decompositions. Capacity is a
@@ -290,12 +302,7 @@ impl ServeState {
             Ok(pair) => pair,
             Err(e) => return Ok(e),
         };
-        let key = DecompKey {
-            graph: hash,
-            algo,
-            eps_bits: eps.to_bits(),
-            seed,
-        };
+        let key = DecompKey::new(hash, algo, seed);
         let started = Instant::now();
         if let Some(d) = self.lru.get(&key) {
             self.stats.lru_hits += 1;
@@ -551,12 +558,7 @@ mod tests {
             NetworkDecomposition::new(&NodeSet::full(1), vec![(vec![NodeId::new(0)], 0)])
                 .expect("tiny decomp"),
         );
-        let key = |seed| DecompKey {
-            graph: 1,
-            algo: find_decompose("thm2.3").unwrap(),
-            eps_bits: 0.5f64.to_bits(),
-            seed,
-        };
+        let key = |seed| DecompKey::new(1, find_decompose("en16").unwrap(), seed);
         lru.insert(key(0), d.clone());
         lru.insert(key(1), d.clone());
         assert!(lru.get(&key(0)).is_some(), "refresh 0 above 1");
@@ -769,5 +771,38 @@ mod tests {
             &unarmed(),
         );
         assert!(r.contains("cached=true"), "LRU must survive a rebuild: {r}");
+    }
+
+    #[test]
+    fn cache_keys_on_what_determines_the_decomposition() {
+        let mut s = state();
+        s.execute(
+            &Request::Load {
+                spec: "grid:16x16".into(),
+            },
+            &unarmed(),
+        );
+        let decompose = |algo, eps, seed| Request::Decompose {
+            algo: find_decompose(algo).unwrap(),
+            eps,
+            seed,
+        };
+        // Theorem 3.4 ignores EPS and the seed: one entry serves both
+        // requests, and each frame echoes its own EPS and SEED.
+        let cold = s.execute(&decompose("thm3.4", 0.5, 7), &unarmed());
+        assert!(cold.contains("eps=0.5 seed=7"), "{cold}");
+        assert!(cold.contains("cached=false"), "{cold}");
+        let first = s.latest_decomposition().unwrap().clone();
+        let warm = s.execute(&decompose("thm3.4", 0.25, 9), &unarmed());
+        assert!(warm.contains("eps=0.25 seed=9"), "{warm}");
+        assert!(warm.contains("cached=true"), "{warm}");
+        assert_eq!(s.latest_decomposition().unwrap(), &first);
+        // EN16 reads the seed: another seed is another decomposition.
+        for seed in [3, 4] {
+            let r = s.execute(&decompose("en16", 0.5, seed), &unarmed());
+            assert!(r.contains("cached=false"), "{r}");
+        }
+        assert_eq!(s.stats().lru_hits, 1);
+        assert_eq!(s.stats().lru_misses, 3);
     }
 }

@@ -122,10 +122,11 @@ fn soak_mixed_requests_leak_free() {
     assert_eq!(panicked, 4 * 5, "every debug-panic poisons one request");
 
     // Overload burst: more raw writes than the queue admits, from a
-    // pipelining client that does not wait for responses.
+    // pipelining client that does not wait for responses. EN16 reads its
+    // seed, so every burst request misses the LRU and carves.
     let mut burst = Client::connect(&path);
     for i in 0..32 {
-        writeln!(burst.write, "id=b{i} decompose thm2.3 0.5 {}", 100 + i).expect("send");
+        writeln!(burst.write, "id=b{i} decompose en16 0.5 {}", 100 + i).expect("send");
     }
     let mut overloaded = 0;
     for _ in 0..32 {

@@ -1055,38 +1055,7 @@ fn cmd_validate(opts: &Opts) -> Result<(), CliError> {
     let timing = opts.get("timing").is_some();
     let total_start = std::time::Instant::now();
     let (g, relab) = load_graph(opts).map_err(CliError::runtime)?;
-    let path = opts.require("clusters")?;
-    let text =
-        std::fs::read_to_string(path).map_err(|e| CliError::runtime(format!("{path}: {e}")))?;
-    let mut colored: std::collections::HashMap<usize, (Vec<NodeId>, u32)> = Default::default();
-    let mut covered = NodeSet::empty(g.n());
-    for (lineno, line) in text.lines().enumerate().skip(1) {
-        if line.trim().is_empty() {
-            continue;
-        }
-        // Malformed clusters files are runtime diagnostics (bad data, not
-        // bad flags): no usage dump.
-        let bad = |what: &str| CliError::runtime(format!("{path}: line {}: {what}", lineno + 1));
-        let (v, c, col) = parse_cluster_line(line).map_err(bad)?;
-        if v >= g.n() {
-            return Err(bad(&format!("node {v} out of range (n = {})", g.n())));
-        }
-        let e = colored.entry(c).or_insert_with(|| (Vec::new(), col));
-        if e.1 != col {
-            return Err(bad(&format!(
-                "cluster {c} already has color {}, not {col}",
-                e.1
-            )));
-        }
-        // The CSV speaks original ids; check against the loaded layout's
-        // in-memory counterpart.
-        let v = relab.new_of(NodeId::new(v));
-        e.0.push(v);
-        covered.insert(v);
-    }
-    let clusters: Vec<(Vec<NodeId>, u32)> = colored.into_values().collect();
-    let d = sdnd_clustering::NetworkDecomposition::new(&covered, clusters)
-        .map_err(|e| CliError::runtime(e.to_string()))?;
+    let d = read_clusters(opts.require("clusters")?, &g, &relab)?;
     let load = total_start.elapsed();
     // --approx[=p] switches the diameter sweep to the HyperBall
     // estimator tier; the structural gates stay exact either way.
@@ -1206,6 +1175,48 @@ fn cmd_validate(opts: &Opts) -> Result<(), CliError> {
         println!("time total:     {:.3} ms", ms(total_start.elapsed()));
     }
     Ok(())
+}
+
+/// The decomposition a clusters CSV (`node,cluster[,color]`, original
+/// node ids) describes over `g`. Clusters are numbered by ascending CSV
+/// cluster id, so reports name the CSV's own ids when they are dense,
+/// and the same file always gives the same numbering.
+fn read_clusters(
+    path: &str,
+    g: &Graph,
+    relab: &Relabeling,
+) -> Result<sdnd_clustering::NetworkDecomposition, CliError> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| CliError::runtime(format!("{path}: {e}")))?;
+    let mut colored: std::collections::BTreeMap<usize, (Vec<NodeId>, u32)> = Default::default();
+    let mut covered = NodeSet::empty(g.n());
+    for (lineno, line) in text.lines().enumerate().skip(1) {
+        if line.trim().is_empty() {
+            continue;
+        }
+        // Malformed clusters files are runtime diagnostics (bad data, not
+        // bad flags): no usage dump.
+        let bad = |what: &str| CliError::runtime(format!("{path}: line {}: {what}", lineno + 1));
+        let (v, c, col) = parse_cluster_line(line).map_err(bad)?;
+        if v >= g.n() {
+            return Err(bad(&format!("node {v} out of range (n = {})", g.n())));
+        }
+        let e = colored.entry(c).or_insert_with(|| (Vec::new(), col));
+        if e.1 != col {
+            return Err(bad(&format!(
+                "cluster {c} already has color {}, not {col}",
+                e.1
+            )));
+        }
+        // The CSV speaks original ids; check against the loaded layout's
+        // in-memory counterpart.
+        let v = relab.new_of(NodeId::new(v));
+        e.0.push(v);
+        covered.insert(v);
+    }
+    let clusters: Vec<(Vec<NodeId>, u32)> = colored.into_values().collect();
+    sdnd_clustering::NetworkDecomposition::new(&covered, clusters)
+        .map_err(|e| CliError::runtime(e.to_string()))
 }
 
 /// One data line of a clusters CSV, `node,cluster[,color]`: the node
@@ -1694,6 +1705,39 @@ mod tests {
             let err = run(&args).unwrap_err();
             assert!(err.msg.contains(needle), "{needle}: {}", err.msg);
             assert!(!err.show_usage, "data problems are runtime diagnostics");
+        }
+    }
+
+    #[test]
+    fn validate_numbers_clusters_by_csv_id() {
+        let dir = std::env::temp_dir().join("sdnd_cli_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let edges = dir.join("path7.txt");
+        std::fs::write(&edges, "0 1\n1 2\n2 3\n3 4\n4 5\n5 6\n").unwrap();
+        // Seven same-colored singletons, listed out of id order: every
+        // path edge joins two of them.
+        let clusters = dir.join("path7_clusters.csv");
+        let rows: String = [4, 0, 6, 2, 1, 5, 3]
+            .iter()
+            .map(|v| format!("{v},{v},0\n"))
+            .collect();
+        std::fs::write(&clusters, format!("node,cluster,color\n{rows}")).unwrap();
+        let o = opts(&[("input", edges.to_str().unwrap())]);
+        let (g, relab) = load_graph(&o).unwrap();
+        let read = || read_clusters(clusters.to_str().unwrap(), &g, &relab).unwrap();
+        let first = read();
+        let violations = sdnd_clustering::validate_decomposition(&g, &first).violations;
+        assert_eq!(
+            violations[0],
+            "edge (0, 1) joins same-colored clusters 0 and 1"
+        );
+        for _ in 0..8 {
+            let again = read();
+            assert_eq!(again, first);
+            assert_eq!(
+                sdnd_clustering::validate_decomposition(&g, &again).violations,
+                violations
+            );
         }
     }
 

@@ -1,9 +1,10 @@
 //! Gate coincidence of the exact validators: the iFUB diameter sweeps
-//! (64-lane MS-BFS passes for the hop metric, one early-stopping Dijkstra
-//! per source for the weighted metric, weak sweeps bounded by the strong
+//! (hop sweeps certified by level and eccentricity bounds, the rest in
+//! MS-BFS passes of up to 64 lanes; one early-stopping Dijkstra per
+//! source for the weighted metric; weak sweeps bounded by the strong
 //! diameter) must produce bit-identical verdicts, violation lists, and
 //! diameters to an all-pairs reference on arbitrary (often invalid)
-//! carvings and decompositions.
+//! carvings and decompositions, and on clusters of hundreds of members.
 //!
 //! The reference is written here from [`DistanceOracle::distances_in`]:
 //! one full sweep from every member, folding every member-pair distance
@@ -268,6 +269,50 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Clusters of hundreds of members, where iFUB's fringe can take
+    /// several passes and its eccentricity bounds certify most members:
+    /// both hop diameters match the all-pairs reference per cluster, and
+    /// the validator's fields (weak sweeps bounded by the strong value)
+    /// match the reference fold. Clusters are one giant cluster with
+    /// holes, balls of radius 3–12, or the whole graph.
+    #[test]
+    fn large_clusters_match_all_pairs_reference(
+        family in 0u8..5,
+        shape in 0u8..3,
+        n in 150usize..800,
+        radius in 3u32..13,
+        seed in 0u64..1000,
+    ) {
+        let g = large_graph(family, n, seed);
+        let clusters = match shape {
+            0 => vec![holed_cluster(&g, seed)],
+            1 => ball_clusters(&g, radius, seed),
+            _ => vec![g.nodes().collect()],
+        };
+        prop_assume!(clusters.iter().all(|c| !c.is_empty()));
+        let mut ctx = CarveCtx::new();
+        let mut ws = TraversalWorkspace::new();
+        let (mut strong_max, mut weak_max) = (Some(0u32), Some(0u32));
+        for members in &clusters {
+            let (strong, weak) = reference(&g, members, &HopOracle, &mut ws);
+            let got = strong_diameter_of_with_in(&g, members, &HopOracle, &mut ctx);
+            prop_assert_eq!(got, strong, "strong diameter of {} members", members.len());
+            let got = weak_diameter_of_with_in(&g, members, &HopOracle, &mut ctx);
+            prop_assert_eq!(got, weak, "weak diameter of {} members", members.len());
+            strong_max = strong_max.zip(strong).map(|(a, b)| a.max(b as u32));
+            weak_max = weak_max.zip(weak).map(|(a, b)| a.max(b as u32));
+        }
+        let carving = BallCarving::new(NodeSet::full(g.n()), clusters)
+            .expect("clusters are disjoint");
+        let report = validate_carving(&g, &carving);
+        prop_assert_eq!(report.max_strong_diameter, strong_max);
+        prop_assert_eq!(report.max_weak_diameter, weak_max);
+    }
+}
+
+proptest! {
     // About one weighted check in 200 needs the reverse-pair step (most
     // of them on real-weight grids), so these run enough cases to catch
     // a sweep that skips it.
@@ -331,6 +376,39 @@ proptest! {
         prop_assert_eq!(bits(report.weighted_strong_diameter), want.weighted_strong);
         prop_assert_eq!(bits(report.weighted_weak_diameter), want.weighted_weak);
     }
+}
+
+/// A hop test graph of `n` nodes: grid, geometric, connected gnp,
+/// disconnected gnp or 4-regular (`family`).
+fn large_graph(family: u8, n: usize, seed: u64) -> Graph {
+    match family {
+        0 => {
+            let side = (n as f64).sqrt() as usize;
+            gen::grid(side, n / side)
+        }
+        1 => gen::random_geometric(n, (8.0 / (std::f64::consts::PI * n as f64)).sqrt(), seed)
+            .expect("valid geometric parameters"),
+        2 => gen::gnp_connected(n, 6.0 / n as f64, seed),
+        3 => gen::gnp(n, 1.5 / n as f64, seed),
+        _ => gen::random_regular_connected(n, 4, seed).expect("4-regular graph generates"),
+    }
+}
+
+/// One giant cluster with holes: the largest component left after
+/// removing the radius-2 balls around four hashed centers, so its
+/// `G[C]` paths detour around the holes.
+fn holed_cluster(g: &Graph, seed: u64) -> Vec<NodeId> {
+    let mut free = NodeSet::full(g.n());
+    for k in 0..4 {
+        let center = NodeId::new((mix(seed, k) % g.n() as u64) as usize);
+        for &v in algo::bfs_bounded(&g.full_view(), [center], 2).order() {
+            free.remove(v);
+        }
+    }
+    let parts = algo::connected_components(&g.view(&free));
+    (0..parts.count())
+        .max_by_key(|&c| parts.size(c))
+        .map_or_else(Vec::new, |c| parts.members(c).iter().collect())
 }
 
 /// The clusters as a decomposition with three round-robin colors (color
