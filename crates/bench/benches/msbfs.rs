@@ -11,8 +11,10 @@
 //! consumer-side win.
 //!
 //! Bins: grid (high-diameter, where levels are many and frontiers
-//! thin), gnp expander (log diameter, wide frontiers), and torus
-//! (uniform locality — the carving case MS-BFS is built for).
+//! thin), gnp (log diameter, wide frontiers), a random 4-regular
+//! expander (log diameter, and the widest frontiers: the kernel runs
+//! its middle levels bottom-up there), and torus (uniform locality —
+//! the carving case MS-BFS is built for).
 //! `SDND_N` gates the large bins as in the other suites;
 //! `BENCH_msbfs.json` records the committed same-host A/B.
 
@@ -34,6 +36,10 @@ fn graphs() -> Vec<(String, Graph)> {
             gen::gnp_connected(1024, 6.0 / 1024.0, 7),
         ),
         ("torus-32x32".to_string(), gen::torus(32, 32)),
+        (
+            "expander-2000".to_string(),
+            gen::random_regular_connected(2000, 4, 1).expect("4-regular on 2000 nodes"),
+        ),
     ];
     if n_max >= 4096 {
         out.push(("grid-64x64".to_string(), gen::grid(64, 64)));

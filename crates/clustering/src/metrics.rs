@@ -40,7 +40,12 @@
 //! roots leave a member or two to sweep; on flat gnp clusters the
 //! eccentricity bound certifies most of what the level bound leaves; on
 //! expanders, where nearly every eccentricity equals the diameter, it
-//! certifies little.
+//! certifies little (1,500 to 1,650 of a 2,000-node random 4-regular
+//! graph's members are swept), and the passes themselves are the cost.
+//! There the MS-BFS kernel runs each pass's middle levels bottom-up,
+//! and a pass folds `eu` from its discovery log, one entry per member
+//! and level at which some lane reached it, instead of reading 64 lane
+//! distances per member (see [`sdnd_graph::algo::MsBfsRun::levels`]).
 //!
 //! Both bounds need nothing but the triangle inequality, and that holds
 //! for exact distances. Dijkstra's computed distance is the minimum,
@@ -218,6 +223,9 @@ fn ifub<O: DistanceOracle, A: Adjacency>(
     };
     let mut st = Bounds::new(members.len(), slack, at_most);
     let (Ok(lb) | Err(lb)) = sweep_members(&mut st, &sweeper, g, set, members, &d0, ws);
+    if let Some(slot) = st.slot.take() {
+        ws.give_aux_u32(slot);
+    }
     Some(lb)
 }
 
@@ -380,6 +388,9 @@ struct Bounds {
     /// processed sources `s`; empty for rounded metrics, where it would
     /// need the slack too.
     eu: Vec<f64>,
+    /// Node index to member index, taken from the workspace's buffer
+    /// pool at the first batched pass (meaningful on members only).
+    slot: Option<Vec<u32>>,
 }
 
 impl Bounds {
@@ -396,6 +407,7 @@ impl Bounds {
             done: vec![false; members],
             from_done,
             eu,
+            slot: None,
         }
     }
 
@@ -445,7 +457,8 @@ impl Bounds {
     }
 
     /// Sweeps the members indexed by `chunk` in one pass: a plain sweep
-    /// for a lone source, else one batch.
+    /// for a lone source, else one batch, whose discovery log bounds
+    /// `eu`.
     fn sweep<O: DistanceOracle, A: Adjacency>(
         &mut self,
         sweeper: &Sweeper<'_, O, A>,
@@ -462,32 +475,56 @@ impl Bounds {
         for (s, &i) in sources.iter_mut().zip(chunk) {
             *s = members[i as usize];
         }
+        let universe = sweeper.view.universe();
+        let slot = self.slot.get_or_insert_with(|| {
+            // Contents are unspecified: only member entries are written,
+            // and only members are read.
+            let mut slot = ws.take_aux_u32();
+            if slot.len() < universe {
+                slot.resize(universe, 0);
+            }
+            for (i, &v) in members.iter().enumerate() {
+                slot[v.index()] = i as u32;
+            }
+            slot
+        });
         let run = sweeper
             .batch(&sources[..chunk.len()], ws)
             .expect("a multi-source pass runs only on a batched oracle");
         // Batched distances are hop levels: exact, so `eu` is live.
         debug_assert!(self.from_done.is_empty());
-        let mut ecc = [0u32; MS_LANES];
+        // The pass's distinct eccentricities, ascending, with their lanes.
+        let mut by_ecc: Vec<(u32, u64)> = Vec::new();
         for (lane, &i) in chunk.iter().enumerate() {
             self.done[i as usize] = true;
             // The lane's farthest member: its eccentricity in the member
             // view, or its last target level in `G`.
-            ecc[lane] = match sweeper.targets {
+            let ecc = match sweeper.targets {
                 None => run.eccentricity(lane).unwrap_or(0),
                 Some(_) => run.last_target_level(lane),
             };
-            self.lb = self.lb.max(f64::from(ecc[lane]));
+            self.lb = self.lb.max(f64::from(ecc));
+            match by_ecc.iter_mut().find(|(e, _)| *e == ecc) {
+                Some((_, lanes)) => *lanes |= 1 << lane,
+                None => by_ecc.push((ecc, 1 << lane)),
+            }
         }
-        let ecc = &ecc[..chunk.len()];
-        for (eu, &v) in self.eu.iter_mut().zip(members) {
-            // Every lane reaches every member of a connected set; a row
-            // that is missing would only leave the bound looser.
-            if let Some(d) = run.lane_dists(v) {
-                let bound = d
+        by_ecc.sort_unstable();
+        // An entry (v, d, w) bounds eu(v) by d plus the smallest
+        // eccentricity among the lanes w. Every lane reaches every member
+        // of a connected set, so this is the minimum over all lanes.
+        for (d, nodes, words) in run.levels() {
+            for (&v, &w) in nodes.iter().zip(words) {
+                if sweeper.targets.is_some_and(|t| !t.contains(v)) {
+                    continue;
+                }
+                let ecc = by_ecc
                     .iter()
-                    .zip(ecc)
-                    .fold(u32::MAX, |b, (&d, &e)| b.min(d.saturating_add(e)));
-                *eu = eu.min(f64::from(bound));
+                    .find(|&&(_, lanes)| w & lanes != 0)
+                    .expect("an entry's lanes belong to the pass")
+                    .0;
+                let eu = &mut self.eu[slot[v.index()] as usize];
+                *eu = eu.min(f64::from(d + ecc));
             }
         }
         self.check()

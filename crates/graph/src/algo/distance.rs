@@ -12,6 +12,7 @@
 //! (lane-word plus ordering scratch); the owning functions are thin
 //! wrappers with a throwaway workspace.
 
+use super::msbfs::lanes_of;
 use crate::algo::{bfs_in, ms_batch_order_in, msbfs_in, TraversalWorkspace, MS_LANES, UNREACHED};
 use crate::{Adjacency, NodeId};
 
@@ -124,8 +125,9 @@ pub fn pairwise_distances<A: Adjacency>(view: &A) -> Vec<Vec<u32>> {
 }
 
 /// [`pairwise_distances`] into a caller-held workspace: sources run 64
-/// lanes per shared MS-BFS pass and the per-call allocation is the
-/// `O(n^2)` result matrix itself.
+/// lanes per shared MS-BFS pass, each scattered into the result from the
+/// pass's discovery log, and the per-call allocation is the `O(n^2)`
+/// result matrix itself.
 pub fn pairwise_distances_in<A: Adjacency>(view: &A, ws: &mut TraversalWorkspace) -> Vec<Vec<u32>> {
     let n = view.universe();
     let mut out = vec![vec![UNREACHED; n]; n];
@@ -137,10 +139,11 @@ pub fn pairwise_distances_in<A: Adjacency>(view: &A, ws: &mut TraversalWorkspace
             batch[i] = sources[oi as usize];
         }
         let run = msbfs_in(ws, view, &batch[..chunk.len()]);
-        for (lane, &oi) in chunk.iter().enumerate() {
-            let row = &mut out[sources[oi as usize].index()];
-            for &u in &sources {
-                row[u.index()] = run.dist(u, lane);
+        for (d, nodes, words) in run.levels() {
+            for (&v, &w) in nodes.iter().zip(words) {
+                for lane in lanes_of(w) {
+                    out[sources[chunk[lane] as usize].index()][v.index()] = d;
+                }
             }
         }
     }

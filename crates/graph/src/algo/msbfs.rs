@@ -13,20 +13,59 @@
 //! because then the lanes' frontiers overlap and most nodes enter the
 //! shared frontier once instead of 64 times.
 //!
+//! # Direction-optimizing levels
+//!
+//! Each level runs in one of two directions (Beamer, Asanović and
+//! Patterson, SC'12). *Top-down*, every frontier node pushes its lane
+//! word to its neighbours, as above. *Bottom-up*, every view node that
+//! some active lane has not yet seen ORs the frontier words of its
+//! neighbours and keeps the lanes it lacks: a branch-free gather with
+//! one write per discovered node, where top-down does a read-modify-write
+//! per edge. A level runs bottom-up when its frontier's degree sum
+//! exceeds half the degree sum of the view nodes some active lane has
+//! not yet seen, and the frontier is growing or the previous level
+//! already ran bottom-up (so a thin frontier sweeping to the end of a
+//! path stays top-down). With 64 ball-packed lanes, two thirds of the
+//! levels of the all-sources sweeps over a random 4-regular or a gnp
+//! graph run bottom-up, and more than half of those over a 32×32 grid
+//! or torus or a 5,000-node geometric graph; over the 102×102 grid,
+//! whose batches keep a frontier far smaller than the graph, and over
+//! paths, every level runs top-down. Degrees are the base graph's, so
+//! out-of-view neighbours are counted on both sides of the comparison,
+//! and the gather reads them too: only view nodes are ever stamped in a
+//! batch's epoch, and an unstamped word reads as 0.
+//!
+//! # The discovery log
+//!
+//! A batch keeps one log entry per node per level at which some lane
+//! first reached it: the node (4 bytes) and the lanes that reached it
+//! there (an 8-byte word) — the next frontier the level loop builds
+//! anyway. Per-lane results are answered from the log:
+//! [`MsBfsRun::levels`] walks it level by level, and
+//! [`MsBfsRun::dist`], [`MsBfsRun::reached_count`] and
+//! [`MsBfsRun::ball_size`] scan it, `O(entries)` per call. Bulk readers
+//! (the exact validators' eccentricity bound, the all-pairs scatter)
+//! walk [`MsBfsRun::levels`] once instead. The log replaces a
+//! universe × lanes grid of `u32` distances (256 bytes per node at 64
+//! lanes, written bit by bit on every discovery): on flat graphs a node
+//! enters the log at the few distinct levels its lanes reach it, 12
+//! bytes each. Lanes spread over a high-diameter cluster reach a node
+//! at many levels, and there the log can outgrow the grid.
+//! Eccentricities, target counts and last target levels are still kept
+//! per lane as the levels close.
+//!
 //! Scratch lives in the [`TraversalWorkspace`] (epoch-stamped like the
 //! hop and weighted arenas: starting a batch is one epoch increment, and
 //! a run abandoned mid-flight by an unwinding caller is invalidated
 //! wholesale by the next increment). Results are read through
-//! [`MsBfsRun`], a borrowed view with per-(node, lane) distances and
-//! per-lane censuses (reached counts, eccentricities, cumulative ball
-//! sizes).
+//! [`MsBfsRun`], a borrowed view of the log and the per-lane censuses.
 //!
 //! Per-lane distances are value-identical to running [`super::bfs_in`]
 //! once per lane source; the proptests in `tests/msbfs_equivalence.rs`
 //! pin this on arbitrary graphs and subset views, bounded and unbounded,
-//! including the targeted early-exit variant.
+//! including the targeted early-exit variant, in both directions.
 
-use crate::{Adjacency, NodeId, NodeSet};
+use crate::{Adjacency, Graph, NodeId, NodeSet};
 
 use super::bfs::UNREACHED;
 use super::workspace::{TraversalWorkspace, MAX_HOP_DIST};
@@ -38,26 +77,29 @@ pub const MS_LANES: usize = 64;
 /// Per-lane eccentricity sentinel: nothing reached in that lane.
 const ECC_NONE: u32 = u32::MAX;
 
-/// Per-node lane-word scratch for MS-BFS batches, pooled inside a
-/// [`TraversalWorkspace`]. Entries of `seen` / `visit` / `visit_next` /
-/// `dist` are meaningful only where `stamp` equals the current epoch;
-/// nodes are lazily re-zeroed on first touch per epoch.
+/// Per-node lane-word scratch and the discovery log of MS-BFS batches,
+/// pooled inside a [`TraversalWorkspace`]. Entries of `seen` / `visit` /
+/// `visit_next` are meaningful only where `stamp` equals the current
+/// epoch; nodes are lazily re-zeroed on first touch per epoch.
 #[derive(Debug, Default)]
 pub(super) struct MsScratch {
     epoch: u32,
     stamp: Vec<u32>,
     seen: Vec<u64>,
+    /// Lane words of the current frontier (zero off the frontier).
     visit: Vec<u64>,
     visit_next: Vec<u64>,
-    /// Per-(node, lane) distances, node-major with stride `lanes`.
-    dist: Vec<u32>,
-    cur: Vec<NodeId>,
-    next: Vec<NodeId>,
+    /// The discovery log: entry `i` is node `log_node[i]`, first reached
+    /// by the lanes `log_lanes[i]` at its level. Level `d` holds entries
+    /// `level_start[d]..level_start[d + 1]`.
+    log_node: Vec<NodeId>,
+    log_lanes: Vec<u64>,
+    level_start: Vec<usize>,
+    /// Bottom-up candidates: view nodes some active lane had not seen
+    /// when the last bottom-up level ran (listed at a batch's first one).
+    unseen: Vec<NodeId>,
     lanes: usize,
-    reached: Vec<usize>,
     ecc: Vec<u32>,
-    /// Level-major cumulative ball sizes: `balls[level * lanes + lane]`.
-    balls: Vec<usize>,
     remaining: Vec<usize>,
     target_last: Vec<u32>,
     /// Batch-ordering scratch ([`ms_batch_order_in`]): `src_*` map nodes
@@ -91,22 +133,14 @@ impl MsScratch {
         if self.visit_next.len() < universe {
             self.visit_next.resize(universe, 0);
         }
-        // The distance grid grows to universe × lanes of *this* run; a
-        // narrower batch after a wide one simply indexes with a smaller
-        // stride (stale entries are unreadable without a matching stamp
-        // and seen bit).
-        let need = universe.saturating_mul(lanes);
-        if self.dist.len() < need {
-            self.dist.resize(need, UNREACHED);
-        }
         self.lanes = lanes;
-        self.cur.clear();
-        self.next.clear();
-        self.reached.clear();
-        self.reached.resize(lanes, 0);
+        self.log_node.clear();
+        self.log_lanes.clear();
+        self.level_start.clear();
+        self.level_start.push(0);
+        self.unseen.clear();
         self.ecc.clear();
         self.ecc.resize(lanes, ECC_NONE);
-        self.balls.clear();
         self.remaining.clear();
         self.remaining.resize(lanes, 0);
         self.target_last.clear();
@@ -143,11 +177,9 @@ impl MsScratch {
         let bit = 1u64 << lane;
         self.seen[si] |= bit;
         if self.visit[si] == 0 {
-            self.cur.push(s);
+            self.log_node.push(s);
         }
         self.visit[si] |= bit;
-        self.dist[si * self.lanes + lane] = 0;
-        self.reached[lane] += 1;
         if let Some(t) = targets {
             if t.contains(s) {
                 self.remaining[lane] -= 1;
@@ -159,9 +191,158 @@ impl MsScratch {
         bit
     }
 
-    fn push_ball_row(&mut self) {
-        for lane in 0..self.lanes {
-            self.balls.push(self.reached[lane]);
+    /// Closes the level whose nodes were logged since the last close:
+    /// logs each one's lanes from `visit` and records where the level
+    /// ends (an empty level is not recorded).
+    fn close_level(&mut self) {
+        let start = self.log_lanes.len();
+        for i in start..self.log_node.len() {
+            self.log_lanes.push(self.visit[self.log_node[i].index()]);
+        }
+        if self.log_node.len() > start {
+            self.level_start.push(self.log_node.len());
+        }
+    }
+
+    /// Lists the view nodes some lane of `active` has not seen.
+    fn list_unseen<A: Adjacency>(&mut self, view: &A, active: u64) {
+        self.unseen.clear();
+        for v in view.nodes() {
+            let vi = v.index();
+            if self.stamp[vi] != self.epoch || self.seen[vi] & active != active {
+                self.unseen.push(v);
+            }
+        }
+    }
+
+    /// One top-down level: the frontier entries `lo..hi` push their
+    /// active lanes to their in-view neighbours.
+    fn top_down<A: Adjacency>(
+        &mut self,
+        view: &A,
+        g: &Graph,
+        (lo, hi): (usize, usize),
+        st: &mut Sweep<'_>,
+    ) {
+        for i in lo..hi {
+            let mu = self.log_lanes[i] & st.active;
+            if mu == 0 {
+                continue;
+            }
+            for v in view.neighbors(self.log_node[i]) {
+                let vi = v.index();
+                self.touch(vi);
+                let seen = self.seen[vi];
+                let new = mu & !seen & st.active;
+                if new == 0 {
+                    continue;
+                }
+                if self.visit_next[vi] == 0 {
+                    self.log_node.push(v);
+                    st.frontier_deg += g.degree(v);
+                }
+                self.visit_next[vi] |= new;
+                self.seen[vi] = seen | new;
+                if (seen | new) & st.active == st.active {
+                    st.unseen_deg = st.unseen_deg.saturating_sub(g.degree(v));
+                }
+                st.found(self, v, new);
+            }
+        }
+    }
+
+    /// One bottom-up level: every listed node some active lane has not
+    /// seen gathers its neighbours' frontier words and keeps the lanes
+    /// it lacks. The list drops the nodes every active lane has now
+    /// seen, and the unseen degree sum is recounted over what is left.
+    fn bottom_up(&mut self, g: &Graph, st: &mut Sweep<'_>) {
+        let epoch = self.epoch;
+        let mut kept = 0;
+        let mut unseen_deg = 0;
+        for k in 0..self.unseen.len() {
+            let v = self.unseen[k];
+            let vi = v.index();
+            let seen = self.seen[vi] & stamped(self.stamp[vi], epoch);
+            let want = st.active & !seen;
+            if want == 0 {
+                continue;
+            }
+            let mut gathered = 0u64;
+            for &u in g.neighbors(v) {
+                let ui = u.index();
+                gathered |= self.visit[ui] & stamped(self.stamp[ui], epoch);
+            }
+            let new = gathered & want;
+            if new != 0 {
+                self.touch(vi);
+                self.seen[vi] = seen | new;
+                self.visit_next[vi] = new;
+                self.log_node.push(v);
+                st.frontier_deg += g.degree(v);
+                st.found(self, v, new);
+                if new == want {
+                    continue;
+                }
+            }
+            self.unseen[kept] = v;
+            kept += 1;
+            unseen_deg += g.degree(v);
+        }
+        self.unseen.truncate(kept);
+        st.unseen_deg = unseen_deg;
+    }
+}
+
+/// All ones when `stamp` belongs to `epoch`, else 0: masks a lazily
+/// zeroed word that has not been touched this epoch.
+#[inline]
+fn stamped(stamp: u32, epoch: u32) -> u64 {
+    u64::from(stamp == epoch).wrapping_neg()
+}
+
+/// The lanes set in `bits`, lowest first.
+pub(super) fn lanes_of(mut bits: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (bits != 0).then(|| {
+            let lane = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            lane
+        })
+    })
+}
+
+/// The running state of one batch's level loop.
+struct Sweep<'t> {
+    /// Lanes still expanding: seeded, not yet done with their targets,
+    /// and with a non-empty frontier.
+    active: u64,
+    targets: Option<&'t NodeSet>,
+    /// The level being discovered.
+    level: u32,
+    /// Lanes that discovered a node at `level`.
+    discovered: u64,
+    /// Degree sum of the frontier `level` is building.
+    frontier_deg: usize,
+    /// Degree sum of the view nodes some active lane has not seen;
+    /// exact after a bottom-up level, an upper bound between them (a
+    /// lane that retires can leave nodes seen by every active lane).
+    unseen_deg: usize,
+}
+
+impl Sweep<'_> {
+    /// Records that `v` was first reached by the lanes `new` at this
+    /// level: a lane whose last target `v` is retires.
+    #[inline]
+    fn found(&mut self, m: &mut MsScratch, v: NodeId, new: u64) {
+        self.discovered |= new;
+        if self.targets.is_some_and(|t| t.contains(v)) {
+            for lane in lanes_of(new) {
+                m.remaining[lane] -= 1;
+                m.target_last[lane] = self.level;
+                if m.remaining[lane] == 0 {
+                    self.active &= !(1u64 << lane);
+                }
+            }
         }
     }
 }
@@ -332,15 +513,15 @@ fn msbfs_core<'w, A: Adjacency>(
     // Same sentinel guard as bfs_core: with `level < max_dist <=
     // MAX_HOP_DIST`, `level + 1` can never mint the UNREACHED sentinel.
     let max_dist = max_dist.min(MAX_HOP_DIST);
+    let g = view.graph();
     let m = &mut ws.ms;
     m.begin(view.universe(), lanes);
 
-    let full: u64 = if lanes == MS_LANES {
+    let mut active: u64 = if lanes == MS_LANES {
         !0u64
     } else {
         (1u64 << lanes) - 1
     };
-    let mut active = full;
     if let Some(t) = targets {
         let t_len = t.len();
         for lane in 0..lanes {
@@ -352,92 +533,91 @@ fn msbfs_core<'w, A: Adjacency>(
             active = 0;
         }
     }
-
     let mut seeded = 0u64;
     for (lane, &s) in sources.iter().enumerate() {
         seeded |= m.seed(view, lane, s, targets, &mut active);
     }
-    let mut bits = seeded;
-    while bits != 0 {
-        let lane = bits.trailing_zeros() as usize;
-        bits &= bits - 1;
+    for lane in lanes_of(seeded) {
         m.ecc[lane] = 0;
     }
-    if !m.cur.is_empty() {
-        m.push_ball_row();
-    }
+    m.close_level();
 
-    let mut level: u32 = 0;
-    while !m.cur.is_empty() && active != 0 && level < max_dist {
-        let next_level = level + 1;
-        // Lanes that discovered at least one node this level.
-        let mut discovered = 0u64;
-        let mut i = 0;
-        while i < m.cur.len() {
-            let u = m.cur[i];
-            i += 1;
-            let mu = m.visit[u.index()] & active;
-            if mu == 0 {
-                continue;
+    // A lane whose source is outside the view reaches nothing: dropping
+    // it lets a node count as seen once every lane that can reach it has.
+    let mut st = Sweep {
+        active: active & seeded,
+        targets,
+        level: 0,
+        discovered: 0,
+        frontier_deg: 0,
+        unseen_deg: if view.len() == g.n() {
+            g.directed_edges()
+        } else {
+            view.nodes().map(|v| g.degree(v)).sum()
+        },
+    };
+    for &s in &m.log_node {
+        st.frontier_deg += g.degree(s);
+        if m.seen[s.index()] & st.active == st.active {
+            st.unseen_deg -= g.degree(s);
+        }
+    }
+    let mut last_deg = 0usize;
+    let mut bottom_up = false;
+    let mut listed = false;
+    while st.active != 0 && st.level < max_dist && st.unseen_deg > 0 {
+        // The frontier: the last logged level (an active lane was seeded,
+        // so there is one).
+        let k = m.level_start.len();
+        let frontier = (m.level_start[k - 2], m.level_start[k - 1]);
+        let frontier_deg = std::mem::take(&mut st.frontier_deg);
+        bottom_up = frontier_deg * 2 > st.unseen_deg && (bottom_up || frontier_deg > last_deg);
+        last_deg = frontier_deg;
+        st.level += 1;
+        st.discovered = 0;
+        #[cfg(test)]
+        tally_level(bottom_up);
+        if bottom_up {
+            if !listed {
+                m.list_unseen(view, st.active);
+                listed = true;
             }
-            for v in view.neighbors(u) {
-                let vi = v.index();
-                m.touch(vi);
-                let new = mu & !m.seen[vi] & active;
-                if new == 0 {
-                    continue;
-                }
-                if m.visit_next[vi] == 0 {
-                    m.next.push(v);
-                }
-                m.visit_next[vi] |= new;
-                m.seen[vi] |= new;
-                discovered |= new;
-                let base = vi * lanes;
-                let mut bits = new;
-                while bits != 0 {
-                    let lane = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    m.dist[base + lane] = next_level;
-                    m.reached[lane] += 1;
-                }
-                if targets.is_some_and(|t| t.contains(v)) {
-                    let mut bits = new;
-                    while bits != 0 {
-                        let lane = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        m.remaining[lane] -= 1;
-                        m.target_last[lane] = next_level;
-                        if m.remaining[lane] == 0 {
-                            active &= !(1u64 << lane);
-                        }
-                    }
-                }
-            }
+            m.bottom_up(g, &mut st);
+        } else {
+            m.top_down(view, g, frontier, &mut st);
         }
         // Retire the expanded frontier and promote the next one. The
-        // invariant "visit is nonzero exactly on `cur`" makes the swapped
-        // array a clean `visit_next` for the coming level.
-        for idx in 0..m.cur.len() {
-            let ui = m.cur[idx].index();
+        // invariant "visit is nonzero exactly on the frontier" makes the
+        // swapped array a clean `visit_next` for the coming level.
+        for i in frontier.0..frontier.1 {
+            let ui = m.log_node[i].index();
             m.visit[ui] = 0;
         }
         std::mem::swap(&mut m.visit, &mut m.visit_next);
-        std::mem::swap(&mut m.cur, &mut m.next);
-        m.next.clear();
-        level = next_level;
-        if discovered != 0 {
-            let mut bits = discovered;
-            while bits != 0 {
-                let lane = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                m.ecc[lane] = level;
-            }
-            m.push_ball_row();
+        m.close_level();
+        for lane in lanes_of(st.discovered) {
+            m.ecc[lane] = st.level;
         }
+        // A lane that discovered nothing has an empty frontier for good.
+        st.active &= st.discovered;
     }
 
     ws.ms_run()
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test-only census of the calling thread's MS-BFS levels: how many
+    /// ran top-down and how many bottom-up.
+    static LEVELS: std::cell::Cell<(usize, usize)> = const { std::cell::Cell::new((0, 0)) };
+}
+
+#[cfg(test)]
+fn tally_level(bottom_up: bool) {
+    LEVELS.with(|t| {
+        let (down, up) = t.get();
+        t.set((down + usize::from(!bottom_up), up + usize::from(bottom_up)));
+    });
 }
 
 impl TraversalWorkspace {
@@ -450,17 +630,18 @@ impl TraversalWorkspace {
             lanes: m.lanes,
             stamp: &m.stamp,
             seen: &m.seen,
-            dist: &m.dist,
-            reached: &m.reached,
+            nodes: &m.log_node,
+            words: &m.log_lanes,
+            level_start: &m.level_start,
             ecc: &m.ecc,
-            balls: &m.balls,
             remaining: &m.remaining,
             target_last: &m.target_last,
         }
     }
 }
 
-/// Borrowed view of one MS-BFS batch inside a [`TraversalWorkspace`].
+/// Borrowed view of one MS-BFS batch inside a [`TraversalWorkspace`]:
+/// its discovery log and per-lane censuses.
 ///
 /// Lane accessors are value-identical to the corresponding
 /// [`super::BfsRun`] accessors of a sequential BFS from that lane's
@@ -475,10 +656,10 @@ pub struct MsBfsRun<'w> {
     lanes: usize,
     stamp: &'w [u32],
     seen: &'w [u64],
-    dist: &'w [u32],
-    reached: &'w [usize],
+    nodes: &'w [NodeId],
+    words: &'w [u64],
+    level_start: &'w [usize],
     ecc: &'w [u32],
-    balls: &'w [usize],
     remaining: &'w [usize],
     target_last: &'w [u32],
 }
@@ -489,31 +670,33 @@ impl<'w> MsBfsRun<'w> {
         self.lanes
     }
 
-    /// Distance from lane `lane`'s sources to `v`, or [`UNREACHED`].
-    #[inline]
-    pub fn dist(&self, v: NodeId, lane: usize) -> u32 {
-        debug_assert!(lane < self.lanes);
-        let i = v.index();
-        if i < self.stamp.len() && self.stamp[i] == self.epoch && self.seen[i] >> lane & 1 != 0 {
-            self.dist[i * self.lanes + lane]
-        } else {
-            UNREACHED
-        }
+    /// The discovery log, one item per level `d = 0, 1, …` up to the
+    /// batch's deepest: the nodes some lane first reached at distance
+    /// `d`, each with the word of the lanes that reached it there. Every
+    /// (node, lane) pair the batch reached appears in exactly one entry.
+    pub fn levels(&self) -> impl Iterator<Item = (u32, &'w [NodeId], &'w [u64])> + 'w {
+        let (nodes, words) = (self.nodes, self.words);
+        self.level_start
+            .windows(2)
+            .enumerate()
+            .map(move |(d, w)| (d as u32, &nodes[w[0]..w[1]], &words[w[0]..w[1]]))
     }
 
-    /// Every lane's distance to `v` in one contiguous read (the grid is
-    /// node-major): entry `l` is lane `l`'s [`dist`](Self::dist). `None`
-    /// unless every lane reached `v`.
-    #[inline]
-    pub fn lane_dists(&self, v: NodeId) -> Option<&'w [u32]> {
-        let i = v.index();
-        let all = if self.lanes == MS_LANES {
-            !0u64
-        } else {
-            (1u64 << self.lanes) - 1
-        };
-        (i < self.stamp.len() && self.stamp[i] == self.epoch && self.seen[i] == all)
-            .then(|| &self.dist[i * self.lanes..(i + 1) * self.lanes])
+    /// Distance from lane `lane`'s sources to `v`, or [`UNREACHED`]: a
+    /// scan of the log, `O(entries)`; bulk readers walk
+    /// [`levels`](Self::levels) instead.
+    pub fn dist(&self, v: NodeId, lane: usize) -> u32 {
+        if !self.reached(v, lane) {
+            return UNREACHED;
+        }
+        let bit = 1u64 << lane;
+        let at = self
+            .nodes
+            .iter()
+            .zip(self.words)
+            .position(|(&u, &w)| u == v && w & bit != 0)
+            .expect("a reached lane has a log entry");
+        (self.level_start.partition_point(|&s| s <= at) - 1) as u32
     }
 
     /// Whether lane `lane` reached `v`.
@@ -524,9 +707,9 @@ impl<'w> MsBfsRun<'w> {
         i < self.stamp.len() && self.stamp[i] == self.epoch && self.seen[i] >> lane & 1 != 0
     }
 
-    /// Number of nodes lane `lane` reached.
+    /// Number of nodes lane `lane` reached (a scan of the log).
     pub fn reached_count(&self, lane: usize) -> usize {
-        self.reached[lane]
+        self.ball_size(lane, u32::MAX)
     }
 
     /// Largest distance lane `lane` reached (`None` if it reached
@@ -535,18 +718,20 @@ impl<'w> MsBfsRun<'w> {
         (self.ecc[lane] != ECC_NONE).then(|| self.ecc[lane])
     }
 
-    /// Number of nodes lane `lane` reached within distance `r`, clamped
-    /// like [`super::BfsRun::ball_size`]: radii beyond the batch's
-    /// deepest level return the lane's total reached count, and a lane
-    /// that reached nothing returns 0 for every radius.
+    /// Number of nodes lane `lane` reached within distance `r` (a scan of
+    /// the log's first `r + 1` levels), clamped like
+    /// [`super::BfsRun::ball_size`]: radii beyond the batch's deepest
+    /// level return the lane's total reached count, and a lane that
+    /// reached nothing returns 0 for every radius.
     pub fn ball_size(&self, lane: usize, r: u32) -> usize {
-        if self.lanes == 0 {
-            return 0;
-        }
-        match self.balls.len() / self.lanes {
+        let end = match self.level_start.len() {
             0 => 0,
-            rows => self.balls[(r as usize).min(rows - 1) * self.lanes + lane],
-        }
+            k => self.level_start[(r as usize).saturating_add(1).min(k - 1)],
+        };
+        self.words[..end]
+            .iter()
+            .filter(|&&w| w >> lane & 1 != 0)
+            .count()
     }
 
     /// Targets lane `lane` had not yet reached when the batch stopped
@@ -602,18 +787,52 @@ mod tests {
                 }
             }
         }
-        // The node-major row holds exactly the per-lane distances, and
-        // only where every lane reached the node.
-        for i in 0..view.universe() {
-            let v = NodeId::new(i);
-            let every = (0..sources.len()).all(|lane| run.reached(v, lane));
-            match run.lane_dists(v) {
-                Some(row) => {
-                    assert!(every, "node {i}: a row without every lane");
-                    let per_lane: Vec<u32> = (0..sources.len()).map(|l| run.dist(v, l)).collect();
-                    assert_eq!(row, &per_lane[..], "node {i}");
-                }
-                None => assert!(!every, "node {i}: every lane reached it"),
+    }
+
+    /// The first 64 ball-packed sources of `view`: the batch shape of
+    /// the exact validators' fringe passes.
+    fn ball_packed<A: Adjacency>(view: &A) -> Vec<NodeId> {
+        let nodes: Vec<NodeId> = view.nodes().collect();
+        let order = ms_batch_order_in(&mut TraversalWorkspace::new(), view, &nodes);
+        order
+            .iter()
+            .take(MS_LANES)
+            .map(|&i| nodes[i as usize])
+            .collect()
+    }
+
+    /// The equivalence suite's instances exercise both directions: 64
+    /// ball-packed lanes on a random 4-regular graph take bottom-up
+    /// levels (also when targeted lanes retire), a path none.
+    #[test]
+    fn direction_switch_is_exercised_both_ways() {
+        let regular = gen::random_regular_connected(256, 4, 3).unwrap();
+        let path = gen::path(256);
+        for (what, g, flat) in [("4-regular", &regular, true), ("path", &path, false)] {
+            let view = g.full_view();
+            let sources = ball_packed(&view);
+            let mut ws = TraversalWorkspace::new();
+            LEVELS.take();
+            let _ = msbfs_in(&mut ws, &view, &sources);
+            let (down, up) = LEVELS.take();
+            assert!(down > 0, "{what}: {down} top-down levels");
+            assert_eq!(up > 0, flat, "{what}: {up} bottom-up levels");
+        }
+        let view = regular.full_view();
+        let sources = ball_packed(&view);
+        let targets = NodeSet::from_nodes(256, (0..256).step_by(5).map(NodeId::new));
+        let mut ws = TraversalWorkspace::new();
+        LEVELS.take();
+        let run = msbfs_to_in(&mut ws, &view, &sources, &targets);
+        let (_, up) = LEVELS.take();
+        assert!(up > 0, "targeted: {up} bottom-up levels");
+        let mut seq = TraversalWorkspace::new();
+        for (lane, &s) in sources.iter().enumerate() {
+            let own = bfs_to_in(&mut seq, &view, [s], &targets);
+            assert_eq!(run.targets_remaining(lane), 0);
+            assert_eq!(run.eccentricity(lane), own.eccentricity(), "lane {lane}");
+            for t in targets.iter() {
+                assert_eq!(run.dist(t, lane), own.dist(t), "lane {lane}");
             }
         }
     }

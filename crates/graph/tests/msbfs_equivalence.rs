@@ -4,14 +4,17 @@
 //! dedicated `bfs_in` from that lane's source would — on arbitrary
 //! graphs, subset views, distance bounds, and target sets, including
 //! ragged (> 64 source) multi-batch sweeps through the distance
-//! helpers.
+//! helpers. The flat instances (64 ball-packed lanes on random 4-regular
+//! and gnp graphs) run their middle levels bottom-up, the thin ones (a
+//! path, a sparse subset view) stay top-down, so both directions of the
+//! kernel, and lanes retiring in either, are covered.
 
 use proptest::prelude::*;
 use sdnd_graph::algo::{
     self, bfs_bounded_in, bfs_in, bfs_to_in, msbfs_bounded_in, msbfs_in, msbfs_to_in,
     TraversalWorkspace, MS_LANES,
 };
-use sdnd_graph::{Adjacency, Graph, NodeId, NodeSet};
+use sdnd_graph::{gen, Adjacency, Graph, NodeId, NodeSet};
 
 /// Strategy: a random simple graph (possibly disconnected) plus an
 /// alive-subset mask and a seed for picking sources.
@@ -82,6 +85,109 @@ fn assert_lane_matches_bfs<A: Adjacency>(
             vi
         );
         prop_assert_eq!(run.dist(v, lane), bfs.dist(v), "lane {} dist({})", lane, vi);
+    }
+    for r in 0..=bfs.eccentricity().map_or(0, |e| e + 1) {
+        prop_assert_eq!(
+            run.ball_size(lane, r),
+            bfs.ball_size(r),
+            "lane {} ball {}",
+            lane,
+            r
+        );
+    }
+    Ok(())
+}
+
+/// A connected flat graph on `n` nodes: random 4-regular, or gnp with
+/// mean degree 8.
+fn flat_graph(regular: bool, n: usize, seed: u64) -> Graph {
+    if regular {
+        gen::random_regular_connected(n, 4, seed).expect("4n is even")
+    } else {
+        gen::gnp_connected(n, 8.0 / n as f64, seed)
+    }
+}
+
+/// Strategy: a flat graph of 80 to 320 nodes.
+fn arb_flat() -> impl Strategy<Value = Graph> {
+    (prop::bool::ANY, 80usize..320, 0u64..1000).prop_map(|(r, n, seed)| flat_graph(r, n, seed))
+}
+
+/// The first 64 ball-packed sources of `view`: the batch shape of the
+/// exact validators' fringe passes.
+fn ball_packed<A: Adjacency>(view: &A) -> Vec<NodeId> {
+    let nodes: Vec<NodeId> = view.nodes().collect();
+    let order = algo::ms_batch_order_in(&mut TraversalWorkspace::new(), view, &nodes);
+    order
+        .iter()
+        .take(MS_LANES)
+        .map(|&i| nodes[i as usize])
+        .collect()
+}
+
+/// Lane-by-lane distances read off the discovery log, `UNREACHED` where
+/// a lane did not reach a node.
+fn log_distances(run: &algo::MsBfsRun<'_>, universe: usize) -> Vec<Vec<u32>> {
+    let mut out = vec![vec![algo::UNREACHED; universe]; run.lanes()];
+    for (d, nodes, words) in run.levels() {
+        for (&v, &w) in nodes.iter().zip(words) {
+            for (lane, row) in out.iter_mut().enumerate() {
+                if w >> lane & 1 != 0 {
+                    row[v.index()] = d;
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Asserts lane `lane` of a large run against a fresh BFS from `src`
+/// truncated at `max_dist`: the log's distance row in full, `dist` on
+/// every seventh node (each call scans the log), and the censuses.
+fn assert_wide_lane_matches_bfs<A: Adjacency>(
+    view: &A,
+    run: &algo::MsBfsRun<'_>,
+    row: &[u32],
+    lane: usize,
+    src: NodeId,
+    max_dist: u32,
+) -> Result<(), TestCaseError> {
+    let mut ws = TraversalWorkspace::new();
+    let bfs = bfs_bounded_in(&mut ws, view, [src], max_dist);
+    prop_assert_eq!(
+        run.reached_count(lane),
+        bfs.reached_count(),
+        "lane {} count",
+        lane
+    );
+    prop_assert_eq!(
+        run.eccentricity(lane),
+        bfs.eccentricity(),
+        "lane {} ecc",
+        lane
+    );
+    for (vi, &d) in row.iter().enumerate() {
+        let v = NodeId::new(vi);
+        prop_assert_eq!(d, bfs.dist(v), "lane {} log dist({})", lane, vi);
+        prop_assert_eq!(
+            run.reached(v, lane),
+            bfs.reached(v),
+            "lane {} reached({})",
+            lane,
+            vi
+        );
+        if (vi + lane).is_multiple_of(7) {
+            prop_assert_eq!(run.dist(v, lane), bfs.dist(v), "lane {} dist({})", lane, vi);
+        }
+    }
+    for r in 0..=bfs.eccentricity().map_or(0, |e| e + 1) {
+        prop_assert_eq!(
+            run.ball_size(lane, r),
+            bfs.ball_size(r),
+            "lane {} ball {}",
+            lane,
+            r
+        );
     }
     Ok(())
 }
@@ -202,6 +308,101 @@ proptest! {
             for (vi, &d) in pairwise[src.index()].iter().enumerate() {
                 prop_assert_eq!(d, bfs.dist(NodeId::new(vi)));
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// 64 ball-packed lanes on a flat graph: the middle levels run
+    /// bottom-up, and every lane still matches its own BFS.
+    #[test]
+    fn flat_lanes_match_across_direction_switches(g in arb_flat()) {
+        let view = g.full_view();
+        let sources = ball_packed(&view);
+        let mut ws = TraversalWorkspace::new();
+        let run = msbfs_in(&mut ws, &view, &sources);
+        let rows = log_distances(&run, g.n());
+        for (lane, &src) in sources.iter().enumerate() {
+            assert_wide_lane_matches_bfs(&view, &run, &rows[lane], lane, src, u32::MAX)?;
+        }
+    }
+
+    /// Bounded flat runs stop every lane at a radius that often falls
+    /// after a bottom-up level.
+    #[test]
+    fn bounded_flat_lanes_match(g in arb_flat(), max_dist in 1u32..6) {
+        let view = g.full_view();
+        let sources = ball_packed(&view);
+        let mut ws = TraversalWorkspace::new();
+        let run = msbfs_bounded_in(&mut ws, &view, &sources, max_dist);
+        let rows = log_distances(&run, g.n());
+        for (lane, &src) in sources.iter().enumerate() {
+            assert_wide_lane_matches_bfs(&view, &run, &rows[lane], lane, src, max_dist)?;
+        }
+    }
+
+    /// Targeted flat runs retire each lane at its last target, often in
+    /// a bottom-up level: target distances, residual counts,
+    /// eccentricities, last target levels and the completed levels'
+    /// ball sizes match the lane's own early-exiting BFS.
+    #[test]
+    fn targeted_flat_lanes_match(g in arb_flat(), stride in 2usize..40, shift in 0usize..40) {
+        let view = g.full_view();
+        let sources = ball_packed(&view);
+        let targets = NodeSet::from_nodes(
+            g.n(),
+            (shift % stride..g.n()).step_by(stride).map(NodeId::new),
+        );
+        let mut ws = TraversalWorkspace::new();
+        let run = msbfs_to_in(&mut ws, &view, &sources, &targets);
+        let mut seq_ws = TraversalWorkspace::new();
+        for (lane, &src) in sources.iter().enumerate() {
+            let bfs = bfs_to_in(&mut seq_ws, &view, [src], &targets);
+            let mut farthest = 0;
+            for t in targets.iter() {
+                prop_assert_eq!(run.reached(t, lane), bfs.reached(t), "lane {} reach", lane);
+                prop_assert_eq!(run.dist(t, lane), bfs.dist(t), "lane {} target dist", lane);
+                farthest = farthest.max(bfs.dist(t));
+            }
+            prop_assert_eq!(run.targets_remaining(lane), 0, "lane {} residual", lane);
+            prop_assert_eq!(run.last_target_level(lane), farthest, "lane {} last", lane);
+            let ecc = bfs.eccentricity();
+            prop_assert_eq!(run.eccentricity(lane), ecc, "lane {} ecc", lane);
+            // The level a lane retires in may stop part-way, in a
+            // different order than the sequential sweep; those before
+            // it are complete on both sides.
+            for r in 0..ecc.unwrap_or(0) {
+                prop_assert_eq!(run.ball_size(lane, r), bfs.ball_size(r), "lane {} ball {}", lane, r);
+            }
+        }
+    }
+
+    /// Thin frontiers stay top-down: 64 ball-packed lanes on a path, and
+    /// on a sparse (30%) subset view of a flat graph.
+    #[test]
+    fn thin_frontier_lanes_match(n in 80usize..260, seed in 0u64..1000) {
+        let path = gen::path(n);
+        let flat = flat_graph(seed % 2 == 0, n, seed);
+        let alive = NodeSet::from_nodes(
+            n,
+            (0..n).filter(|&i| mix(seed, i as u64) % 10 < 3).map(NodeId::new),
+        );
+        let path_view = path.full_view();
+        let sparse_view = flat.view(&alive);
+        let mut ws = TraversalWorkspace::new();
+        let sources = ball_packed(&path_view);
+        let run = msbfs_in(&mut ws, &path_view, &sources);
+        let rows = log_distances(&run, n);
+        for (lane, &src) in sources.iter().enumerate() {
+            assert_wide_lane_matches_bfs(&path_view, &run, &rows[lane], lane, src, u32::MAX)?;
+        }
+        let sources = ball_packed(&sparse_view);
+        let run = msbfs_in(&mut ws, &sparse_view, &sources);
+        let rows = log_distances(&run, n);
+        for (lane, &src) in sources.iter().enumerate() {
+            assert_wide_lane_matches_bfs(&sparse_view, &run, &rows[lane], lane, src, u32::MAX)?;
         }
     }
 }

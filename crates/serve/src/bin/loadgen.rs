@@ -1,11 +1,13 @@
 //! Closed-loop traffic generator for the `sdnd serve` daemon.
 //!
 //! Each client thread holds one connection and drives it closed-loop:
-//! send a request, wait for the response, pick the next request. The
-//! synthetic mix draws decompose seeds from a zipf distribution, but its
-//! two algorithms (Theorems 2.3 and 3.4) ignore the seed, so the
-//! daemon's LRU holds two decompose keys and misses only on their first
-//! use. Heavy requests (`decompose`, `validate`) can carry a
+//! send a request, wait for the response, pick the next request. Half
+//! of the synthetic mix's decomposes run Theorems 2.3 and 3.4, which
+//! ignore the seed (two LRU keys, missed on first use only); the other
+//! half run the registry entries that read it (`ls93`, `en16`; see
+//! `Algorithm::seeded`) with a seed drawn from a zipf distribution over
+//! `--seeds` values, so `--seeds` and `--zipf` shape the daemon's LRU
+//! hot set. Heavy requests (`decompose`, `validate`) can carry a
 //! configurable deadline distribution. `err overloaded` responses are
 //! retried with jittered exponential backoff (bounded attempts),
 //! matching how a well-behaved client consumes the daemon's
@@ -26,6 +28,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use sdnd_core::registry;
 use sdnd_serve::protocol::{classify_response, retry_after_ms, ResponseKind};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
@@ -322,9 +325,14 @@ fn synth_request(
     } else if roll < 0.85 {
         let seed = zipf.sample(rng);
         let algo = if rng.gen_bool(0.5) {
-            "thm2.3"
+            ["thm2.3", "thm3.4"][rng.gen_range(0..2usize)]
         } else {
-            "thm3.4"
+            let seeded: Vec<&str> = registry::ALGORITHMS
+                .iter()
+                .filter(|a| a.seeded)
+                .map(|a| a.decompose_name)
+                .collect();
+            seeded[rng.gen_range(0..seeded.len())]
         };
         (
             "decompose",
@@ -563,4 +571,39 @@ fn render_json(config: &Config, tally: &Tally, wall: Duration) -> String {
         o.uncached,
         by_class.join(",\n"),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sdnd_serve::protocol::{parse_request, Request};
+    use sdnd_serve::DecompKey;
+    use std::collections::HashSet;
+
+    /// The synthetic mix's decomposes at `--seeds 16` fall on more than
+    /// the two keys of the unseeded theorems: the seeded entries make
+    /// one key per drawn seed.
+    #[test]
+    fn synthetic_decomposes_spread_over_seed_keys() {
+        let args = ["--socket", "unused.sock", "--seeds", "16"].map(String::from);
+        let config = parse_args(&args).expect("valid flags");
+        let zipf = Zipf::new(config.seeds, config.zipf);
+        let mut rng = SmallRng::seed_from_u64(1);
+        let mut keys = HashSet::new();
+        let mut decomposes = 0;
+        while decomposes < 200 {
+            let (class, line) = synth_request(&mut rng, &zipf, &config, 64);
+            if class != "decompose" {
+                continue;
+            }
+            decomposes += 1;
+            match parse_request(&line) {
+                Ok(Request::Decompose { algo, seed, .. }) => {
+                    keys.insert(DecompKey::new(0, algo, seed));
+                }
+                other => panic!("`{line}` parsed as {other:?}"),
+            }
+        }
+        assert!(keys.len() > 2, "{} distinct keys", keys.len());
+    }
 }

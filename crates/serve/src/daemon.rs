@@ -159,6 +159,7 @@ fn worker_loop(
 pub struct DaemonHandle {
     threads: Vec<JoinHandle<()>>,
     stop: Arc<AtomicBool>,
+    live: Arc<AtomicUsize>,
 }
 
 impl DaemonHandle {
@@ -166,6 +167,15 @@ impl DaemonHandle {
     /// The accept loop notices within its poll interval.
     pub fn stop(&self) {
         self.stop.store(true, Ordering::Release);
+    }
+
+    /// Connection threads (each connection's reader and writer) still
+    /// alive. A thread's count drops only after its half of the stream
+    /// is closed, so 0 once every client has disconnected means no
+    /// thread or socket of theirs is left, whenever the OS reaps the
+    /// exited threads.
+    pub fn live_connection_threads(&self) -> usize {
+        self.live.load(Ordering::SeqCst)
     }
 
     /// Waits for every daemon thread to exit.
@@ -265,6 +275,8 @@ pub fn spawn_unix(path: &Path, config: &ServeConfig) -> std::io::Result<DaemonHa
     let stop = admission.stop.clone();
 
     let accept_stop = stop.clone();
+    let live = Arc::new(AtomicUsize::new(0));
+    let accept_live = live.clone();
     let accept = std::thread::Builder::new()
         .name("sdnd-serve-accept".into())
         .spawn(move || {
@@ -273,7 +285,7 @@ pub fn spawn_unix(path: &Path, config: &ServeConfig) -> std::io::Result<DaemonHa
                     break;
                 }
                 match listener.accept() {
-                    Ok((stream, _)) => serve_connection(stream, admission.clone()),
+                    Ok((stream, _)) => serve_connection(stream, admission.clone(), &accept_live),
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                         std::thread::sleep(Duration::from_millis(10));
                     }
@@ -289,21 +301,42 @@ pub fn spawn_unix(path: &Path, config: &ServeConfig) -> std::io::Result<DaemonHa
     Ok(DaemonHandle {
         threads: vec![worker, accept],
         stop,
+        live,
     })
+}
+
+/// Counts one connection thread in the daemon's live count from
+/// construction to drop.
+struct LiveGuard(Arc<AtomicUsize>);
+
+impl LiveGuard {
+    fn new(live: &Arc<AtomicUsize>) -> Self {
+        live.fetch_add(1, Ordering::SeqCst);
+        LiveGuard(live.clone())
+    }
+}
+
+impl Drop for LiveGuard {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 /// Per-connection fan-in/fan-out. The reader thread ends when the peer
 /// closes or the daemon shuts down; the writer thread ends when the
-/// last reply sender (reader + queued jobs) is gone.
-fn serve_connection(stream: UnixStream, admission: Admission) {
+/// last reply sender (reader + queued jobs) is gone. Each thread holds
+/// a [`LiveGuard`], declared first so that it drops last.
+fn serve_connection(stream: UnixStream, admission: Admission, live: &Arc<AtomicUsize>) {
     let write_half = match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
     };
     let (reply_tx, reply_rx) = std::sync::mpsc::channel::<String>();
+    let writer_live = LiveGuard::new(live);
     let writer = std::thread::Builder::new()
         .name("sdnd-serve-conn-writer".into())
         .spawn(move || {
+            let _live = writer_live;
             let mut out = std::io::BufWriter::new(write_half);
             for line in reply_rx {
                 if writeln!(out, "{line}").and_then(|()| out.flush()).is_err() {
@@ -311,9 +344,13 @@ fn serve_connection(stream: UnixStream, admission: Admission) {
                 }
             }
         });
+    let reader_live = LiveGuard::new(live);
     let reader = std::thread::Builder::new()
         .name("sdnd-serve-conn-reader".into())
         .spawn(move || {
+            let _live = reader_live;
+            // Moved into locals so that they, too, drop before the guard.
+            let (admission, reply_tx) = (admission, reply_tx);
             let reader = BufReader::new(stream);
             for line in reader.lines() {
                 let Ok(line) = line else { break };

@@ -1,26 +1,34 @@
 //! Soak / leak test: one daemon, hundreds of mixed requests through the
 //! framed Unix-socket protocol — including cancelled, overloaded, and
-//! panicking ones — with the process's thread count and open-fd count
-//! pinned before and after. Zero panics escape, zero hangs, zero leaks.
+//! panicking ones — with the daemon's live connection-thread count
+//! pinned to 0 once the clients have disconnected. Zero panics escape,
+//! zero hangs, zero leaks.
+//!
+//! The count is the daemon's own (a drop guard on each connection
+//! thread, dropped after its half of the stream), so the pin does not
+//! depend on when the OS reaps an exited thread or on what other tests
+//! in this binary have running, as a `/proc/self` thread or fd count
+//! would.
 
 use sdnd_serve::protocol::{classify_response, ResponseKind};
-use sdnd_serve::{spawn_unix, ServeConfig};
+use sdnd_serve::{spawn_unix, DaemonHandle, ServeConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-fn thread_count() -> usize {
-    let status = std::fs::read_to_string("/proc/self/status").expect("proc");
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|v| v.trim().parse().ok())
-        .expect("Threads: line")
-}
-
-fn fd_count() -> usize {
-    std::fs::read_dir("/proc/self/fd").expect("proc fd").count()
+/// Waits, up to ten seconds, until no connection thread of `handle` is
+/// left, and fails with the count otherwise.
+fn assert_connections_drain(handle: &DaemonHandle, when: &str) {
+    let started = Instant::now();
+    while handle.live_connection_threads() > 0 {
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "{when}: {} connection threads still alive",
+            handle.live_connection_threads()
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
 }
 
 fn tmp_socket(name: &str) -> PathBuf {
@@ -71,15 +79,7 @@ fn soak_mixed_requests_leak_free() {
         preload: Some("grid:12x12".into()),
     };
     let handle = spawn_unix(&path, &config).expect("bind daemon");
-
-    // Let the daemon's steady-state threads (worker + accept) come up
-    // before pinning the baseline.
-    let mut warmup = Client::connect(&path);
-    assert!(warmup.roundtrip("stats").starts_with("ok stats"));
-    drop(warmup);
-    std::thread::sleep(Duration::from_millis(100));
-    let threads_before = thread_count();
-    let fds_before = fd_count();
+    assert_eq!(handle.live_connection_threads(), 0);
 
     let mut served = 0usize;
     let mut cancelled = 0usize;
@@ -106,6 +106,8 @@ fn soak_mixed_requests_leak_free() {
                 ),
             };
             let resp = c.roundtrip(&line);
+            // Answered: the connection's reader and writer are running.
+            assert!(handle.live_connection_threads() >= 2);
             served += 1;
             match classify_response(&resp) {
                 ResponseKind::Ok | ResponseKind::OtherError => {}
@@ -141,6 +143,7 @@ fn soak_mixed_requests_leak_free() {
         "a 32-deep burst into a 4-slot queue must shed"
     );
     drop(burst);
+    assert_connections_drain(&handle, "after the soak clients");
 
     // The daemon is still coherent after everything above.
     let mut c = Client::connect(&path);
@@ -151,28 +154,9 @@ fn soak_mixed_requests_leak_free() {
     assert_eq!(classify_response(&resp), ResponseKind::Ok, "{resp}");
     assert_eq!(c.roundtrip("shutdown"), "ok shutting-down");
     drop(c);
+    // Leak pin: every connection's reader and writer thread, and with
+    // them its stream halves, must be gone.
+    assert_connections_drain(&handle, "after shutdown");
     handle.join();
-
-    // Leak pins: connection reader/writer threads and their fds must be
-    // gone; only the daemon's own two steady-state threads may have
-    // exited too (join() above). Allow a scheduler grace period.
-    let mut threads_after = thread_count();
-    let mut fds_after = fd_count();
-    for _ in 0..50 {
-        if threads_after <= threads_before && fds_after <= fds_before {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-        threads_after = thread_count();
-        fds_after = fd_count();
-    }
-    assert!(
-        threads_after <= threads_before,
-        "thread leak: {threads_before} before, {threads_after} after"
-    );
-    assert!(
-        fds_after <= fds_before,
-        "fd leak: {fds_before} before, {fds_after} after"
-    );
     let _ = std::fs::remove_file(&path);
 }
