@@ -34,9 +34,12 @@ fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Uniform in `[0, 1)` from the top 53 bits of a hash.
-fn u01(h: u64) -> f64 {
-    (h >> 11) as f64 * (1.0 / 9_007_199_254_740_992.0)
+/// The integer form of a probability draw: a hash's top 53 bits `x`
+/// satisfy `x · 2^-53 < p` exactly when `x < ceil(p · 2^53)` (both sides
+/// are exact in `f64`), so comparing against this cut gives the same
+/// fates as the uniform-`[0, 1)` comparison, without a float per draw.
+fn threshold(p: f64) -> u64 {
+    (p * 9_007_199_254_740_992.0).ceil() as u64
 }
 
 /// The fate the adversary assigns one message transmission.
@@ -92,8 +95,10 @@ impl CrashSpec {
 #[derive(Debug, Clone)]
 pub struct Adversary {
     seed: u64,
-    drop_p: f64,
-    dup_p: f64,
+    /// `threshold` of the per-attempt drop probability.
+    drop_cut: u64,
+    /// `threshold` of the duplicate-delivery probability.
+    dup_cut: u64,
     max_delay: u64,
     crashes: u32,
     crash_horizon: u64,
@@ -105,8 +110,8 @@ impl Adversary {
     pub fn new(seed: u64) -> Self {
         Adversary {
             seed,
-            drop_p: 0.0,
-            dup_p: 0.0,
+            drop_cut: 0,
+            dup_cut: 0,
             max_delay: 0,
             crashes: 0,
             crash_horizon: DEFAULT_CRASH_HORIZON,
@@ -115,13 +120,13 @@ impl Adversary {
 
     /// Sets the per-attempt drop probability (clamped to `[0, 1]`).
     pub fn with_drop_rate(mut self, p: f64) -> Self {
-        self.drop_p = p.clamp(0.0, 1.0);
+        self.drop_cut = threshold(p.clamp(0.0, 1.0));
         self
     }
 
     /// Sets the duplicate-delivery probability (clamped to `[0, 1]`).
     pub fn with_duplicate_rate(mut self, p: f64) -> Self {
-        self.dup_p = p.clamp(0.0, 1.0);
+        self.dup_cut = threshold(p.clamp(0.0, 1.0));
         self
     }
 
@@ -157,21 +162,33 @@ impl Adversary {
 
     /// Whether every knob is at its fault-free setting.
     pub fn is_zero_fault(&self) -> bool {
-        self.drop_p == 0.0 && self.dup_p == 0.0 && self.max_delay == 0 && self.crashes == 0
+        self.drop_cut == 0 && self.dup_cut == 0 && self.max_delay == 0 && self.crashes == 0
     }
 
     /// The fate of the message sent along directed edge `edge` during
     /// synchronizer pulse `pulse` — a pure function of
     /// `(seed, pulse, edge)`.
     pub fn transmit(&self, pulse: u64, edge: usize) -> Transmission {
-        if self.drop_p == 0.0 && self.dup_p == 0.0 && self.max_delay == 0 {
+        self.fate(self.pulse_key(pulse), edge)
+    }
+
+    /// The per-pulse half of the fate hash. A run derives it once per
+    /// pulse and hands it to [`fate`](Self::fate) for every send.
+    pub(crate) fn pulse_key(&self, pulse: u64) -> u64 {
+        splitmix64(self.seed ^ pulse)
+    }
+
+    /// [`transmit`](Self::transmit) for the pulse whose
+    /// [`pulse_key`](Self::pulse_key) is `key`.
+    pub(crate) fn fate(&self, key: u64, edge: usize) -> Transmission {
+        if self.drop_cut == 0 && self.dup_cut == 0 && self.max_delay == 0 {
             return CLEAN;
         }
-        let h = splitmix64(splitmix64(self.seed ^ pulse) ^ (edge as u64));
+        let h = splitmix64(key ^ (edge as u64));
         let mut retries = 0u32;
-        if self.drop_p > 0.0 {
+        if self.drop_cut > 0 {
             while retries < RETRY_LIMIT
-                && u01(splitmix64(h ^ SALT_DROP ^ (retries as u64))) < self.drop_p
+                && (splitmix64(h ^ SALT_DROP ^ (retries as u64)) >> 11) < self.drop_cut
             {
                 retries += 1;
             }
@@ -184,7 +201,7 @@ impl Adversary {
                 };
             }
         }
-        let duplicate = self.dup_p > 0.0 && u01(splitmix64(h ^ SALT_DUP)) < self.dup_p;
+        let duplicate = self.dup_cut > 0 && (splitmix64(h ^ SALT_DUP) >> 11) < self.dup_cut;
         let delay = if self.max_delay > 0 {
             splitmix64(h ^ SALT_DELAY) % (self.max_delay + 1)
         } else {
@@ -255,6 +272,26 @@ mod tests {
         let differs = (0..500).any(|e| a.transmit(3, e) != c.transmit(3, e));
         assert!(same, "same seed must reproduce the same schedule");
         assert!(differs, "different seeds should diverge somewhere");
+    }
+
+    #[test]
+    fn integer_cuts_draw_the_same_fates_as_uniform_floats() {
+        // The comparison the cuts replace: a uniform in [0, 1) from a
+        // hash's top 53 bits, against the probability itself.
+        let u01 = |h: u64| (h >> 11) as f64 * (1.0 / 9_007_199_254_740_992.0);
+        let probs = [0.0, 1e-300, 0.01, 0.05, 1.0 / 3.0, 0.5, 0.6, 0.999, 1.0];
+        for p in probs {
+            let cut = threshold(p);
+            for i in 0..20_000u64 {
+                let h = splitmix64(i ^ p.to_bits());
+                assert_eq!((h >> 11) < cut, u01(h) < p, "p = {p}, draw {i}");
+            }
+            // Draws right at the cut, where rounding would show.
+            for x in [cut.saturating_sub(1), cut, cut + 1] {
+                let x = x.min((1 << 53) - 1);
+                assert_eq!(x < cut, u01(x << 11) < p, "p = {p}, x = {x}");
+            }
+        }
     }
 
     #[test]

@@ -29,15 +29,14 @@
 //! layer that a fully decentralized deployment would replace with e.g. a
 //! spanning-tree convergecast, at the cost of extra control rounds.
 //!
-//! With a single worker shard the α-condition is checkable entirely
-//! locally, so the lane switches to a *streaming* mode: the worker
-//! free-runs pulses back-to-back (frontier-driven stepping, no ack or
-//! safety bookkeeping — none of it is observable without peers) while
-//! the conductor consumes its per-pulse reports with the exact gated
-//! accounting and budget semantics. Outcomes are identical either way;
-//! what the solo mode removes is the per-pulse cross-thread round trips,
-//! which dominate zero-fault overhead on high-diameter graphs (see
-//! `BENCH_async.json`).
+//! A run with a single shard has no peers to synchronize with, so it
+//! spawns no worker: it is the engine's sequential core with the lane's
+//! seeded transport (`transport.rs`), on the caller's thread. The core
+//! steps nodes from the engine's flat slot arena; the transport applies
+//! each send's adversary fate, crash prefix and crash schedule, with the
+//! same fault counters and crash events as the workers. Outcomes do not
+//! depend on the shard count (property-pinned in
+//! `tests/failure_injection.rs`).
 //!
 //! # Bit-identity under zero faults
 //!
@@ -68,6 +67,7 @@
 
 mod adversary;
 mod report;
+mod transport;
 mod worker;
 
 pub use adversary::{Adversary, CrashSpec, Transmission, DEFAULT_CRASH_HORIZON, RETRY_LIMIT};
@@ -86,6 +86,7 @@ use crate::engine::{Engine, EngineError, ParLayout, Protocol, RunOutcome};
 use crate::watchdog::Watchdog;
 use crate::RoundLedger;
 
+use transport::Seeded;
 use worker::{Event, LaneCtx, Report, Worker};
 
 /// Default pulse budget of the async lane — the documented analog of the
@@ -104,9 +105,9 @@ pub const MAX_WORKERS: usize = 64;
 pub struct AsyncConfig {
     /// The fault injector (zero-fault by default).
     pub adversary: Adversary,
-    /// Worker threads node tasks are multiplexed onto (clamped to
+    /// Worker shards node tasks are multiplexed onto (clamped to
     /// `1..=MAX_WORKERS`; outcomes are independent of this by
-    /// construction).
+    /// construction). One shard runs inline on the caller's thread.
     pub workers: usize,
     /// Pulse budget ([`DEFAULT_MAX_PULSES`] unless overridden).
     pub max_pulses: u64,
@@ -219,6 +220,31 @@ where
     let g = view.graph();
     let n = view.universe();
     let alive_list: Vec<NodeId> = view.nodes().collect();
+    let crash_of = cfg.adversary.crash_schedule(n, &alive_list);
+    let watchdog = Watchdog::pulses(cfg.max_pulses)
+        .with_wall_clock(cfg.wall_clock)
+        .with_deadline(cfg.deadline.clone());
+    // One shard: `ParLayout::carve` never splits one worker or one node.
+    if cfg.workers <= 1 || g.n() <= 1 {
+        let mut transport = Seeded::new(&cfg.adversary, &crash_of);
+        // A budget that is already spent fails before the first pulse,
+        // as it does in the gated lane's first wait.
+        let run = match watchdog.deadline() {
+            Some(at) if at <= Instant::now() => Err(watchdog.deadline_error("synchronizer-pulse")),
+            _ => engine.run_transported(view, protocol, &watchdog, &mut transport),
+        };
+        return match run {
+            Ok(outcome) => Ok(AsyncOutcome {
+                outcome,
+                report: transport.report,
+            }),
+            Err(error) => Err(Box::new(AsyncFailure {
+                error,
+                report: transport.report,
+            })),
+        };
+    }
+
     let mut alive = vec![false; n];
     for &v in &alive_list {
         alive[v.index()] = true;
@@ -235,7 +261,6 @@ where
             *w = s as u32;
         }
     }
-    let crash_of = cfg.adversary.crash_schedule(n, &alive_list);
     let crashes_planned = crash_of.iter().filter(|c| c.is_some()).count() as u64;
     let ctx = LaneCtx {
         engine,
@@ -249,9 +274,6 @@ where
         slot_bounds: &layout.slot_bounds,
         rev: g.reverse_edges(),
     };
-    let watchdog = Watchdog::pulses(cfg.max_pulses)
-        .with_wall_clock(cfg.wall_clock)
-        .with_deadline(cfg.deadline.clone());
 
     let mut event_txs: Vec<Sender<Event<P::Msg>>> = Vec::with_capacity(shards);
     let mut event_rxs: Vec<Receiver<Event<P::Msg>>> = Vec::with_capacity(shards);
@@ -274,6 +296,7 @@ where
         drop(report_tx);
         let mut conductor = Conductor {
             shards,
+            in_flight: 0,
             event_txs,
             report_rx,
             watchdog,
@@ -296,6 +319,8 @@ type PulseSlot = (bool, Option<EngineError>, RoundLedger, FaultReport);
 /// watchdog.
 struct Conductor<M, S> {
     shards: usize,
+    /// Shards whose `PulseDone` for the current pulse is still due.
+    in_flight: usize,
     event_txs: Vec<Sender<Event<M>>>,
     report_rx: Receiver<Report<S>>,
     watchdog: Watchdog,
@@ -305,53 +330,63 @@ struct Conductor<M, S> {
 
 impl<M, S> Conductor<M, S> {
     fn drive(&mut self, n: usize) -> Result<AsyncOutcome<S>, Box<AsyncFailure>> {
-        let pulses = if self.shards == 1 {
-            self.stream_pulses()
-        } else {
-            self.gate_pulses()
-        };
-        let rounds = match pulses {
-            Ok(r) => r,
-            Err(e) => return Err(self.fail(e)),
-        };
+        let pulses = self.gate_pulses();
+        if self.in_flight > 0 {
+            // A wait timed out mid-pulse: the workers are still busy.
+            let e = pulses.expect_err("only a failed wait leaves a pulse in flight");
+            return Err(self.fail(e));
+        }
+        // Every other exit — quiescence, a budget trip, a protocol error
+        // — finds the workers idle between pulses: collect, so a failed
+        // run's report is as complete as a finished one's.
+        match (pulses, self.collect(n)) {
+            (Ok(rounds), Ok(states)) => {
+                self.ledger.charge_rounds(rounds);
+                Ok(AsyncOutcome {
+                    outcome: RunOutcome {
+                        states,
+                        rounds,
+                        ledger: std::mem::replace(&mut self.ledger, RoundLedger::new()),
+                    },
+                    report: std::mem::take(&mut self.report),
+                })
+            }
+            (Err(e), _) | (_, Err(e)) => Err(self.fail(e)),
+        }
+    }
+
+    /// Ends the run at every (idle) worker: gathers the final states in
+    /// shard order, plus the fault counters of deliveries a shard
+    /// processed after its last `PulseDone` (late duplicates, acks, mail
+    /// to crashed nodes).
+    fn collect(&mut self, n: usize) -> Result<Vec<Option<S>>, EngineError> {
         for tx in &self.event_txs {
             let _ = tx.send(Event::Collect);
         }
         let mut chunks: Vec<Option<Vec<Option<S>>>> = (0..self.shards).map(|_| None).collect();
         for _ in 0..self.shards {
-            match self.recv() {
-                Ok(Report::States {
+            match self.recv()? {
+                Report::States {
                     shard,
                     states,
                     faults,
-                }) => {
-                    // Residual counters from deliveries a shard processed
-                    // after its last PulseDone (late duplicates, acks).
+                } => {
                     self.report.merge(&faults);
                     chunks[shard as usize] = Some(states);
                 }
-                Ok(Report::PulseDone { .. }) => unreachable!("no pulse in flight during collect"),
-                Err(e) => return Err(self.fail(e)),
+                Report::PulseDone { .. } => unreachable!("no pulse in flight during collect"),
             }
         }
         let mut states: Vec<Option<S>> = Vec::with_capacity(n);
         for chunk in chunks {
             states.extend(chunk.expect("every shard reports its states"));
         }
-        self.ledger.charge_rounds(rounds);
-        Ok(AsyncOutcome {
-            outcome: RunOutcome {
-                states,
-                rounds,
-                ledger: std::mem::replace(&mut self.ledger, RoundLedger::new()),
-            },
-            report: std::mem::take(&mut self.report),
-        })
+        Ok(states)
     }
 
-    /// The gated pulse loop (two or more shards): one go-ahead broadcast
-    /// and one `PulseDone` barrier per pulse. Pulse 0 is the init phase,
-    /// exactly like the engine's round 0.
+    /// The gated pulse loop: one go-ahead broadcast and one `PulseDone`
+    /// barrier per pulse. Pulse 0 is the init phase, exactly like the
+    /// engine's round 0.
     fn gate_pulses(&mut self) -> Result<u64, EngineError> {
         let mut rounds = 0u64;
         let mut any_pending = self.pulse(0)?;
@@ -364,41 +399,6 @@ impl<M, S> Conductor<M, S> {
         Ok(rounds)
     }
 
-    /// The streaming pulse loop (single shard): the worker free-runs
-    /// pulses on its own (see `Worker::free_run`) and the conductor
-    /// consumes the `PulseDone` stream. Deltas merge in the same order
-    /// and the watchdog fires at the same pulse index as the gated path,
-    /// so the two modes are observationally identical — this one just
-    /// never blocks the worker on a per-pulse grant.
-    fn stream_pulses(&mut self) -> Result<u64, EngineError> {
-        let _ = self.event_txs[0].send(Event::Pulse(0));
-        let mut rounds = 0u64;
-        loop {
-            match self.recv()? {
-                Report::PulseDone {
-                    sent_any,
-                    error,
-                    traffic,
-                    faults,
-                    ..
-                } => {
-                    self.ledger.merge_traffic(&traffic);
-                    self.report.merge(&faults);
-                    if let Some(e) = error {
-                        return Err(e);
-                    }
-                    if !sent_any {
-                        return Ok(rounds);
-                    }
-                    self.watchdog.check(rounds)?;
-                    rounds += 1;
-                    self.report.pulses = rounds;
-                }
-                Report::States { .. } => unreachable!("no collect in flight while pulsing"),
-            }
-        }
-    }
-
     /// Runs one global pulse: go-ahead to every worker, then one
     /// `PulseDone` per shard. Ledgers and fault deltas merge in shard
     /// (= node index) order; among erring shards the lowest wins,
@@ -407,9 +407,12 @@ impl<M, S> Conductor<M, S> {
         for tx in &self.event_txs {
             let _ = tx.send(Event::Pulse(r));
         }
+        self.in_flight = self.shards;
         let mut done: Vec<Option<PulseSlot>> = (0..self.shards).map(|_| None).collect();
-        for _ in 0..self.shards {
-            match self.recv()? {
+        while self.in_flight > 0 {
+            let report = self.recv()?;
+            self.in_flight -= 1;
+            match report {
                 Report::PulseDone {
                     shard,
                     sent_any,
@@ -667,6 +670,89 @@ mod tests {
             .with_wall_clock(Duration::ZERO);
         let err = run_async(&engine, &view, &kernel, &cfg).expect_err("deadline must trip");
         assert!(matches!(err.error, EngineError::WallClockExceeded { .. }));
+    }
+
+    /// Floods from node 0; node `culprit` breaks one send rule at its
+    /// first step instead of forwarding. A message declares its payload
+    /// as its size in bits.
+    struct Erring<'g> {
+        g: &'g Graph,
+        culprit: NodeId,
+        rule: Rule,
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Rule {
+        Oversize,
+        NotANeighbor,
+        TwoOnOneEdge,
+    }
+
+    impl Protocol for Erring<'_> {
+        type State = bool;
+        type Msg = u32;
+
+        fn init(&self, node: NodeId, out: &mut crate::Outbox<'_, u32>) -> bool {
+            if node.index() == 0 {
+                out.broadcast(1);
+            }
+            node.index() == 0
+        }
+
+        fn step(
+            &self,
+            node: NodeId,
+            seen: &mut bool,
+            _inbox: &[(NodeId, u32)],
+            out: &mut crate::Outbox<'_, u32>,
+        ) {
+            if std::mem::replace(seen, true) {
+                return;
+            }
+            if node != self.culprit {
+                out.broadcast(1);
+                return;
+            }
+            let first = self.g.neighbors(node)[0];
+            match self.rule {
+                Rule::Oversize => out.broadcast(10_000),
+                Rule::NotANeighbor => out.send(NodeId::new(self.g.n() - 1), 1),
+                Rule::TwoOnOneEdge => {
+                    out.send(first, 1);
+                    out.send(first, 1);
+                }
+            }
+        }
+
+        fn bits(&self, msg: &u32) -> u32 {
+            *msg
+        }
+    }
+
+    #[test]
+    fn erring_protocols_fail_as_on_the_engine() {
+        let g = gen::grid(5, 5);
+        let view = g.full_view();
+        let engine = engine_for(&g);
+        for rule in [Rule::Oversize, Rule::NotANeighbor, Rule::TwoOnOneEdge] {
+            let kernel = Erring {
+                g: &g,
+                culprit: NodeId::new(12),
+                rule,
+            };
+            let sync = engine.run(&view, &kernel).expect_err("the culprit errs");
+            assert!(matches!(
+                (rule, &sync),
+                (Rule::Oversize, EngineError::MessageTooLarge { .. })
+                    | (Rule::NotANeighbor, EngineError::NotANeighbor { .. })
+                    | (Rule::TwoOnOneEdge, EngineError::DuplicateEdgeMessage { .. })
+            ));
+            for workers in [1, 3] {
+                let cfg = AsyncConfig::default().with_workers(workers);
+                let lane = run_async(&engine, &view, &kernel, &cfg).expect_err("the culprit errs");
+                assert_eq!(lane.error, sync, "{rule:?} on {workers} workers");
+            }
+        }
     }
 
     #[test]

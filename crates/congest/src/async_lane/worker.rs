@@ -1,6 +1,10 @@
 //! The async lane's worker tasks: event-driven hosts for contiguous node
 //! shards, implementing the per-node α-synchronizer machinery.
 //!
+//! Workers serve runs of two or more shards only. A one-shard run needs
+//! no synchronizer: it is the engine's sequential core with the seeded
+//! transport (`transport.rs`), on the caller's thread.
+//!
 //! Each worker owns one `mpsc` receiver and blocks *only* on it; every
 //! incoming event (pulse go-ahead, payload batch, ack batch, safety
 //! notice, crash notice, collect, abort) is handled to completion without
@@ -24,7 +28,7 @@
 //! the module docs in `mod.rs`).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{Receiver, Sender};
 
 use sdnd_graph::{Graph, NodeId};
 
@@ -146,7 +150,6 @@ pub(crate) struct Worker<'a, P: Protocol> {
     states: Vec<Option<P::State>>,
     slots: Vec<Slot<P::Msg>>,
     sent: Vec<usize>,
-    to_send: Vec<usize>,
     inbox: Vec<(NodeId, P::Msg)>,
     /// Per local node round-parity delivery buffers.
     bufs: Vec<ParityBufs<P::Msg>>,
@@ -170,19 +173,6 @@ pub(crate) struct Worker<'a, P: Protocol> {
     /// started yet (peers can be at most one pulse ahead; applied at
     /// `begin_pulse`).
     early_safes: Vec<(u64, u32)>,
-
-    /// Single-shard mode: every node is local, so the synchronizer's
-    /// ack/safety machinery has no observable effect and is skipped
-    /// wholesale (see `solo_pulse`).
-    solo: bool,
-    /// Solo mode: nodes that received mail for the next pulse (the
-    /// stepping frontier, deduplicated by first delivery).
-    solo_next: Vec<usize>,
-    /// Solo mode: recycled frontier allocation.
-    solo_spare: Vec<usize>,
-    /// Solo mode: this shard's scheduled crash faults as `(pulse, node)`,
-    /// merged into the frontier so zero-mail crashes still fire.
-    solo_crashes: Vec<(u64, usize)>,
 
     // Outgoing batches, flushed after every handled event.
     out_packets: Vec<Vec<Packet<P::Msg>>>,
@@ -214,18 +204,14 @@ impl<'a, P: Protocol> Worker<'a, P> {
         let len = hi - lo;
         let shards = peers.len();
         let mut alive_deg = vec![0u32; len];
-        // Solo mode never consults degrees (no safety machinery), so
-        // skip the O(m) neighbor scan there.
-        if shards > 1 {
-            for v in lo..hi {
-                if ctx.alive[v] {
-                    alive_deg[v - lo] = ctx
-                        .g
-                        .neighbors(NodeId::new(v))
-                        .iter()
-                        .filter(|u| ctx.alive[u.index()])
-                        .count() as u32;
-                }
+        for v in lo..hi {
+            if ctx.alive[v] {
+                alive_deg[v - lo] = ctx
+                    .g
+                    .neighbors(NodeId::new(v))
+                    .iter()
+                    .filter(|u| ctx.alive[u.index()])
+                    .count() as u32;
             }
         }
         Worker {
@@ -240,7 +226,6 @@ impl<'a, P: Protocol> Worker<'a, P> {
             states: (0..len).map(|_| None).collect(),
             slots: slot_array(slot_hi - slot_lo),
             sent: Vec::new(),
-            to_send: Vec::new(),
             inbox: Vec::new(),
             bufs: (0..len).map(|_| [Vec::new(), Vec::new()]).collect(),
             in_stamp: vec![0; ctx.g.directed_edges()],
@@ -255,16 +240,6 @@ impl<'a, P: Protocol> Worker<'a, P> {
             active: false,
             done_sent: true,
             early_safes: Vec::new(),
-            solo: shards == 1,
-            solo_next: Vec::new(),
-            solo_spare: Vec::new(),
-            solo_crashes: if shards == 1 {
-                (lo..hi)
-                    .filter_map(|v| ctx.crash_of[v].map(|c| (c.pulse, v)))
-                    .collect()
-            } else {
-                Vec::new()
-            },
             out_packets: (0..shards).map(|_| Vec::new()).collect(),
             out_acks: (0..shards).map(|_| Vec::new()).collect(),
             out_safes: (0..shards).map(|_| Vec::new()).collect(),
@@ -285,15 +260,7 @@ impl<'a, P: Protocol> Worker<'a, P> {
                 Err(_) => break,
             };
             match ev {
-                Event::Pulse(r) => {
-                    if self.peers.len() == 1 {
-                        if self.free_run(r) {
-                            break;
-                        }
-                    } else {
-                        self.begin_pulse(r)
-                    }
-                }
+                Event::Pulse(r) => self.begin_pulse(r),
                 Event::Packets(batch) => {
                     for p in batch {
                         self.deliver_remote(p);
@@ -327,94 +294,6 @@ impl<'a, P: Protocol> Worker<'a, P> {
             self.flush();
             self.maybe_done();
         }
-    }
-
-    /// Single-shard fast path: when this worker hosts every node, the
-    /// α-condition (self safe + all alive neighbors safe) is checkable
-    /// entirely locally, so the worker advances pulses back-to-back
-    /// instead of blocking on per-pulse conductor grants. The per-pulse
-    /// `PulseDone` reports still stream out unchanged — the conductor
-    /// consumes them with the exact gated-path accounting and budget
-    /// semantics — so outcomes stay bit-identical; what disappears is the
-    /// two cross-thread handoffs per pulse, which dominate zero-fault
-    /// overhead on high-diameter graphs. Returns `true` when the event
-    /// loop should exit (abort or closed channel).
-    fn free_run(&mut self, start: u64) -> bool {
-        debug_assert_eq!(self.peers.len(), 1, "free-run requires a single shard");
-        let mut r = start;
-        loop {
-            self.solo_pulse(r);
-            debug_assert_eq!(
-                self.unfinished, 0,
-                "single shard: every node settles within its own pulse"
-            );
-            let stop = !self.sent_any || self.error.is_some();
-            self.maybe_done();
-            if stop {
-                // Quiesced (the conductor will send `Collect`) or erred
-                // (the conductor will send `Abort`): fall back to the
-                // blocking event loop either way.
-                return false;
-            }
-            // Between pulses, poll control traffic without blocking: the
-            // only sender is the conductor, and the only thing it sends
-            // while pulses are in flight is `Abort` (budget trips), so a
-            // single non-empty receive always terminates the free run.
-            match self.rx.try_recv() {
-                Ok(Event::Abort) => return true,
-                Ok(_) => unreachable!("single shard has no peers and no collect mid-pulse"),
-                Err(TryRecvError::Empty) => {}
-                Err(TryRecvError::Disconnected) => return true,
-            }
-            r += 1;
-        }
-    }
-
-    /// One pulse in solo (single-shard) mode. Every delivery is local and
-    /// immediate, so no node ever waits for an ack or a safety notice —
-    /// the entire α-machinery (`pending`/`safe`/`unsafe_nbrs`/`ready`) is
-    /// unobservable and skipped. Stepping is driven by a frontier list
-    /// (nodes holding round-`r` mail, plus this pulse's scheduled crash
-    /// faults) sorted into index order, so the step sequence — and with
-    /// it every outcome, charge, and error — is identical to the gated
-    /// path, which visits all nodes but steps exactly the same subset
-    /// under the mail-stamp gate.
-    fn solo_pulse(&mut self, r: u64) {
-        self.pulse = r;
-        self.active = true;
-        self.done_sent = false;
-        self.sent_any = false;
-        self.error = None;
-        self.traffic = RoundLedger::new();
-        // `faults` keeps accumulating, exactly as in `begin_pulse`.
-        if r == 0 {
-            for v in self.lo..self.hi {
-                if self.ctx.alive[v] && self.error.is_none() {
-                    self.step_node(v, 0);
-                }
-            }
-        } else {
-            let mut frontier =
-                std::mem::replace(&mut self.solo_next, std::mem::take(&mut self.solo_spare));
-            for &(p, v) in &self.solo_crashes {
-                if p == r {
-                    frontier.push(v);
-                }
-            }
-            frontier.sort_unstable();
-            frontier.dedup();
-            for &v in &frontier {
-                if !self.dead[v - self.lo] && self.error.is_none() {
-                    self.step_node(v, r);
-                }
-            }
-            frontier.clear();
-            self.solo_spare = frontier;
-        }
-        debug_assert_eq!(
-            self.unfinished, 0,
-            "solo mode never counts unfinished nodes"
-        );
     }
 
     fn begin_pulse(&mut self, r: u64) {
@@ -526,30 +405,23 @@ impl<'a, P: Protocol> Worker<'a, P> {
         }
         // Budget-check and charge the ledger through the engine's own
         // accountant, keeping the send list for the transport below.
-        self.to_send.clear();
-        self.to_send.extend_from_slice(&self.sent);
-        match ctx.engine.account(
+        if let Err(e) = ctx.engine.account(
             ctx.protocol,
-            ctx.g,
             node,
             self.slot_lo,
             &self.slots,
-            &mut self.sent,
+            &self.sent,
             &mut latched,
             &mut self.traffic,
-            |_| {},
         ) {
-            Ok(any) => self.sent_any |= any,
-            Err(e) => {
-                self.error = Some(e);
-                self.sent.clear();
-                self.to_send.clear();
-                self.mark_safe(v);
-                return;
-            }
+            self.error = Some(e);
+            self.sent.clear();
+            self.mark_safe(v);
+            return;
         }
+        self.sent_any |= !self.sent.is_empty();
         // Transport: a crashing node emits only a prefix of its sends.
-        let to_send = std::mem::take(&mut self.to_send);
+        let mut to_send = std::mem::take(&mut self.sent);
         let limit = match crash {
             Some(c) => c.prefix(to_send.len()),
             None => to_send.len(),
@@ -558,7 +430,8 @@ impl<'a, P: Protocol> Worker<'a, P> {
             self.transmit_edge(v, e, r);
         }
         let suppressed = to_send.len() - limit;
-        self.to_send = to_send;
+        to_send.clear();
+        self.sent = to_send;
         if let Some(_c) = crash {
             self.faults.suppressed_by_crash += suppressed as u64;
             self.faults.crashed.push(CrashEvent {
@@ -666,14 +539,7 @@ impl<'a, P: Protocol> Worker<'a, P> {
             "round-stamp dedup must catch every duplicate copy"
         );
         self.in_stamp[e] = round;
-        let buf = &mut self.bufs[i][(round % 2) as usize];
-        buf.push((sender, msg));
-        if self.solo && buf.len() == 1 {
-            // First mail for `dst` this round: it joins the next solo
-            // stepping frontier (all solo deliveries carry `round =
-            // current pulse + 1`, so one list suffices).
-            self.solo_next.push(dst);
-        }
+        self.bufs[i][(round % 2) as usize].push((sender, msg));
     }
 
     fn deliver_remote(&mut self, p: Packet<P::Msg>) {
@@ -705,11 +571,6 @@ impl<'a, P: Protocol> Worker<'a, P> {
     /// neighbors directly, batch one notice per peer worker that hosts a
     /// neighbor.
     fn mark_safe(&mut self, v: usize) {
-        if self.solo {
-            // Solo mode: nobody consumes safety (no peers, and
-            // `solo_pulse` never counts unfinished nodes).
-            return;
-        }
         let i = v - self.lo;
         debug_assert!(!self.safe[i]);
         self.safe[i] = true;
@@ -831,12 +692,6 @@ impl<'a, P: Protocol> Worker<'a, P> {
         self.dead[i] = true;
         self.bufs[i][0].clear();
         self.bufs[i][1].clear();
-        if self.solo {
-            // No degrees or notices to settle: the schedule-based
-            // `to_crashed` guard in `deliver_local` and the `dead` flag
-            // carry the whole effect.
-            return;
-        }
         self.unfinished -= 1;
         let nbrs = self.ctx.g.neighbors(NodeId::new(v));
         let mut remote: u64 = 0;

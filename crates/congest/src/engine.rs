@@ -131,7 +131,8 @@ pub(crate) struct Slot<M> {
 }
 
 impl<M> Slot<M> {
-    fn empty() -> Self {
+    /// A slot no round reads.
+    pub(crate) fn empty() -> Self {
         Slot {
             round: 0,
             msg: None,
@@ -187,6 +188,66 @@ struct EpochGuard<'a> {
 impl Drop for EpochGuard<'_> {
     fn drop(&mut self) {
         *self.base = self.next_base;
+    }
+}
+
+/// What the sequential core does with the sends a step leaves in the
+/// slot arena — the one seam between the engine and the async lane.
+///
+/// The engine's [`Reliable`] transport delivers every send and leaves
+/// every other hook an inlined no-op, so [`Engine::run`] and sessions
+/// compile to the plain loop. The async lane's seeded transport
+/// (`async_lane::transport`) runs a single-shard lane through the same
+/// loop: it fates each send by its adversary and drops what the
+/// adversary or a crash loses.
+pub(crate) trait Transport {
+    /// Whether a round may visit a node with an empty inbox (the lane's
+    /// crash faults fire at nodes without mail); such a node does not
+    /// step, and its `carry` gets no sends. `false` compiles that check
+    /// away.
+    const VISITS_IDLE: bool;
+
+    /// Round `r` begins (0 = the init phase); `mail` holds its has-mail
+    /// stamps, `stamp` for a node that steps this round.
+    fn begin_round(&mut self, _r: u64, _stamp: u64, _mail: &mut [u64]) {}
+
+    /// Carries the round-`r` sends of `from`, listed in `sent` in send
+    /// order and already charged to the ledger, to their receivers: marks
+    /// `next_mail` with `stamp` for each receiver that gets its message,
+    /// empties the slot of each one that does not, and clears `sent`.
+    #[allow(clippy::too_many_arguments)]
+    fn carry<M>(
+        &mut self,
+        g: &Graph,
+        from: NodeId,
+        r: u64,
+        sent: &mut Vec<usize>,
+        slots: &mut [Slot<M>],
+        next_mail: &mut [u64],
+        stamp: u64,
+    );
+}
+
+/// The engine's transport: every send arrives.
+pub(crate) struct Reliable;
+
+impl Transport for Reliable {
+    const VISITS_IDLE: bool = false;
+
+    fn carry<M>(
+        &mut self,
+        g: &Graph,
+        _from: NodeId,
+        _r: u64,
+        sent: &mut Vec<usize>,
+        _slots: &mut [Slot<M>],
+        next_mail: &mut [u64],
+        stamp: u64,
+    ) {
+        for &e in sent.iter() {
+            next_mail[g.edge_head(e).index()] = stamp;
+        }
+        sent.clear();
     }
 }
 
@@ -461,23 +522,20 @@ fn pool_worker<P: Protocol>(
                 let st = states[i - node_lo].as_mut().expect("alive node has state");
                 protocol.step(v, st, &inbox, &mut out);
             }
-            match engine.account(
+            if let Err(e) = engine.account(
                 protocol,
-                g,
                 v,
                 slot_base,
                 &back_chunk,
-                &mut sent,
+                &sent,
                 &mut error,
                 &mut ledger,
-                |recv| recipients.push(recv),
             ) {
-                Ok(a) => any |= a,
-                Err(e) => {
-                    error = Some(e);
-                    break;
-                }
+                error = Some(e);
+                break;
             }
+            any |= !sent.is_empty();
+            recipients.extend(sent.drain(..).map(|e| g.edge_head(e)));
         }
         // Release the shared buffers before reporting, so the conductor
         // can reclaim them without copying.
@@ -792,11 +850,11 @@ impl Engine {
     }
 
     /// Selects the stepping lane: `threads <= 1` steps nodes sequentially;
-    /// larger values shard the nodes over that many scoped threads per
-    /// round. Both lanes produce bit-identical [`RunOutcome`]s (see the
-    /// module docs for the argument); the parallel lane pays a
-    /// thread-scope setup per round and earns it back on message-heavy
-    /// rounds.
+    /// larger values shard the nodes over a pool of that many scoped
+    /// threads. Both lanes produce bit-identical [`RunOutcome`]s (see the
+    /// module docs for the argument); the parallel lane spawns its pool
+    /// once per run, pays a channel round trip per round, and earns both
+    /// back on message-heavy rounds.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -839,30 +897,25 @@ impl Engine {
         }
     }
 
-    /// Budget-checks and records the messages `from` just wrote into
-    /// `slots` (listed in `sent`), invoking `mark` with each recipient.
-    /// Returns whether anything was sent. `pub(crate)` so the async lane
-    /// charges its ledger through the same code path.
+    /// Surfaces the send-rule violation `from`'s outbox latched, if any,
+    /// then budget-checks and charges the messages it just wrote into
+    /// `slots` (listed in `sent`). `pub(crate)` so the async lane charges
+    /// its ledger through the same code path.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn account<P: Protocol>(
         &self,
         protocol: &P,
-        g: &Graph,
         from: NodeId,
         slot_base: usize,
         slots: &[Slot<P::Msg>],
-        sent: &mut Vec<usize>,
+        sent: &[usize],
         error: &mut Option<EngineError>,
         ledger: &mut RoundLedger,
-        mut mark: impl FnMut(NodeId),
-    ) -> Result<bool, EngineError> {
+    ) -> Result<(), EngineError> {
         if let Some(e) = error.take() {
             return Err(e);
         }
-        if sent.is_empty() {
-            return Ok(false);
-        }
-        for &e in sent.iter() {
+        for &e in sent {
             let msg = slots[e - slot_base]
                 .msg
                 .as_ref()
@@ -876,10 +929,14 @@ impl Engine {
                 });
             }
             ledger.record_messages(1, bits);
-            mark(g.edge_head(e));
         }
-        sent.clear();
-        Ok(true)
+        Ok(())
+    }
+
+    /// The watchdog of one synchronous run: the round limit and the
+    /// engine's request deadline.
+    fn watchdog(&self) -> Watchdog {
+        Watchdog::rounds(self.max_rounds).with_deadline(self.deadline.clone())
     }
 
     /// Runs `protocol` on the sequential lane regardless of the
@@ -903,6 +960,24 @@ impl Engine {
         A: Adjacency,
         P: Protocol,
     {
+        self.run_transported(view, protocol, &self.watchdog(), &mut Reliable)
+    }
+
+    /// A one-shot sequential run through `transport` under `watchdog`:
+    /// [`run_sequential`](Self::run_sequential) with the reliable
+    /// transport, and a single-shard async-lane run with its seeded one.
+    pub(crate) fn run_transported<A, P, T>(
+        &self,
+        view: &A,
+        protocol: &P,
+        watchdog: &Watchdog,
+        transport: &mut T,
+    ) -> Result<RunOutcome<P::State>, EngineError>
+    where
+        A: Adjacency,
+        P: Protocol,
+        T: Transport,
+    {
         let g = view.graph();
         let n = view.universe();
         let alive_list: Vec<NodeId> = view.nodes().collect();
@@ -916,27 +991,33 @@ impl Engine {
             protocol,
             &alive,
             &alive_list,
-            g.reverse_edges(),
             &mut arena,
+            watchdog,
+            transport,
         )
     }
 
     /// The sequential core, stepping through a caller-provided arena
-    /// (fresh for one-shot runs, reused by [`EngineSession`]).
-    fn run_sequential_with<A, P>(
+    /// (fresh for one-shot runs, reused by [`EngineSession`]) and handing
+    /// every step's sends to `transport`.
+    #[allow(clippy::too_many_arguments)]
+    fn run_sequential_with<A, P, T>(
         &self,
         view: &A,
         protocol: &P,
         alive: &[bool],
         alive_list: &[NodeId],
-        rev: &[usize],
         arena: &mut SeqArena<P::Msg>,
+        watchdog: &Watchdog,
+        transport: &mut T,
     ) -> Result<RunOutcome<P::State>, EngineError>
     where
         A: Adjacency,
         P: Protocol,
+        T: Transport,
     {
         let g = view.graph();
+        let rev = g.reverse_edges();
         let n = view.universe();
         let mut states: Vec<Option<P::State>> = (0..n).map(|_| None).collect();
         let mut ledger = RoundLedger::new();
@@ -952,6 +1033,7 @@ impl Engine {
         arena.sent.clear();
 
         // Init phase (round 0): create states; first sends go to round 1.
+        transport.begin_round(0, base, &mut arena.cur_mail);
         let mut any_pending = false;
         for &v in alive_list {
             let mut out = Outbox {
@@ -968,23 +1050,27 @@ impl Engine {
             };
             let st = protocol.init(v, &mut out);
             states[v.index()] = Some(st);
-            match self.account(
+            self.account(
                 protocol,
-                g,
                 v,
                 0,
                 &arena.next,
-                &mut arena.sent,
+                &arena.sent,
                 &mut error,
                 &mut ledger,
-                |recv| arena.next_mail[recv.index()] = base + 1,
-            ) {
-                Ok(a) => any_pending |= a,
-                Err(e) => return Err(e),
-            }
+            )?;
+            any_pending |= !arena.sent.is_empty();
+            transport.carry(
+                g,
+                v,
+                0,
+                &mut arena.sent,
+                &mut arena.next,
+                &mut arena.next_mail,
+                base + 1,
+            );
         }
 
-        let watchdog = Watchdog::rounds(self.max_rounds).with_deadline(self.deadline.clone());
         let mut rounds = 0u64;
         while any_pending {
             watchdog.check(rounds)?;
@@ -994,6 +1080,7 @@ impl Engine {
             std::mem::swap(&mut arena.cur, &mut arena.next);
             std::mem::swap(&mut arena.cur_mail, &mut arena.next_mail);
             let stamp = base + rounds;
+            transport.begin_round(rounds, stamp, &mut arena.cur_mail);
 
             for &v in alive_list {
                 if arena.cur_mail[v.index()] != stamp {
@@ -1014,6 +1101,18 @@ impl Engine {
                         arena.inbox.push((u, msg));
                     }
                 }
+                if T::VISITS_IDLE && arena.inbox.is_empty() {
+                    transport.carry(
+                        g,
+                        v,
+                        rounds,
+                        &mut arena.sent,
+                        &mut arena.next,
+                        &mut arena.next_mail,
+                        stamp + 1,
+                    );
+                    continue;
+                }
                 let st = states[v.index()].as_mut().expect("alive node has state");
                 let mut out = Outbox {
                     from: v,
@@ -1028,20 +1127,25 @@ impl Engine {
                     error: &mut error,
                 };
                 protocol.step(v, st, &arena.inbox, &mut out);
-                match self.account(
+                self.account(
                     protocol,
-                    g,
                     v,
                     0,
                     &arena.next,
-                    &mut arena.sent,
+                    &arena.sent,
                     &mut error,
                     &mut ledger,
-                    |recv| arena.next_mail[recv.index()] = stamp + 1,
-                ) {
-                    Ok(a) => any_pending |= a,
-                    Err(e) => return Err(e),
-                }
+                )?;
+                any_pending |= !arena.sent.is_empty();
+                transport.carry(
+                    g,
+                    v,
+                    rounds,
+                    &mut arena.sent,
+                    &mut arena.next,
+                    &mut arena.next_mail,
+                    stamp + 1,
+                );
             }
         }
 
@@ -1156,8 +1260,7 @@ impl Engine {
             let res = (|| {
                 let mut ledger = RoundLedger::new();
                 let mut any_pending = conductor.phase(0, &mut ledger).map_err(|e| (e, 0))?;
-                let watchdog =
-                    Watchdog::rounds(self.max_rounds).with_deadline(self.deadline.clone());
+                let watchdog = self.watchdog();
                 let mut rounds = 0u64;
                 while any_pending {
                     watchdog.check(rounds).map_err(|e| (e, rounds))?;
@@ -1351,8 +1454,9 @@ impl<'g> EngineSession<'g> {
             protocol,
             &self.alive,
             &self.alive_list,
-            self.graph.reverse_edges(),
             arena,
+            &self.engine.watchdog(),
+            &mut Reliable,
         )
     }
 

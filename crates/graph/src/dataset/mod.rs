@@ -335,7 +335,10 @@ pub fn load_edge_list(path: &Path, opts: &LoadOptions) -> Result<Graph, DatasetE
             // checked separately so the diagnostic carries the line.
             crate::csr::validate_edge(bound, u, v, 1.0).map_err(|e| match e {
                 GraphError::NodeOutOfRange { node, .. } if opts.nodes.is_none() => {
-                    DatasetError::Graph(GraphError::TooManyNodes { n: node + 1 })
+                    // Saturating: the index may be `usize::MAX` itself.
+                    DatasetError::Graph(GraphError::TooManyNodes {
+                        n: node.saturating_add(1),
+                    })
                 }
                 other => DatasetError::Graph(other),
             })?;
@@ -570,14 +573,15 @@ mod tests {
             DatasetError::Graph(GraphError::NodeOutOfRange { node: 9, n: 4 })
         ));
         // Oversize indices come back as TooManyNodes, not a panic (and
-        // not a 32 GB allocation).
-        let huge = format!("0 {}\n", u32::MAX as u64 + 1);
-        let p = write("huge.txt", huge.as_bytes());
-        let err = load_edge_list(&p, &LoadOptions::default()).unwrap_err();
-        assert!(matches!(
-            err,
-            DatasetError::Graph(GraphError::TooManyNodes { .. })
-        ));
+        // not a 32 GB allocation), up to the largest `usize`.
+        for huge in [u32::MAX as u64 + 1, usize::MAX as u64] {
+            let p = write("huge.txt", format!("0 {huge}\n").as_bytes());
+            let err = load_edge_list(&p, &LoadOptions::default()).unwrap_err();
+            assert!(matches!(
+                err,
+                DatasetError::Graph(GraphError::TooManyNodes { .. })
+            ));
+        }
         // A missing file is an Io error that names the path.
         let missing = dir().join("nope.txt");
         let err = load_edge_list(&missing, &LoadOptions::default()).unwrap_err();

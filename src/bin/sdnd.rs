@@ -121,7 +121,8 @@ commands:
              once, reused) and reports the amortized per-run wall time.
              --lane async runs node tasks over real channels under an
              α-synchronizer with a seeded fault adversary (T = worker
-             threads; --max-rounds bounds synchronizer pulses, default
+             shards, T = 1 runs inline on the calling thread;
+             --max-rounds bounds synchronizer pulses, default
              1000000); zero-fault async runs are cross-checked
              bit-for-bit against the synchronous engine, faulted runs
              are label-validated and exit nonzero with a structured
@@ -977,7 +978,7 @@ fn simulate_async(
         println!("cross-check:    bit-identical to the synchronous engine");
     }
     if repeat > 1 {
-        println!("runs:           {repeat} (fresh channels and workers per run)");
+        println!("runs:           {repeat} (a fresh lane per run)");
         println!(
             "amortized:      {:.3} ms/run",
             elapsed.as_secs_f64() * 1e3 / repeat as f64

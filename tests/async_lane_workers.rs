@@ -1,6 +1,7 @@
 //! The async lane's teardown audit as a regression test: every exit path
 //! of `run_async` — clean completion, a watchdog failure, a faulted run —
-//! drops every worker it started before it returns.
+//! drops every worker it started before it returns, and a one-shard run,
+//! which steps inline on the caller's thread, starts none.
 //!
 //! The check reads the lane's own live-worker count, which a drop guard
 //! on each worker keeps. That count is process-wide, so this file is a
@@ -17,7 +18,8 @@ use sdnd::prelude::*;
 use sdnd_graph::gen;
 
 /// Delegates to `inner` and records the largest live-worker count any
-/// of its steps observes (steps run on the lane's workers).
+/// of its inits and steps observes: at least its own worker when the run
+/// has two or more shards, 0 when a one-shard run steps inline.
 struct Observed<'a, P> {
     inner: &'a P,
     seen: AtomicUsize,
@@ -28,6 +30,7 @@ impl<P: Protocol> Protocol for Observed<'_, P> {
     type Msg = P::Msg;
 
     fn init(&self, node: NodeId, out: &mut Outbox<'_, Self::Msg>) -> Self::State {
+        self.seen.fetch_max(live_workers(), Ordering::SeqCst);
         self.inner.init(node, out)
     }
 
@@ -60,18 +63,23 @@ fn async_lane_never_leaks_threads() {
     assert_eq!(live_workers(), 0, "no async run has started yet");
     for i in 0..40 {
         // Alternate clean completions, watchdog failures, and faulted
-        // runs — every exit path must drop its workers.
+        // runs — every exit path must drop its workers — each on one
+        // shard and on several.
+        let workers = 1 + i % 4;
         let cfg = match i % 3 {
-            0 => AsyncConfig::default().with_workers(1 + i % 4),
-            1 => AsyncConfig::default().with_workers(2).with_max_pulses(1),
-            _ => AsyncConfig::new(Adversary::new(i as u64).with_drop_rate(0.5).with_crashes(2))
-                .with_workers(3),
-        };
+            0 => AsyncConfig::default(),
+            1 => AsyncConfig::default().with_max_pulses(1),
+            _ => AsyncConfig::new(Adversary::new(i as u64).with_drop_rate(0.5).with_crashes(2)),
+        }
+        .with_workers(workers);
+        observed.seen.store(0, Ordering::SeqCst);
         let _ = run_async(&engine, &view, &observed, &cfg);
+        let seen = observed.seen.load(Ordering::SeqCst);
+        if workers == 1 {
+            assert_eq!(seen, 0, "run {i}: one shard runs inline, without workers");
+        } else {
+            assert!(seen >= 1, "run {i}: the count sees the workers it guards");
+        }
         assert_eq!(live_workers(), 0, "run {i} returned with a worker alive");
     }
-    assert!(
-        observed.seen.load(Ordering::SeqCst) >= 1,
-        "the count sees the workers it guards"
-    );
 }

@@ -204,7 +204,7 @@ fn end_to_end_outputs_survive_reinjection() {
 
 use proptest::prelude::*;
 use sdnd::congest::{
-    bits_for_value, primitives, run_async, Adversary, AsyncConfig, Engine, Protocol,
+    bits_for_value, primitives, run_async, Adversary, AsyncConfig, Engine, FaultReport, Protocol,
 };
 use sdnd::core::decompose_under_faults;
 use sdnd_graph::gen::WeightDist;
@@ -369,5 +369,117 @@ proptest! {
         prop_assert_eq!(a.report.class_rows(), b.report.class_rows());
         prop_assert_eq!(&a.outcome.states, &c.outcome.states, "same seed, different worker count");
         prop_assert_eq!(a.report.class_rows(), c.report.class_rows());
+    }
+}
+
+/// Runs `kernel` under `cfg` on one worker shard (inline, through the
+/// engine's sequential core) and on three (the gated α-synchronizer), and
+/// asserts the two agree: states, rounds, ledger, fault-class rows and
+/// crash events on completion, or the same error and class rows on a
+/// budget trip. Crash events are compared in (pulse, node) order — the
+/// report lists them per shard.
+fn assert_shard_count_independent<A, P>(
+    g: &Graph,
+    view: &A,
+    kernel: &P,
+    cfg: &AsyncConfig,
+) -> Result<(), TestCaseError>
+where
+    A: Adjacency,
+    P: Protocol + Sync,
+    P::State: Send + PartialEq + std::fmt::Debug,
+    P::Msg: Send + Sync,
+{
+    let engine = Engine::new(CostModel::congest_for(g.n()));
+    let run = |workers| run_async(&engine, view, kernel, &cfg.clone().with_workers(workers));
+    let crashes = |r: &FaultReport| {
+        let mut events = r.crashed.clone();
+        events.sort_by_key(|c| (c.pulse, c.node));
+        events
+    };
+    match (run(1), run(3)) {
+        (Ok(one), Ok(three)) => {
+            prop_assert_eq!(&one.outcome.states, &three.outcome.states, "states");
+            prop_assert_eq!(one.outcome.rounds, three.outcome.rounds, "rounds");
+            prop_assert_eq!(&one.outcome.ledger, &three.outcome.ledger, "ledger");
+            prop_assert_eq!(one.report.class_rows(), three.report.class_rows());
+            prop_assert_eq!(crashes(&one.report), crashes(&three.report));
+        }
+        (Err(one), Err(three)) => {
+            prop_assert_eq!(&one.error, &three.error, "error");
+            prop_assert_eq!(one.report.class_rows(), three.report.class_rows());
+            prop_assert_eq!(crashes(&one.report), crashes(&three.report));
+        }
+        (one, three) => prop_assert!(
+            false,
+            "one shard {:?} but three shards {:?}",
+            one.map(|o| o.outcome.rounds).map_err(|f| f.error),
+            three.map(|o| o.outcome.rounds).map_err(|f| f.error)
+        ),
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One shard ≡ three shards under heavy faults: drops up to 60% (so
+    /// the 8-retry budget sometimes runs out and messages are lost),
+    /// duplicates up to 30%, delays of 0–3 pulses and up to 5 crashes
+    /// within horizons of 1–8 pulses, on all four kernels and on subset
+    /// views. A third of the cases trip a pulse budget of 1–3 or a zero
+    /// wall clock instead of completing.
+    #[test]
+    fn single_shard_lane_matches_the_synchronizer(
+        g in arb_fault_graph(),
+        fault_seed in 0u64..u64::MAX,
+        drop_pc in 0u32..=60,
+        dup_pc in 0u32..=30,
+        delay in 0u64..=3,
+        crashes in 0u32..=5,
+        horizon in 1u64..=8,
+        budget in 0u32..6,
+        mask_seed in 0u64..256,
+        wseed in 0u64..1000,
+    ) {
+        use rand::{Rng, SeedableRng};
+        let adversary = Adversary::new(fault_seed)
+            .with_drop_rate(f64::from(drop_pc) / 100.0)
+            .with_duplicate_rate(f64::from(dup_pc) / 100.0)
+            .with_max_delay(delay)
+            .with_crashes(crashes)
+            .with_crash_horizon(horizon);
+        let cfg = match budget {
+            1..=3 => AsyncConfig::new(adversary).with_max_pulses(u64::from(budget)),
+            4 => AsyncConfig::new(adversary).with_wall_clock(std::time::Duration::ZERO),
+            _ => AsyncConfig::new(adversary),
+        };
+
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(mask_seed);
+        let alive = NodeSet::from_nodes(g.n(), g.nodes().filter(|_| rng.gen_bool(0.8)));
+        prop_assume!(!alive.is_empty());
+        let subset = g.view(&alive);
+        let src = alive.iter().next().expect("nonempty");
+        let bfs = primitives::BfsKernel::new(&subset, [src], u32::MAX);
+        assert_shard_count_independent(&g, &subset, &bfs, &cfg)?;
+        let leader = primitives::LeaderKernel::new(&subset);
+        assert_shard_count_independent(&g, &subset, &leader, &cfg)?;
+
+        let view = g.full_view();
+        let root = NodeId::new(0);
+        let leader = primitives::LeaderKernel::new(&view);
+        assert_shard_count_independent(&g, &view, &leader, &cfg)?;
+        let mut ledger = RoundLedger::new();
+        let tree = primitives::bfs(&view, [root], u32::MAX, &mut ledger);
+        let values: Vec<u64> = (0..g.n() as u64).collect();
+        let bits = bits_for_value(g.n() as u64 * g.n() as u64);
+        let cast = primitives::ConvergeCastKernel::new(g.n(), root, tree.parents(), &values, bits);
+        assert_shard_count_independent(&g, &view, &cast, &cfg)?;
+
+        let wg = gen::reweight(&g, WeightDist::Uniform { lo: 0.5, hi: 4.0 }, wseed)
+            .expect("valid weights");
+        let wview = wg.full_view();
+        let sp = primitives::SpBfsKernel::new(&wview, [root], f64::INFINITY);
+        assert_shard_count_independent(&wg, &wview, &sp, &cfg)?;
     }
 }
