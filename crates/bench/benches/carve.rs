@@ -9,10 +9,11 @@
 //! `SDND_N` allows, mirroring `src/bin/scaling.rs`. Expander and G(n,p)
 //! rows pin the non-grid topologies at n = 1024.
 //!
-//! Rows come in pairs where it matters: `X` runs the public wrapper
-//! (throwaway workspace per call), `X-ctx` reuses one [`CarveCtx`]
-//! across iterations — the carving analogue of the engine's session
-//! rows. `ggr21-weak-ctx` isolates the weak-carving layer: one
+//! Rows come in pairs where it matters: `X` runs with a fresh context
+//! per call (the `carve_strong` trait method, or the `_in` form with
+//! `&mut CarveCtx::new()`), `X-ctx` reuses one [`CarveCtx`] across
+//! iterations — the carving analogue of the engine's session rows.
+//! `ggr21-weak-ctx` isolates the weak-carving layer: one
 //! full-graph GGR21 carving at the Theorem 2.1 inner boundary.
 //! `thm3.4-decompose-ctx` runs on every graph, the largest grid
 //! included, because its Lemma 3.1 phase is the tail of a cold
@@ -62,7 +63,14 @@ fn bench_carve(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("cut_or_component", &name), &g, |b, g| {
             b.iter(|| {
                 let mut l = RoundLedger::new();
-                sparse_cut::cut_or_component(g, &alive, 0.5, &params, &mut l)
+                sparse_cut::cut_or_component_in(
+                    g,
+                    &alive,
+                    0.5,
+                    &params,
+                    &mut l,
+                    &mut CarveCtx::new(),
+                )
             })
         });
 

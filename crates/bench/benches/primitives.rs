@@ -4,6 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sdnd_congest::{primitives, CostModel, Engine, RoundLedger};
+use sdnd_graph::algo::TraversalWorkspace;
 use sdnd_graph::{gen, NodeId};
 
 fn bench_primitives(c: &mut Criterion) {
@@ -32,9 +33,11 @@ fn bench_primitives(c: &mut Criterion) {
             b.iter(|| session.run(&view, &kernel).expect("kernel BFS runs"))
         });
         group.bench_with_input(BenchmarkId::new("layer-census-fast", n), &g, |b, _| {
+            let mut ws = TraversalWorkspace::new();
             b.iter(|| {
                 let mut l = RoundLedger::new();
-                primitives::layer_census(&view, NodeId::new(0), u32::MAX, &mut l)
+                primitives::layer_census_in(&view, NodeId::new(0), u32::MAX, &mut l, &mut ws)
+                    .ball_size(u32::MAX)
             })
         });
         group.bench_with_input(BenchmarkId::new("leader-election", n), &g, |b, _| {

@@ -14,7 +14,9 @@
 //! Usage: `cargo run --release -p sdnd-bench --bin ablation`
 
 use sdnd_bench::{env_seed, env_usize, opt, Table};
-use sdnd_clustering::{validate_carving, validate_weak_carving, StrongCarver, WeakCarver};
+use sdnd_clustering::{
+    validate_carving, validate_weak_carving, CarveCtx, StrongCarver, WeakCarver,
+};
 use sdnd_congest::RoundLedger;
 use sdnd_core::{transform, Params, Theorem22Carver, Theorem33Carver};
 use sdnd_graph::{gen, NodeSet};
@@ -71,7 +73,16 @@ fn main() {
         };
         let weak = params.weak_carver();
         let mut ledger = RoundLedger::new();
-        let out = transform::weak_to_strong(&g, &alive, eps, &weak, &params, &mut ledger);
+        let out = transform::weak_to_strong_in(
+            &g,
+            &alive,
+            eps,
+            &weak,
+            &params,
+            &mut ledger,
+            &mut CarveCtx::new(),
+        )
+        .expect("unarmed ctx never cancels");
         t2.row([
             name.to_string(),
             format!("{:.3}", out.dead_fraction()),
@@ -163,7 +174,16 @@ fn main() {
         );
         let r_meas = wc.forest().max_depth().unwrap();
         let mut ledger = RoundLedger::new();
-        let out = transform::weak_to_strong(&cyc, &cyc_alive, eps, &shallow, &params, &mut ledger);
+        let out = transform::weak_to_strong_in(
+            &cyc,
+            &cyc_alive,
+            eps,
+            &shallow,
+            &params,
+            &mut ledger,
+            &mut CarveCtx::new(),
+        )
+        .expect("unarmed ctx never cancels");
         let q = validate_carving(&cyc, &out);
         t5.row([
             "ls93 (shallow, rand)".to_string(),
@@ -184,7 +204,16 @@ fn main() {
         );
         let r_meas = wc.forest().max_depth().unwrap();
         let mut ledger = RoundLedger::new();
-        let out = transform::weak_to_strong(&cyc, &cyc_alive, eps, &deep, &params, &mut ledger);
+        let out = transform::weak_to_strong_in(
+            &cyc,
+            &cyc_alive,
+            eps,
+            &deep,
+            &params,
+            &mut ledger,
+            &mut CarveCtx::new(),
+        )
+        .expect("unarmed ctx never cancels");
         let q = validate_carving(&cyc, &out);
         t5.row([
             "ggr21 (deep, det)".to_string(),

@@ -12,7 +12,7 @@
 
 use sdnd_baselines::Mpx13;
 use sdnd_bench::{env_seed, env_usize, graph_suite, opt, Table};
-use sdnd_clustering::{validate_edge_carving, EdgeCarver, WeakEdgeCarver};
+use sdnd_clustering::{validate_edge_carving, CarveCtx, EdgeCarver, WeakEdgeCarver};
 use sdnd_congest::RoundLedger;
 use sdnd_core::{transform_edge, Params};
 use sdnd_graph::NodeSet;
@@ -84,14 +84,16 @@ fn main() {
             // Deterministic strong row: Theorem 2.1, edge version.
             {
                 let mut ledger = RoundLedger::new();
-                let ec = transform_edge::weak_to_strong_edges(
+                let ec = transform_edge::weak_to_strong_edges_in(
                     &g,
                     &alive,
                     eps,
                     &Rg20Edge::new(),
                     &params,
                     &mut ledger,
-                );
+                    &mut CarveCtx::new(),
+                )
+                .expect("unarmed ctx never cancels");
                 let report = validate_edge_carving(&g, &ec);
                 table.row([
                     format!("{eps}"),

@@ -3,12 +3,14 @@
 //! pipeline checks at phase boundaries.
 //!
 //! Every `_in` entry point in this crate and in `sdnd_core` takes a
-//! `&mut CarveCtx`; the public non-`_in` signatures are thin wrappers
-//! that spin up a throwaway context (the same wrapper-vs-session pattern
-//! as `Engine::run` vs `EngineSession`). Hold one `CarveCtx` across
-//! repeated carvings, decompositions, and validations on a thread to
-//! amortize every traversal's `O(n + m)` scratch down to `O(1)`
-//! allocations.
+//! `&mut CarveCtx`, and is the only public form of its stage; a one-off
+//! caller passes `&mut CarveCtx::new()`. The few non-`_in` wrappers left
+//! (the validators of the prelude, the decomposition reductions and the
+//! `carve_strong` / `carve_weak` trait methods) spin up a throwaway
+//! context, the same wrapper-vs-session pattern as `Engine::run` vs
+//! `EngineSession`. Hold one `CarveCtx` across repeated carvings,
+//! decompositions, and validations on a thread to amortize every
+//! traversal's `O(n + m)` scratch down to `O(1)` allocations.
 //!
 //! The context also carries the request [`Deadline`]: arm it before an
 //! `_in` call and the pipeline aborts with a typed

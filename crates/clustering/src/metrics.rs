@@ -1,12 +1,12 @@
 //! Cluster diameters: the quantities the validators (and through their
 //! reports, the experiment tables) measure.
 //!
-//! Every diameter is computed through a
-//! [`DistanceOracle`]: the `u32` functions fix the
-//! hop metric (and are exact — hop distances are integers embedded in
-//! `f64`), the `_with` variants take any oracle, and the
-//! `weighted_*_diameter_of` helpers fix the Dijkstra metric for weighted
-//! graphs.
+//! Every diameter is computed through a [`DistanceOracle`] in a
+//! caller-held [`CarveCtx`]: the `u32` functions
+//! ([`strong_diameter_of_in`], [`weak_diameter_of_in`]) fix the hop
+//! metric (and are exact — hop distances are integers embedded in
+//! `f64`), and the `_with_in` variants take any oracle, such as
+//! [`WeightedOracle`] for the Dijkstra metric of a weighted graph.
 //!
 //! # One exact iFUB for every diameter
 //!
@@ -80,18 +80,8 @@ use sdnd_graph::{Adjacency, Cancelled, Graph, NodeId, NodeSet};
 /// `G[members]` in the oracle's metric.
 ///
 /// Returns `None` if the induced subgraph is disconnected (a weak
-/// cluster may legitimately be), `Some(0.0)` for singletons. Thin
-/// wrapper over [`strong_diameter_of_with_in`] with a throwaway context.
-pub fn strong_diameter_of_with<O: DistanceOracle>(
-    g: &Graph,
-    members: &[NodeId],
-    oracle: &O,
-) -> Option<f64> {
-    strong_diameter_of_with_in(g, members, oracle, &mut CarveCtx::new())
-}
-
-/// [`strong_diameter_of_with`] with a caller-held context: the member
-/// set comes from the workspace's NodeSet pool and every sweep of the
+/// cluster may legitimately be), `Some(0.0)` for singletons. The member
+/// set comes from the context's NodeSet pool and every sweep of the
 /// module's iFUB reuses the same traversal scratch.
 pub fn strong_diameter_of_with_in<O: DistanceOracle>(
     g: &Graph,
@@ -107,20 +97,10 @@ pub fn strong_diameter_of_with_in<O: DistanceOracle>(
 
 /// Exact weak diameter of a node set under `oracle`: the maximum
 /// distance *in `G`* between any two members. Returns `None` if some
-/// pair is disconnected even in `G`, `Some(0.0)` for singletons. Thin
-/// wrapper over [`weak_diameter_of_with_in`] with a throwaway context.
-pub fn weak_diameter_of_with<O: DistanceOracle>(
-    g: &Graph,
-    members: &[NodeId],
-    oracle: &O,
-) -> Option<f64> {
-    weak_diameter_of_with_in(g, members, oracle, &mut CarveCtx::new())
-}
-
-/// [`weak_diameter_of_with`] with a caller-held context. Each sweep of
-/// the module's iFUB runs over the *full* graph but stops as soon as
-/// every member has been reached, so validating a small cluster does not
-/// pay `O(m)` of the whole graph per source.
+/// pair is disconnected even in `G`, `Some(0.0)` for singletons. Each
+/// sweep of the module's iFUB runs over the *full* graph but stops as
+/// soon as every member has been reached, so validating a small cluster
+/// does not pay `O(m)` of the whole graph per source.
 pub fn weak_diameter_of_with_in<O: DistanceOracle>(
     g: &Graph,
     members: &[NodeId],
@@ -596,11 +576,6 @@ fn central_idx(n: usize, key: impl Fn(usize) -> (f64, f64)) -> usize {
 ///
 /// Returns `None` if the induced subgraph is disconnected (a weak cluster
 /// may legitimately be), `Some(0)` for singletons.
-pub fn strong_diameter_of(g: &Graph, members: &[NodeId]) -> Option<u32> {
-    strong_diameter_of_with(g, members, &HopOracle).map(|d| d as u32)
-}
-
-/// [`strong_diameter_of`] with a caller-held context.
 pub fn strong_diameter_of_in(g: &Graph, members: &[NodeId], ctx: &mut CarveCtx) -> Option<u32> {
     strong_diameter_of_with_in(g, members, &HopOracle, ctx).map(|d| d as u32)
 }
@@ -608,73 +583,8 @@ pub fn strong_diameter_of_in(g: &Graph, members: &[NodeId], ctx: &mut CarveCtx) 
 /// Exact weak diameter of a node set in hops: the maximum distance *in
 /// `G`* between any two members. Returns `None` if some pair is
 /// disconnected even in `G`, `Some(0)` for singletons.
-pub fn weak_diameter_of(g: &Graph, members: &[NodeId]) -> Option<u32> {
-    weak_diameter_of_with(g, members, &HopOracle).map(|d| d as u32)
-}
-
-/// [`weak_diameter_of`] with a caller-held context.
 pub fn weak_diameter_of_in(g: &Graph, members: &[NodeId], ctx: &mut CarveCtx) -> Option<u32> {
     weak_diameter_of_with_in(g, members, &HopOracle, ctx).map(|d| d as u32)
-}
-
-/// Exact strong diameter in the weighted metric (`None` if disconnected;
-/// meaningful on weighted graphs, where it is the quantity the weighted
-/// experiment bins report).
-pub fn weighted_strong_diameter_of(g: &Graph, members: &[NodeId]) -> Option<f64> {
-    strong_diameter_of_with(g, members, &WeightedOracle)
-}
-
-/// [`weighted_strong_diameter_of`] with a caller-held context.
-pub fn weighted_strong_diameter_of_in(
-    g: &Graph,
-    members: &[NodeId],
-    ctx: &mut CarveCtx,
-) -> Option<f64> {
-    strong_diameter_of_with_in(g, members, &WeightedOracle, ctx)
-}
-
-/// Exact weak diameter in the weighted metric (`None` if some pair is
-/// disconnected in `G`).
-pub fn weighted_weak_diameter_of(g: &Graph, members: &[NodeId]) -> Option<f64> {
-    weak_diameter_of_with(g, members, &WeightedOracle)
-}
-
-/// [`weighted_weak_diameter_of`] with a caller-held context.
-pub fn weighted_weak_diameter_of_in(
-    g: &Graph,
-    members: &[NodeId],
-    ctx: &mut CarveCtx,
-) -> Option<f64> {
-    weak_diameter_of_with_in(g, members, &WeightedOracle, ctx)
-}
-
-/// Cheap strong-diameter estimate via two BFS sweeps inside the cluster.
-/// A lower bound on the exact strong diameter; `None` if disconnected.
-pub fn strong_diameter_two_sweep(g: &Graph, members: &[NodeId]) -> Option<u32> {
-    strong_diameter_two_sweep_in(g, members, &mut CarveCtx::new())
-}
-
-/// [`strong_diameter_two_sweep`] with a caller-held context (pooled
-/// member set, workspace-backed sweeps).
-pub fn strong_diameter_two_sweep_in(
-    g: &Graph,
-    members: &[NodeId],
-    ctx: &mut CarveCtx,
-) -> Option<u32> {
-    if members.is_empty() {
-        return None;
-    }
-    let set = ctx.ws.take_set_from(g.n(), members.iter().copied());
-    let view = g.view(&set);
-    let first = algo::bfs_in(&mut ctx.ws, &view, [members[0]]);
-    let ecc = if first.reached_count() != members.len() {
-        None
-    } else {
-        let far = *first.order().last().expect("nonempty BFS");
-        algo::bfs_in(&mut ctx.ws, &view, [far]).eccentricity()
-    };
-    ctx.ws.give_set(set);
-    ecc
 }
 
 /// Approximate (HyperBall) strong-diameter estimate of `G[members]`,
@@ -822,40 +732,38 @@ mod tests {
         v.iter().copied().map(NodeId::new).collect()
     }
 
+    fn strong(g: &Graph, members: &[NodeId]) -> Option<u32> {
+        strong_diameter_of_in(g, members, &mut CarveCtx::new())
+    }
+
+    fn weak(g: &Graph, members: &[NodeId]) -> Option<u32> {
+        weak_diameter_of_in(g, members, &mut CarveCtx::new())
+    }
+
     #[test]
     fn strong_diameter_of_path_segment() {
         let g = gen::path(10);
-        assert_eq!(strong_diameter_of(&g, &ids(&[2, 3, 4, 5])), Some(3));
-        assert_eq!(strong_diameter_of(&g, &ids(&[2])), Some(0));
+        assert_eq!(strong(&g, &ids(&[2, 3, 4, 5])), Some(3));
+        assert_eq!(strong(&g, &ids(&[2])), Some(0));
         // {2, 4} is disconnected inside the cluster but distance 2 in G.
-        assert_eq!(strong_diameter_of(&g, &ids(&[2, 4])), None);
-        assert_eq!(weak_diameter_of(&g, &ids(&[2, 4])), Some(2));
+        assert_eq!(strong(&g, &ids(&[2, 4])), None);
+        assert_eq!(weak(&g, &ids(&[2, 4])), Some(2));
     }
 
     #[test]
     fn weak_le_strong() {
         let g = gen::grid(5, 5);
         let members = ids(&[0, 1, 2, 5, 6, 7]);
-        let s = strong_diameter_of(&g, &members).unwrap();
-        let w = weak_diameter_of(&g, &members).unwrap();
+        let s = strong(&g, &members).unwrap();
+        let w = weak(&g, &members).unwrap();
         assert!(w <= s);
-    }
-
-    #[test]
-    fn two_sweep_lower_bounds_exact() {
-        let g = gen::gnp_connected(40, 0.08, 2);
-        let members: Vec<NodeId> = (0..20).map(NodeId::new).collect();
-        if let Some(exact) = strong_diameter_of(&g, &members) {
-            let ts = strong_diameter_two_sweep(&g, &members).unwrap();
-            assert!(ts <= exact);
-        }
     }
 
     #[test]
     fn empty_members() {
         let g = gen::path(3);
-        assert_eq!(strong_diameter_of(&g, &[]), None);
-        assert_eq!(weak_diameter_of(&g, &[]), None);
+        assert_eq!(strong(&g, &[]), None);
+        assert_eq!(weak(&g, &[]), None);
     }
 
     #[test]
@@ -863,26 +771,32 @@ mod tests {
         // 0 -4.0- 1 -0.5- 2: hop diameter 2, weighted diameter 4.5.
         let g = sdnd_graph::Graph::from_weighted_edges(3, [(0, 1, 4.0), (1, 2, 0.5)]).unwrap();
         let members = ids(&[0, 1, 2]);
-        assert_eq!(strong_diameter_of(&g, &members), Some(2));
-        assert_eq!(weighted_strong_diameter_of(&g, &members), Some(4.5));
-        assert_eq!(weighted_weak_diameter_of(&g, &members), Some(4.5));
-        // Disconnected member sets report None in both metrics.
-        assert_eq!(weighted_strong_diameter_of(&g, &ids(&[0, 2])), None);
-        assert_eq!(weighted_weak_diameter_of(&g, &ids(&[0, 2])), Some(4.5));
+        let ctx = &mut CarveCtx::new();
+        let w = &WeightedOracle;
+        assert_eq!(strong(&g, &members), Some(2));
+        assert_eq!(strong_diameter_of_with_in(&g, &members, w, ctx), Some(4.5));
+        assert_eq!(weak_diameter_of_with_in(&g, &members, w, ctx), Some(4.5));
+        // A member set disconnected inside the cluster has no strong
+        // diameter, but a weak one.
+        assert_eq!(strong_diameter_of_with_in(&g, &ids(&[0, 2]), w, ctx), None);
+        assert_eq!(
+            weak_diameter_of_with_in(&g, &ids(&[0, 2]), w, ctx),
+            Some(4.5)
+        );
     }
 
     #[test]
     fn oracle_variants_agree_with_hop_functions() {
-        use sdnd_graph::algo::HopOracle;
         let g = gen::gnp_connected(30, 0.12, 5);
         let members: Vec<NodeId> = (0..12).map(NodeId::new).collect();
+        let ctx = &mut CarveCtx::new();
         assert_eq!(
-            strong_diameter_of(&g, &members).map(f64::from),
-            strong_diameter_of_with(&g, &members, &HopOracle)
+            strong(&g, &members).map(f64::from),
+            strong_diameter_of_with_in(&g, &members, &HopOracle, ctx)
         );
         assert_eq!(
-            weak_diameter_of(&g, &members).map(f64::from),
-            weak_diameter_of_with(&g, &members, &HopOracle)
+            weak(&g, &members).map(f64::from),
+            weak_diameter_of_with_in(&g, &members, &HopOracle, ctx)
         );
     }
 
@@ -895,11 +809,11 @@ mod tests {
         let g = gen::grid(102, 102);
         let members: Vec<NodeId> = g.nodes().collect();
         TALLY.take();
-        assert_eq!(strong_diameter_of(&g, &members), Some(202));
-        let strong = TALLY.take();
-        assert_eq!(weak_diameter_of(&g, &members), Some(202));
-        let weak = TALLY.take();
-        for (what, (sources, _, widest)) in [("strong", strong), ("weak", weak)] {
+        assert_eq!(strong(&g, &members), Some(202));
+        let strong_tally = TALLY.take();
+        assert_eq!(weak(&g, &members), Some(202));
+        let weak_tally = TALLY.take();
+        for (what, (sources, _, widest)) in [("strong", strong_tally), ("weak", weak_tally)] {
             assert!(
                 sources <= 6 && widest <= 4,
                 "{what}: {sources} sources, {widest} wide"
@@ -916,7 +830,7 @@ mod tests {
         let g = gen::gnp_connected(2000, 8.0 / 2000.0, 1);
         let members: Vec<NodeId> = g.nodes().collect();
         TALLY.take();
-        assert_eq!(strong_diameter_of(&g, &members), Some(7));
+        assert_eq!(strong(&g, &members), Some(7));
         let (_, fringe, _) = TALLY.take();
         assert!(fringe <= 600, "{fringe} fringe sources");
     }
@@ -928,8 +842,8 @@ mod tests {
         let members: Vec<NodeId> = (0..12).map(NodeId::new).collect(); // rows 0-1
         let mut hb = HyperBall::new(HyperBallParams::default());
         let mut ctx = CarveCtx::new();
-        let exact_strong = strong_diameter_of(&g, &members).unwrap();
-        let exact_weak = weak_diameter_of(&g, &members).unwrap();
+        let exact_strong = strong(&g, &members).unwrap();
+        let exact_weak = weak(&g, &members).unwrap();
         let (est, count) = approx_strong_diameter_of_in(&g, &members, &mut hb, &mut ctx)
             .unwrap()
             .unwrap();

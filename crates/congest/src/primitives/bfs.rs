@@ -8,143 +8,33 @@
 //! the last forwarding layer.
 
 use crate::{bits_for_value, Outbox, Protocol, RoundLedger};
-use sdnd_graph::algo::{BfsRun, TraversalWorkspace, MAX_HOP_DIST};
+use sdnd_graph::algo::{BfsResult, BfsRun, TraversalWorkspace, MAX_HOP_DIST};
 use sdnd_graph::{Adjacency, NodeId};
-
-/// Output of a (bounded) distributed BFS.
-#[derive(Debug, Clone)]
-pub struct BfsOutcome {
-    dist: Vec<u32>,
-    parent: Vec<Option<NodeId>>,
-    order: Vec<NodeId>,
-    layer_sizes: Vec<usize>,
-    ball_sizes: Vec<usize>,
-}
-
-/// Distance marker for unreached nodes.
-pub(crate) const UNREACHED: u32 = u32::MAX;
-
-impl BfsOutcome {
-    /// Distance from the source set, or `u32::MAX` if unreached.
-    #[inline]
-    pub fn dist(&self, v: NodeId) -> u32 {
-        self.dist[v.index()]
-    }
-
-    /// Whether `v` was reached.
-    #[inline]
-    pub fn reached(&self, v: NodeId) -> bool {
-        self.dist[v.index()] != UNREACHED
-    }
-
-    /// BFS-tree parent: the *minimum-index* neighbor one layer closer
-    /// (the deterministic tie-break the kernel applies). `None` for
-    /// sources and unreached nodes.
-    #[inline]
-    pub fn parent(&self, v: NodeId) -> Option<NodeId> {
-        self.parent[v.index()]
-    }
-
-    /// The full parent vector, indexed by node.
-    pub fn parents(&self) -> &[Option<NodeId>] {
-        &self.parent
-    }
-
-    /// Reached nodes in non-decreasing distance order.
-    pub fn order(&self) -> &[NodeId] {
-        &self.order
-    }
-
-    /// Number of reached nodes.
-    pub fn reached_count(&self) -> usize {
-        self.order.len()
-    }
-
-    /// `layer_sizes()[d]` = number of nodes at distance exactly `d`.
-    pub fn layer_sizes(&self) -> &[usize] {
-        &self.layer_sizes
-    }
-
-    /// Cumulative ball sizes `|B_r|` for `r = 0..` (prefix sums are
-    /// computed once when the search finishes, not per call).
-    ///
-    /// The slice only extends to the eccentricity of the run; prefer
-    /// [`BfsOutcome::ball_size`] for radius lookups, which clamps
-    /// instead of panicking when `r` exceeds it.
-    pub fn ball_sizes(&self) -> &[usize] {
-        &self.ball_sizes
-    }
-
-    /// `|B_r|` for an arbitrary radius: indexing [`BfsOutcome::ball_sizes`]
-    /// panics for `r` beyond the eccentricity even though the ball is
-    /// perfectly well defined there (it has simply stopped growing), so
-    /// this accessor clamps to the last entry — and returns 0 when
-    /// nothing was reached at all.
-    #[inline]
-    pub fn ball_size(&self, r: u32) -> usize {
-        match self.ball_sizes.len() {
-            0 => 0,
-            len => self.ball_sizes[(r as usize).min(len - 1)],
-        }
-    }
-
-    /// Largest distance reached (`None` if nothing was reached).
-    pub fn eccentricity(&self) -> Option<u32> {
-        (!self.layer_sizes.is_empty()).then(|| self.layer_sizes.len() as u32 - 1)
-    }
-
-    /// Nodes within distance `r`, in BFS order.
-    pub fn ball(&self, r: u32) -> impl Iterator<Item = NodeId> + '_ {
-        self.order
-            .iter()
-            .copied()
-            .take_while(move |&v| self.dist(v) <= r)
-    }
-}
 
 /// Runs a distributed BFS from `sources` over `view`, truncated at
 /// distance `r_max` (inclusive), charging rounds and messages to
-/// `ledger`.
+/// `ledger`, into a throwaway workspace; returns the owned copy of the
+/// [`bfs_in`] run. Its parents are the kernel's: the *minimum-index*
+/// neighbour one layer closer.
 ///
 /// Round charge: every node at distance `d < r_max` with at least one
 /// alive neighbor forwards the token in round `d + 1`; the charge is the
 /// last such delivery round (0 if nobody forwards).
-pub fn bfs<A, I>(view: &A, sources: I, r_max: u32, ledger: &mut RoundLedger) -> BfsOutcome
+pub fn bfs<A, I>(view: &A, sources: I, r_max: u32, ledger: &mut RoundLedger) -> BfsResult
 where
     A: Adjacency,
     I: IntoIterator<Item = NodeId>,
 {
     let mut ws = TraversalWorkspace::new();
     let run = bfs_in(view, sources, r_max, ledger, &mut ws);
-    BfsOutcome::from_run(view.universe(), &run)
+    BfsResult::from_run(view.universe(), &run)
 }
 
-impl BfsOutcome {
-    /// Materializes an owned outcome from a workspace run view.
-    pub(crate) fn from_run(universe: usize, run: &BfsRun<'_>) -> BfsOutcome {
-        let mut dist = vec![UNREACHED; universe];
-        let mut parent: Vec<Option<NodeId>> = vec![None; universe];
-        for &v in run.order() {
-            dist[v.index()] = run.dist(v);
-            parent[v.index()] = run.parent(v);
-        }
-        BfsOutcome {
-            dist,
-            parent,
-            order: run.order().to_vec(),
-            layer_sizes: run.layer_sizes().to_vec(),
-            ball_sizes: run.ball_sizes().to_vec(),
-        }
-    }
-}
-
-/// [`bfs`] into a caller-held workspace: no per-call allocation, and the
-/// discovery loop is **fused single-pass** — the kernel-consistent
-/// minimum-index parents and the round/message charges are accumulated
-/// during discovery itself (each node's alive neighborhood is swept
-/// exactly once), instead of the two extra `O(m)` adjacency sweeps the
-/// owning path historically made. Distances, parents, layer sizes, and
-/// ledger charges are value-identical to [`bfs`].
+/// The distributed BFS of [`bfs`] into a caller-held workspace: no
+/// per-call allocation, and the discovery loop is **fused
+/// single-pass** — the kernel-consistent minimum-index parents and the
+/// round/message charges are accumulated during discovery itself (each
+/// node's alive neighborhood is swept exactly once).
 pub fn bfs_in<'w, A, I>(
     view: &A,
     sources: I,

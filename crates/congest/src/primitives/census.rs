@@ -9,75 +9,14 @@
 //! so the upcast finishes in `L` extra rounds for `L` layers, matching
 //! the paper's `O(r*)` bound for computing `r*`.
 
-use super::bfs::{bfs_in, BfsOutcome, UNREACHED};
+use super::bfs::bfs_in;
 use crate::{bits_for_value, Outbox, Protocol, RoundLedger};
-use sdnd_graph::algo::{BfsRun, TraversalWorkspace};
+use sdnd_graph::algo::{BfsRun, TraversalWorkspace, UNREACHED};
 use sdnd_graph::{Adjacency, NodeId};
 
-/// Result of a layer census from a root node.
-#[derive(Debug, Clone)]
-pub struct LayerCensus {
-    bfs: BfsOutcome,
-    layer_counts: Vec<u64>,
-}
-
-impl LayerCensus {
-    /// The underlying BFS (distances, parents, order).
-    pub fn bfs(&self) -> &BfsOutcome {
-        &self.bfs
-    }
-
-    /// `layer_counts()[d]` = number of nodes at distance exactly `d`
-    /// from the root, as learned at the root.
-    pub fn layer_counts(&self) -> &[u64] {
-        &self.layer_counts
-    }
-
-    /// Cumulative ball sizes `|B_r|`.
-    pub fn ball_sizes(&self) -> Vec<u64> {
-        let mut acc = 0;
-        self.layer_counts
-            .iter()
-            .map(|&c| {
-                acc += c;
-                acc
-            })
-            .collect()
-    }
-
-    /// `|B_r|` for an arbitrary radius, clamped: radii beyond the deepest
-    /// census layer return the full reached count (the ball has stopped
-    /// growing), and an empty census returns 0.
-    pub fn ball_size(&self, r: u32) -> u64 {
-        self.layer_counts
-            .iter()
-            .take((r as usize).saturating_add(1))
-            .sum()
-    }
-}
-
-/// Runs a BFS from `root` truncated at `r_max` and pipelines the layer
-/// counts back to the root. Charges the BFS cost plus `L` upcast rounds
-/// (where `L` is the deepest non-empty layer) and the pipelined upcast
-/// messages.
-///
-/// Thin wrapper over [`layer_census_in`] with a throwaway workspace.
-pub fn layer_census<A: Adjacency>(
-    view: &A,
-    root: NodeId,
-    r_max: u32,
-    ledger: &mut RoundLedger,
-) -> LayerCensus {
-    let mut ws = TraversalWorkspace::new();
-    let census = layer_census_in(view, root, r_max, ledger, &mut ws);
-    LayerCensus {
-        bfs: BfsOutcome::from_run(view.universe(), census.bfs()),
-        layer_counts: census.layer_counts().to_vec(),
-    }
-}
-
-/// Borrowed result of [`layer_census_in`]: the BFS run view plus the
-/// `u64` layer counts and cumulative ball sizes cached in the workspace.
+/// Result of a layer census from a root node, borrowed from the
+/// workspace: the BFS run view plus the `u64` layer counts and
+/// cumulative ball sizes cached there.
 pub struct LayerCensusIn<'w> {
     run: BfsRun<'w>,
     layer_counts: &'w [u64],
@@ -114,9 +53,14 @@ impl<'w> LayerCensusIn<'w> {
     }
 }
 
-/// [`layer_census`] into a caller-held workspace: the BFS runs through
-/// the fused [`bfs_in`], the upcast accounting reuses a pooled buffer,
-/// and the counts live in the workspace — no per-call allocation.
+/// Runs a BFS from `root` truncated at `r_max` and pipelines the layer
+/// counts back to the root. Charges the BFS cost plus `L` upcast rounds
+/// (where `L` is the deepest non-empty layer) and the pipelined upcast
+/// messages.
+///
+/// The BFS runs through the fused [`bfs_in`], the upcast accounting
+/// reuses a pooled buffer, and the counts live in the caller-held
+/// workspace — no per-call allocation.
 pub fn layer_census_in<'w, A: Adjacency>(
     view: &A,
     root: NodeId,
@@ -245,20 +189,15 @@ mod tests {
     use sdnd_graph::gen;
 
     fn cross_validate<A: Adjacency>(view: &A, root: NodeId, r_max: u32) {
+        let mut ws = TraversalWorkspace::new();
         let mut ledger = RoundLedger::new();
-        let census = layer_census(view, root, r_max, &mut ledger);
+        let census = layer_census_in(view, root, r_max, &mut ledger, &mut ws);
 
         // Kernel phase 1: BFS.
         let mut bfs_ledger = RoundLedger::new();
         let outcome = crate::primitives::bfs(view, [root], r_max, &mut bfs_ledger);
         let dists: Vec<u32> = (0..view.universe())
-            .map(|i| {
-                if outcome.reached(NodeId::new(i)) {
-                    outcome.dist(NodeId::new(i))
-                } else {
-                    UNREACHED
-                }
-            })
+            .map(|i| outcome.dist(NodeId::new(i)))
             .collect();
 
         // Kernel phase 2: pipelined upcast.
@@ -290,10 +229,17 @@ mod tests {
     #[test]
     fn census_on_path() {
         let g = gen::path(7);
+        let mut ws = TraversalWorkspace::new();
         let mut ledger = RoundLedger::new();
-        let census = layer_census(&g.full_view(), NodeId::new(0), u32::MAX, &mut ledger);
+        let census = layer_census_in(
+            &g.full_view(),
+            NodeId::new(0),
+            u32::MAX,
+            &mut ledger,
+            &mut ws,
+        );
         assert_eq!(census.layer_counts(), &[1, 1, 1, 1, 1, 1, 1]);
-        assert_eq!(census.ball_sizes(), vec![1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(census.ball_sizes(), &[1, 2, 3, 4, 5, 6, 7]);
         // BFS: 7 rounds (last forwarder at distance 6 delivers in round 7);
         // upcast: 6 rounds.
         assert_eq!(ledger.rounds(), 7 + 6);
@@ -315,8 +261,9 @@ mod tests {
     #[test]
     fn bounded_census_truncates() {
         let g = gen::path(10);
+        let mut ws = TraversalWorkspace::new();
         let mut ledger = RoundLedger::new();
-        let census = layer_census(&g.full_view(), NodeId::new(0), 4, &mut ledger);
+        let census = layer_census_in(&g.full_view(), NodeId::new(0), 4, &mut ledger, &mut ws);
         assert_eq!(census.layer_counts().len(), 5);
         assert_eq!(census.ball_sizes().last(), Some(&5));
     }
@@ -324,26 +271,38 @@ mod tests {
     #[test]
     fn ball_size_clamps_beyond_the_deepest_layer() {
         let g = gen::path(6);
+        let mut ws = TraversalWorkspace::new();
         let mut ledger = RoundLedger::new();
-        let census = layer_census(&g.full_view(), NodeId::new(0), u32::MAX, &mut ledger);
+        let census = layer_census_in(
+            &g.full_view(),
+            NodeId::new(0),
+            u32::MAX,
+            &mut ledger,
+            &mut ws,
+        );
         assert_eq!(census.ball_size(0), 1);
         assert_eq!(census.ball_size(5), 6);
         // Indexing `ball_sizes()` here would be out of bounds.
         assert_eq!(census.ball_size(6), 6);
         assert_eq!(census.ball_size(u32::MAX), 6);
 
-        let mut ws = TraversalWorkspace::new();
-        let mut ledger = RoundLedger::new();
-        let census_in = layer_census_in(&g.full_view(), NodeId::new(2), 1, &mut ledger, &mut ws);
-        assert_eq!(census_in.ball_size(1), 3);
-        assert_eq!(census_in.ball_size(400), 3);
+        let census = layer_census_in(&g.full_view(), NodeId::new(2), 1, &mut ledger, &mut ws);
+        assert_eq!(census.ball_size(1), 3);
+        assert_eq!(census.ball_size(400), 3);
     }
 
     #[test]
     fn singleton_census() {
         let g = sdnd_graph::Graph::empty(2);
+        let mut ws = TraversalWorkspace::new();
         let mut ledger = RoundLedger::new();
-        let census = layer_census(&g.full_view(), NodeId::new(0), u32::MAX, &mut ledger);
+        let census = layer_census_in(
+            &g.full_view(),
+            NodeId::new(0),
+            u32::MAX,
+            &mut ledger,
+            &mut ws,
+        );
         assert_eq!(census.layer_counts(), &[1]);
         assert_eq!(ledger.rounds(), 0);
     }

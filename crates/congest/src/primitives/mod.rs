@@ -7,7 +7,11 @@
 //!   message-passing [`Engine`](crate::Engine), and
 //! - a **fast path** (the plain function) that computes the same output
 //!   directly and charges the same rounds and message statistics to a
-//!   [`RoundLedger`](crate::RoundLedger).
+//!   [`RoundLedger`](crate::RoundLedger). Traversal fast paths run in a
+//!   caller-held [`TraversalWorkspace`](sdnd_graph::algo::TraversalWorkspace)
+//!   (suffix `_in`) and return its run views, `BfsRun` and `SpRun`;
+//!   [`bfs`] and [`sp_bfs`] return their owned copies, `BfsResult` and
+//!   `SpResult`.
 //!
 //! The cost formulas follow the standard CONGEST folklore the paper
 //! invokes: BFS costs one round per layer; a pipelined layer census costs
@@ -25,11 +29,11 @@ mod leader;
 mod sp_bfs;
 mod tree;
 
-pub use bfs::{bfs, bfs_in, BfsKernel, BfsOutcome};
-pub use census::{layer_census, layer_census_in, CensusKernel, LayerCensus, LayerCensusIn};
+pub use bfs::{bfs, bfs_in, BfsKernel};
+pub use census::{layer_census_in, CensusKernel, LayerCensusIn};
 pub use dfs_order::SubsetDfsRanks;
 pub use leader::{elect_leader, LeaderInfo, LeaderKernel};
-pub use sp_bfs::{sp_bfs, sp_bfs_in, SpBfsKernel, SpBfsOutcome, SpBfsRun, SpBfsState};
+pub use sp_bfs::{sp_bfs, sp_bfs_in, SpBfsKernel, SpBfsState};
 pub use tree::{
     broadcast_from_root, charge_family_op, converge_cast_sum, BroadcastKernel, ConvergeCastKernel,
 };

@@ -13,86 +13,18 @@
 //!
 //! Two forms, proven equivalent by the cross-validation tests:
 //!
-//! - [`sp_bfs`] — the fast path: a literal synchronous simulation of the
-//!   relaxation waves, charging the same rounds/messages to a
-//!   [`RoundLedger`]. Its distances equal sequential Dijkstra
+//! - [`sp_bfs_in`] — the fast path: a literal synchronous simulation of
+//!   the relaxation waves in a [`TraversalWorkspace`], charging the same
+//!   rounds/messages to a [`RoundLedger`] and returning the weighted run
+//!   view ([`SpRun`]) with its round count; [`sp_bfs`] returns the
+//!   owned copy ([`SpResult`]). Its distances equal sequential Dijkstra
 //!   ([`sdnd_graph::algo::dijkstra`]), which the tests also pin.
 //! - [`SpBfsKernel`] — the node program on the message-passing
 //!   [`Engine`](crate::Engine).
 
 use crate::{bits_for_value, Outbox, Protocol, RoundLedger};
-use sdnd_graph::algo::{SpRun, TraversalWorkspace};
+use sdnd_graph::algo::{SpResult, SpRun, TraversalWorkspace, W_UNREACHED};
 use sdnd_graph::{Adjacency, Graph, NodeId};
-
-/// Distance marker for unreached nodes.
-const UNREACHED_W: f64 = f64::INFINITY;
-
-/// Output of a (bounded) distributed weighted BFS.
-#[derive(Debug, Clone)]
-pub struct SpBfsOutcome {
-    dist: Vec<f64>,
-    parent: Vec<Option<NodeId>>,
-    order: Vec<NodeId>,
-    rounds: u64,
-}
-
-impl SpBfsOutcome {
-    /// Weighted distance from the source set, or `f64::INFINITY` if
-    /// unreached.
-    #[inline]
-    pub fn dist(&self, v: NodeId) -> f64 {
-        self.dist[v.index()]
-    }
-
-    /// Whether `v` was reached.
-    #[inline]
-    pub fn reached(&self, v: NodeId) -> bool {
-        self.dist[v.index()] != UNREACHED_W
-    }
-
-    /// Relaxation parent: the neighbor whose message set the final
-    /// distance (minimum-index tie-break). `None` for sources and
-    /// unreached nodes.
-    #[inline]
-    pub fn parent(&self, v: NodeId) -> Option<NodeId> {
-        self.parent[v.index()]
-    }
-
-    /// Reached nodes in non-decreasing distance order (ties by index).
-    pub fn order(&self) -> &[NodeId] {
-        &self.order
-    }
-
-    /// Number of reached nodes.
-    pub fn reached_count(&self) -> usize {
-        self.order.len()
-    }
-
-    /// Largest distance reached — the weighted eccentricity of the
-    /// source set within its component (`None` if nothing was reached).
-    pub fn eccentricity(&self) -> Option<f64> {
-        self.order.last().map(|&v| self.dist(v))
-    }
-
-    /// Reached nodes with distance at most `r`, in distance order.
-    pub fn ball(&self, r: f64) -> impl Iterator<Item = NodeId> + '_ {
-        self.order
-            .iter()
-            .copied()
-            .take_while(move |&v| self.dist(v) <= r)
-    }
-
-    /// Number of reached nodes with distance at most `r`.
-    pub fn ball_count(&self, r: f64) -> usize {
-        self.order.partition_point(|&v| self.dist(v) <= r)
-    }
-
-    /// Number of synchronous rounds the flooding used (the charge made
-    /// to the ledger).
-    pub fn rounds(&self) -> u64 {
-        self.rounds
-    }
-}
 
 /// Bit size of one distance message on `view`: distances are at most
 /// `(n - 1) · ceil(max weight)`, the standard `O(log (n W))` encoding.
@@ -104,105 +36,37 @@ fn dist_bits<A: Adjacency>(view: &A) -> u32 {
 
 /// Runs a distributed weighted BFS from `sources` over `view`, truncated
 /// at weighted distance `r_max` (inclusive), charging rounds and
-/// messages to `ledger`.
-///
-/// Semantics: a node adopts a candidate distance only if it is at most
-/// `r_max`; a node at distance `d < r_max` re-broadcasts each time its
-/// distance improves. The round charge is the last round in which any
-/// message is delivered.
-pub fn sp_bfs<A, I>(view: &A, sources: I, r_max: f64, ledger: &mut RoundLedger) -> SpBfsOutcome
+/// messages to `ledger`, into a throwaway workspace; returns the owned
+/// copy of the [`sp_bfs_in`] run. Its parents are the relaxation
+/// parents: the neighbour whose message set the final distance
+/// (minimum-index tie-break).
+pub fn sp_bfs<A, I>(view: &A, sources: I, r_max: f64, ledger: &mut RoundLedger) -> SpResult
 where
     A: Adjacency,
     I: IntoIterator<Item = NodeId>,
 {
     let mut ws = TraversalWorkspace::new();
-    let run = sp_bfs_in(view, sources, r_max, ledger, &mut ws);
-    let n = view.universe();
-    let mut dist = vec![UNREACHED_W; n];
-    let mut parent: Vec<Option<NodeId>> = vec![None; n];
-    for &v in run.order() {
-        dist[v.index()] = run.dist(v);
-        parent[v.index()] = run.parent(v);
-    }
-    SpBfsOutcome {
-        dist,
-        parent,
-        order: run.order().to_vec(),
-        rounds: run.rounds(),
-    }
+    let (run, _rounds) = sp_bfs_in(view, sources, r_max, ledger, &mut ws);
+    SpResult::from_run(view.universe(), &run)
 }
 
-/// Borrowed result of [`sp_bfs_in`]: the weighted run view plus the
-/// round charge.
-#[derive(Clone, Copy)]
-pub struct SpBfsRun<'w> {
-    run: SpRun<'w>,
-    rounds: u64,
-}
-
-impl<'w> SpBfsRun<'w> {
-    /// Weighted distance from the source set, or `f64::INFINITY`.
-    #[inline]
-    pub fn dist(&self, v: NodeId) -> f64 {
-        self.run.dist(v)
-    }
-
-    /// Whether `v` was reached.
-    #[inline]
-    pub fn reached(&self, v: NodeId) -> bool {
-        self.run.reached(v)
-    }
-
-    /// Relaxation parent (minimum-index tie-break), `None` for sources
-    /// and unreached nodes.
-    #[inline]
-    pub fn parent(&self, v: NodeId) -> Option<NodeId> {
-        self.run.parent(v)
-    }
-
-    /// Reached nodes in non-decreasing distance order (ties by index).
-    pub fn order(&self) -> &'w [NodeId] {
-        self.run.order()
-    }
-
-    /// Number of reached nodes.
-    pub fn reached_count(&self) -> usize {
-        self.run.reached_count()
-    }
-
-    /// Largest distance reached (`None` if nothing was reached).
-    pub fn eccentricity(&self) -> Option<f64> {
-        self.run.eccentricity()
-    }
-
-    /// Reached nodes with distance at most `r`, in distance order.
-    pub fn ball(self, r: f64) -> impl Iterator<Item = NodeId> + 'w {
-        self.run.ball(r)
-    }
-
-    /// Number of reached nodes with distance at most `r`.
-    pub fn ball_count(&self, r: f64) -> usize {
-        self.run.ball_count(r)
-    }
-
-    /// Number of synchronous rounds the flooding used (the charge made
-    /// to the ledger).
-    pub fn rounds(&self) -> u64 {
-        self.rounds
-    }
-}
-
-/// [`sp_bfs`] into a caller-held workspace: the relaxation waves run
-/// over the stamped weighted arena (candidates in the auxiliary lane),
-/// with distances, parents, order, and ledger charges value-identical to
-/// the owning path and no per-call allocation.
+/// The distributed weighted BFS into a caller-held workspace: the
+/// relaxation waves run over the stamped weighted arena (candidates in
+/// the auxiliary lane) with no per-call allocation. Returns the run and
+/// the number of synchronous rounds the flooding used (the round charge
+/// made to `ledger`).
+///
+/// Semantics: a node adopts a candidate distance only if it is at most
+/// `r_max`; a node at distance `d < r_max` re-broadcasts each time its
+/// distance improves. The round charge is the last round in which any
+/// message is delivered.
 pub fn sp_bfs_in<'w, A, I>(
     view: &A,
     sources: I,
     r_max: f64,
     ledger: &mut RoundLedger,
     ws: &'w mut TraversalWorkspace,
-) -> SpBfsRun<'w>
+) -> (SpRun<'w>, u64)
 where
     A: Adjacency,
     I: IntoIterator<Item = NodeId>,
@@ -239,7 +103,7 @@ where
                     sends += 1;
                     // Saturate: an overflowing sum must stay a finite
                     // (huge) distance rather than aliasing the
-                    // `UNREACHED_W` infinity sentinel.
+                    // `W_UNREACHED` infinity sentinel.
                     let c = (p.dist[v.index()] + w).min(f64::MAX);
                     let ui = u.index();
                     // Candidate lane: unstamped entries read as
@@ -248,10 +112,10 @@ where
                     let cur = if p.aux_stamp[ui] == p.epoch {
                         p.aux_dist[ui]
                     } else {
-                        UNREACHED_W
+                        W_UNREACHED
                     };
                     if c < cur {
-                        if cur == UNREACHED_W {
+                        if cur == W_UNREACHED {
                             p.touched.push(u);
                         }
                         p.aux_stamp[ui] = p.epoch;
@@ -274,7 +138,7 @@ where
                     p.set_dist(u, c, from);
                     p.frontier.push(u);
                 }
-                p.aux_dist[ui] = UNREACHED_W;
+                p.aux_dist[ui] = W_UNREACHED;
             }
         }
         let dist = &*p.dist;
@@ -283,10 +147,7 @@ where
     }
     ledger.charge_rounds(last_delivery);
     ledger.record_messages(sends, bits);
-    SpBfsRun {
-        run: ws.sp_run(),
-        rounds: last_delivery,
-    }
+    (ws.sp_run(), last_delivery)
 }
 
 /// Kernel node program computing the same weighted BFS on the
@@ -363,7 +224,7 @@ impl Protocol for SpBfsKernel<'_> {
         inbox: &[(NodeId, f64)],
         out: &mut Outbox<'_, f64>,
     ) {
-        let mut best = state.dist.unwrap_or(UNREACHED_W);
+        let mut best = state.dist.unwrap_or(W_UNREACHED);
         let mut best_from = None;
         for &(from, d_from) in inbox {
             let w = self
@@ -504,13 +365,21 @@ mod tests {
         // 0 -10- 2 and 0 -1- 1 -1- 2: node 2 first hears 10, then 2.
         let g = Graph::from_weighted_edges(3, [(0, 2, 10.0), (0, 1, 1.0), (1, 2, 1.0)]).unwrap();
         cross_validate(&g.full_view(), &[NodeId::new(0)], f64::INFINITY);
+        let mut ws = TraversalWorkspace::new();
         let mut ledger = RoundLedger::new();
-        let sp = sp_bfs(&g.full_view(), [NodeId::new(0)], f64::INFINITY, &mut ledger);
+        let (sp, rounds) = sp_bfs_in(
+            &g.full_view(),
+            [NodeId::new(0)],
+            f64::INFINITY,
+            &mut ledger,
+            &mut ws,
+        );
         assert_eq!(sp.dist(NodeId::new(2)), 2.0);
         assert_eq!(sp.parent(NodeId::new(2)), Some(NodeId::new(1)));
         // Round 1 delivers 10 to node 2; round 2 corrects to 2 via node 1;
         // round 3 is node 2's (useless) re-broadcast.
-        assert_eq!(sp.rounds(), 3);
+        assert_eq!(rounds, 3);
+        assert_eq!(ledger.rounds(), rounds);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 
 use proptest::prelude::*;
 use sdnd_congest::{primitives, CostModel, Engine, EngineSession, Protocol, RoundLedger};
+use sdnd_graph::algo::TraversalWorkspace;
 use sdnd_graph::{Adjacency, Graph, NodeId, NodeSet};
 
 /// Runs `kernel` on `session` and on a fresh engine, asserts the two
@@ -132,8 +133,9 @@ proptest! {
         let src = NodeId::new(src % g.n());
         let view = g.full_view();
 
+        let mut ws = TraversalWorkspace::new();
         let mut full = RoundLedger::new();
-        let census = primitives::layer_census(&view, src, u32::MAX, &mut full);
+        let census = primitives::layer_census_in(&view, src, u32::MAX, &mut full, &mut ws);
 
         // Kernel: BFS first (validated above), then the pipelined upcast —
         // both kernels (distinct message types) share one session, which

@@ -11,8 +11,9 @@
 //! therefore demonstrates empirically that neither outcome can beat its
 //! stated bound, which is the paper's "barrier for further improvement".
 
-use crate::sparse_cut::{cut_or_component, CutOrComponent};
+use crate::sparse_cut::{cut_or_component_in, CutOrComponent};
 use crate::Params;
+use sdnd_clustering::{metrics, CarveCtx};
 use sdnd_congest::RoundLedger;
 use sdnd_graph::{gen, Graph, NodeId, NodeSet};
 
@@ -59,7 +60,9 @@ pub fn measure_on(g: &Graph, eps: f64, params: &Params) -> BarrierOutcome {
     let n = g.n();
     let alive = NodeSet::full(n);
     let mut ledger = RoundLedger::new();
-    let outcome = cut_or_component(g, &alive, eps, params, &mut ledger);
+    let mut ctx = CarveCtx::new();
+    let outcome = cut_or_component_in(g, &alive, eps, params, &mut ledger, &mut ctx)
+        .expect("unarmed ctx never cancels");
     let nf = n as f64;
     let log2n = (nf.max(2.0)).log2();
     let (case, removed, part, diam) = match &outcome {
@@ -72,7 +75,7 @@ pub fn measure_on(g: &Graph, eps: f64, params: &Params) -> BarrierOutcome {
                 "component",
                 boundary.len(),
                 u.len(),
-                sdnd_clustering::metrics::strong_diameter_of(g, &members),
+                metrics::strong_diameter_of_in(g, &members, &mut ctx),
             )
         }
     };

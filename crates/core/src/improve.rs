@@ -24,35 +24,22 @@ use sdnd_graph::{Graph, NodeId, NodeSet};
 /// `a1`, producing a strong-diameter carving with diameter
 /// `O(log^2 n / eps)`.
 ///
-/// # Panics
-///
-/// Panics if `eps` is not in `(0, 1)` or the recursion bound is exceeded
-/// (a broken carver or cut).
-pub fn improve_diameter<C: StrongCarver + ?Sized>(
-    g: &Graph,
-    alive: &NodeSet,
-    eps: f64,
-    a1: &C,
-    params: &Params,
-    ledger: &mut RoundLedger,
-) -> BallCarving {
-    improve_diameter_in(g, alive, eps, a1, params, ledger, &mut CarveCtx::new())
-        .expect("unarmed ctx never cancels")
-}
-
-/// [`improve_diameter`] with a caller-held [`CarveCtx`]: the context is
-/// threaded into every `A1` invocation (via
+/// The context is threaded into every `A1` invocation (via
 /// [`StrongCarver::carve_strong_in`]) and every Lemma 3.1 cut, and the
 /// per-cluster member sets come from its NodeSet pool instead of being
-/// rebuilt per cluster per level. Output and ledger charges are
-/// bit-identical to the wrapper when the run completes. The armed
-/// deadline is honored once per part per recursion level, plus the
-/// checkpoints inside `A1` and the Lemma 3.1 cut.
+/// rebuilt per cluster per level. The armed deadline is honored once per
+/// part per recursion level, plus the checkpoints inside `A1` and the
+/// Lemma 3.1 cut.
 ///
 /// # Errors
 ///
 /// [`Cancelled`] when the armed deadline trips at a part boundary (or
 /// inside a nested phase); the context stays safely reusable.
+///
+/// # Panics
+///
+/// Panics if `eps` is not in `(0, 1)` or the recursion bound is exceeded
+/// (a broken carver or cut).
 pub fn improve_diameter_in<C: StrongCarver + ?Sized>(
     g: &Graph,
     alive: &NodeSet,
@@ -243,14 +230,16 @@ mod tests {
     fn empty_input() {
         let g = gen::path(4);
         let mut ledger = RoundLedger::new();
-        let out = improve_diameter(
+        let out = improve_diameter_in(
             &g,
             &NodeSet::empty(4),
             0.5,
             &crate::Theorem22Carver::default(),
             &Params::default(),
             &mut ledger,
-        );
+            &mut CarveCtx::new(),
+        )
+        .expect("unarmed ctx never cancels");
         assert_eq!(out.num_clusters(), 0);
     }
 
@@ -258,14 +247,16 @@ mod tests {
     fn dead_budget_respected_with_small_eps() {
         let g = gen::grid(10, 10);
         let mut ledger = RoundLedger::new();
-        let out = improve_diameter(
+        let out = improve_diameter_in(
             &g,
             &NodeSet::full(100),
             0.3,
             &crate::Theorem22Carver::default(),
             &Params::default(),
             &mut ledger,
-        );
+            &mut CarveCtx::new(),
+        )
+        .expect("unarmed ctx never cancels");
         assert!(
             out.dead_fraction() <= 0.3 + 1e-9,
             "dead {:.3}",

@@ -7,14 +7,14 @@
 //!
 //! | Paper artifact | API |
 //! |---|---|
-//! | Theorem 2.1 — weak→strong carving transformation | [`transform::weak_to_strong`] |
+//! | Theorem 2.1 — weak→strong carving transformation | [`transform::weak_to_strong_in`] |
 //! | Theorem 2.2 — strong carving, diameter `O(log^3 n/eps)` | [`Theorem22Carver`] |
 //! | Theorem 2.3 — strong decomposition `(O(log n), O(log^3 n))` | [`decompose_strong`] |
-//! | Lemma 3.1 — balanced sparse cut or large small-diameter component | [`sparse_cut::cut_or_component`] |
-//! | Theorem 3.2 — diameter-improving transformation | [`improve::improve_diameter`] |
+//! | Lemma 3.1 — balanced sparse cut or large small-diameter component | [`sparse_cut::cut_or_component_in`] |
+//! | Theorem 3.2 — diameter-improving transformation | [`improve::improve_diameter_in`] |
 //! | Theorem 3.3 — strong carving, diameter `O(log^2 n/eps)` | [`Theorem33Carver`] |
 //! | Theorem 3.4 — strong decomposition `(O(log n), O(log^2 n))` | [`decompose_strong_improved`] |
-//! | §1.3 note — the *edge version* of the carvings | [`transform_edge::weak_to_strong_edges`] |
+//! | §1.3 note — the *edge version* of the carvings | [`transform_edge::weak_to_strong_edges_in`] |
 //! | §1.1 template — applications (MIS, Δ+1 coloring) | [`apply`] |
 //! | §3 barrier construction analysis | [`barrier`] |
 //! | Tables 1 and 2 — every carver and its LS93 decomposition, by name | [`registry`] |

@@ -69,36 +69,25 @@ impl CutOrComponent {
 /// Runs Lemma 3.1 on the connected set `alive` (diameter `D`), charging
 /// `O(D log n)` rounds.
 ///
-/// # Panics
-///
-/// Panics if `eps` is not in `(0, 1)` or `alive` is empty. `alive`
-/// should induce a connected subgraph; if it does not, the multi-source
-/// structure still yields a valid outcome for the union, but the
-/// diameter guarantee applies per component.
-pub fn cut_or_component(
-    g: &Graph,
-    alive: &NodeSet,
-    eps: f64,
-    params: &Params,
-    ledger: &mut RoundLedger,
-) -> CutOrComponent {
-    cut_or_component_in(g, alive, eps, params, ledger, &mut CarveCtx::new())
-        .expect("unarmed ctx never cancels")
-}
-
-/// [`cut_or_component`] with a caller-held [`CarveCtx`]: the BFS runs
-/// of an invocation share one traversal workspace and the split halves
-/// come from its NodeSet pool, so a whole invocation performs `O(1)`
-/// heap allocations per traversal. Outcome and ledger charges are
-/// bit-identical to the wrapper. The context's armed deadline is honored
-/// once per halving iteration (each iteration probes both halves with a
-/// full multi-source BFS — the traversal-epoch granularity).
+/// The BFS runs of an invocation share the context's traversal
+/// workspace and the split halves come from its NodeSet pool, so a
+/// whole invocation performs `O(1)` heap allocations per traversal. The
+/// context's armed deadline is honored once per halving iteration (each
+/// iteration probes both halves with a full multi-source BFS — the
+/// traversal-epoch granularity).
 ///
 /// # Errors
 ///
 /// [`Cancelled`] when the armed deadline trips at an iteration
 /// boundary; pooled sets held mid-iteration are dropped (the pool
 /// re-grows on demand) and the context stays safely reusable.
+///
+/// # Panics
+///
+/// Panics if `eps` is not in `(0, 1)` or `alive` is empty. `alive`
+/// should induce a connected subgraph; if it does not, the multi-source
+/// structure still yields a valid outcome for the union, but the
+/// diameter guarantee applies per component.
 pub fn cut_or_component_in(
     g: &Graph,
     alive: &NodeSet,
@@ -299,6 +288,17 @@ mod tests {
     use super::*;
     use sdnd_graph::{gen, NodeId};
 
+    fn cut_or_component(
+        g: &Graph,
+        alive: &NodeSet,
+        eps: f64,
+        params: &Params,
+        ledger: &mut RoundLedger,
+    ) -> CutOrComponent {
+        cut_or_component_in(g, alive, eps, params, ledger, &mut CarveCtx::new())
+            .expect("unarmed ctx never cancels")
+    }
+
     fn run(g: &Graph, eps: f64) -> (CutOrComponent, usize) {
         let alive = NodeSet::full(g.n());
         let mut ledger = RoundLedger::new();
@@ -383,7 +383,9 @@ mod tests {
         assert_valid(&g, &out, n);
         if let CutOrComponent::Component { u, .. } = &out {
             let members: Vec<NodeId> = u.iter().collect();
-            let d = sdnd_clustering::metrics::strong_diameter_of(&g, &members).expect("connected");
+            let d =
+                sdnd_clustering::metrics::strong_diameter_of_in(&g, &members, &mut CarveCtx::new())
+                    .expect("connected");
             // O(log^2 n / eps) envelope with explicit constant.
             let bound = (8.0 * (90f64).ln().powi(2) / 0.5) as u32 + 4;
             assert!(d <= bound, "component diameter {d} vs {bound}");

@@ -44,29 +44,10 @@ use sdnd_graph::{algo, Adjacency as _, Graph, NodeId, NodeSet};
 ///
 /// The Case II ball growth runs in the graph's natural metric
 /// ([`algo::oracle_for`]): hop-count layer censuses on unweighted
-/// graphs (bit-identical to the pre-oracle implementation), weighted
-/// [`primitives::sp_bfs`] balls on weighted graphs — see
-/// [`weak_to_strong_with_oracle`] for the weighted growth rule.
-///
-/// # Panics
-///
-/// Panics if `eps` is not in `(0, 1)` or if the iteration bound is
-/// exceeded (which would indicate a broken weak carver).
-pub fn weak_to_strong<A: WeakCarver + ?Sized>(
-    g: &Graph,
-    alive: &NodeSet,
-    eps: f64,
-    a: &A,
-    params: &Params,
-    ledger: &mut RoundLedger,
-) -> BallCarving {
-    weak_to_strong_with_oracle(g, alive, eps, a, params, algo::oracle_for(g), ledger)
-}
-
-/// [`weak_to_strong`] with a caller-held [`CarveCtx`]: every Case II
-/// ball growth (layer census or weighted flood) and component scan
-/// reuses the context's traversal workspace. Output and ledger charges
-/// are bit-identical to the wrapper when the run completes. The armed
+/// graphs, weighted [`primitives::sp_bfs_in`] balls on weighted graphs —
+/// see [`weak_to_strong_with_oracle_in`] for the weighted growth rule.
+/// Every Case II ball growth (layer census or weighted flood) and
+/// component scan reuses the context's traversal workspace. The armed
 /// deadline is honored once per processed component (each component
 /// costs at least one full weak carving — the traversal-epoch
 /// granularity), plus whatever checkpoints the weak carver adds.
@@ -75,6 +56,11 @@ pub fn weak_to_strong<A: WeakCarver + ?Sized>(
 ///
 /// [`Cancelled`] when the armed deadline trips at a component boundary
 /// (or inside the weak carver); the context stays safely reusable.
+///
+/// # Panics
+///
+/// Panics if `eps` is not in `(0, 1)` or if the iteration bound is
+/// exceeded (which would indicate a broken weak carver).
 pub fn weak_to_strong_in<A: WeakCarver + ?Sized>(
     g: &Graph,
     alive: &NodeSet,
@@ -87,7 +73,7 @@ pub fn weak_to_strong_in<A: WeakCarver + ?Sized>(
     weak_to_strong_with_oracle_in(g, alive, eps, a, params, algo::oracle_for(g), ledger, ctx)
 }
 
-/// [`weak_to_strong`] with an explicit distance metric for the Case II
+/// [`weak_to_strong_in`] with an explicit distance metric for the Case II
 /// ball growth.
 ///
 /// With a hop oracle the growth is the paper's: integer radii, layer
@@ -106,29 +92,6 @@ pub fn weak_to_strong_in<A: WeakCarver + ?Sized>(
 /// Unweighted graphs under the hop oracle are bit-identical to the
 /// pre-oracle implementation; the equivalence proptest pins unit-weight
 /// graphs under the weighted oracle against them as well.
-pub fn weak_to_strong_with_oracle<A: WeakCarver + ?Sized>(
-    g: &Graph,
-    alive: &NodeSet,
-    eps: f64,
-    a: &A,
-    params: &Params,
-    oracle: MetricOracle,
-    ledger: &mut RoundLedger,
-) -> BallCarving {
-    weak_to_strong_with_oracle_in(
-        g,
-        alive,
-        eps,
-        a,
-        params,
-        oracle,
-        ledger,
-        &mut CarveCtx::new(),
-    )
-    .expect("unarmed ctx never cancels")
-}
-
-/// [`weak_to_strong_with_oracle`] with a caller-held [`CarveCtx`].
 ///
 /// # Errors
 ///
@@ -352,14 +315,14 @@ fn process_component<A: WeakCarver + ?Sized>(
                 // flooding the whole component would inflate the round
                 // charge far beyond the paper's window-bounded analysis.
                 let r_cap = tree_depth as f64 * step.max(1.0) + (window as f64 + 1.0) * step;
-                let sp = primitives::sp_bfs_in(&view, [root], r_cap, ledger, &mut ctx.ws);
+                let (sp, rounds) = primitives::sp_bfs_in(&view, [root], r_cap, ledger, &mut ctx.ws);
                 // Ball counts and the component's max edge weight reach
                 // the root by a convergecast over the relaxation tree:
                 // its height is at most the flooding round count, with
                 // one counter message per reached node (the weighted
                 // mirror of the layer-census upcast charge).
                 let count_bits = bits_for_value(g.n().max(2) as u64);
-                ledger.charge_rounds(sp.rounds());
+                ledger.charge_rounds(rounds);
                 ledger.record_messages(sp.reached_count() as u64, count_bits);
 
                 let member_ecc = wc.carving().clusters()[ci]
@@ -448,6 +411,18 @@ mod tests {
     use sdnd_clustering::{validate_carving, WeakCarving};
     use sdnd_graph::gen;
     use sdnd_weak::{Ls93, Rg20};
+
+    fn weak_to_strong(
+        g: &Graph,
+        alive: &NodeSet,
+        eps: f64,
+        a: &dyn WeakCarver,
+        params: &Params,
+        ledger: &mut RoundLedger,
+    ) -> BallCarving {
+        weak_to_strong_in(g, alive, eps, a, params, ledger, &mut CarveCtx::new())
+            .expect("unarmed ctx never cancels")
+    }
 
     fn check(g: &Graph, eps: f64, carver: &dyn WeakCarver) -> (BallCarving, RoundLedger) {
         let alive = NodeSet::full(g.n());
@@ -644,7 +619,7 @@ mod tests {
         let params = Params::default();
         let carver = Rg20::ggr21();
         let mut l1 = RoundLedger::new();
-        let forced = weak_to_strong_with_oracle(
+        let forced = weak_to_strong_with_oracle_in(
             &weighted,
             &alive,
             0.5,
@@ -652,7 +627,9 @@ mod tests {
             &params,
             MetricOracle::Hop(HopOracle),
             &mut l1,
-        );
+            &mut CarveCtx::new(),
+        )
+        .expect("unarmed ctx never cancels");
         let mut l2 = RoundLedger::new();
         let hop = weak_to_strong(&twin, &alive, 0.5, &carver, &params, &mut l2);
         assert_eq!(forced.clusters(), hop.clusters());

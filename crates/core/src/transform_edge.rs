@@ -28,34 +28,20 @@ use sdnd_graph::{algo, Adjacency, Graph, NodeId, NodeSet};
 use std::collections::HashSet;
 
 /// Runs the edge version of Theorem 2.1 over the black-box edge-weak
-/// carver `a`.
-///
-/// # Panics
-///
-/// Panics if `eps` is not in `(0, 1)` or the iteration bound is
-/// exceeded.
-pub fn weak_to_strong_edges<A: WeakEdgeCarver + ?Sized>(
-    g: &Graph,
-    alive: &NodeSet,
-    eps: f64,
-    a: &A,
-    params: &Params,
-    ledger: &mut RoundLedger,
-) -> EdgeCarving {
-    weak_to_strong_edges_in(g, alive, eps, a, params, ledger, &mut CarveCtx::new())
-        .expect("unarmed ctx never cancels")
-}
-
-/// [`weak_to_strong_edges`] with a caller-held [`CarveCtx`] (the Case II
-/// layer censuses run through the context's traversal workspace; the
-/// per-iteration filtered graphs are still materialized, as the cut set
-/// changes the edge structure itself). The armed deadline is honored
-/// once per processed component.
+/// carver `a`. The Case II layer censuses run through the context's
+/// traversal workspace; the per-iteration filtered graphs are still
+/// materialized, as the cut set changes the edge structure itself. The
+/// armed deadline is honored once per processed component.
 ///
 /// # Errors
 ///
 /// [`Cancelled`] when the armed deadline trips at a component boundary;
 /// the context stays safely reusable.
+///
+/// # Panics
+///
+/// Panics if `eps` is not in `(0, 1)` or the iteration bound is
+/// exceeded.
 pub fn weak_to_strong_edges_in<A: WeakEdgeCarver + ?Sized>(
     g: &Graph,
     alive: &NodeSet,
@@ -301,14 +287,16 @@ mod tests {
     fn check(g: &Graph, eps: f64) -> EdgeCarving {
         let alive = NodeSet::full(g.n());
         let mut ledger = RoundLedger::new();
-        let out = weak_to_strong_edges(
+        let out = weak_to_strong_edges_in(
             g,
             &alive,
             eps,
             &Rg20Edge::new(),
             &Params::default(),
             &mut ledger,
-        );
+            &mut CarveCtx::new(),
+        )
+        .expect("unarmed ctx never cancels");
         let report = validate_edge_carving(g, &out);
         assert!(
             report.is_valid(eps),
@@ -346,14 +334,16 @@ mod tests {
     fn empty_input() {
         let g = gen::path(4);
         let mut ledger = RoundLedger::new();
-        let out = weak_to_strong_edges(
+        let out = weak_to_strong_edges_in(
             &g,
             &NodeSet::empty(4),
             0.5,
             &Rg20Edge::new(),
             &Params::default(),
             &mut ledger,
-        );
+            &mut CarveCtx::new(),
+        )
+        .expect("unarmed ctx never cancels");
         assert_eq!(out.num_clusters(), 0);
     }
 }

@@ -1,14 +1,17 @@
-//! Breadth-first search, single- and multi-source, with layer censuses.
+//! Breadth-first search: the owned copy of a workspace run.
 
 use crate::{Adjacency, NodeId};
 
 /// Distance value for nodes not reached by a BFS.
 pub const UNREACHED: u32 = u32::MAX;
 
-/// The result of a breadth-first search.
+/// An owned copy of one hop traversal ([`super::BfsRun`]), for callers
+/// that keep a result past the workspace's next run.
 ///
 /// Distances are measured in the view the search ran on; nodes outside the
-/// view or in other components carry [`UNREACHED`].
+/// view or in other components carry [`UNREACHED`]. Parents are the
+/// run's: discovery order for [`bfs`] and [`super::bfs_in`], the
+/// minimum-index neighbour one layer closer for the CONGEST primitives.
 #[derive(Debug, Clone)]
 pub struct BfsResult {
     dist: Vec<u32>,
@@ -19,6 +22,23 @@ pub struct BfsResult {
 }
 
 impl BfsResult {
+    /// Copies a workspace run over a view of `universe` nodes.
+    pub fn from_run(universe: usize, run: &super::BfsRun<'_>) -> BfsResult {
+        let mut dist = vec![UNREACHED; universe];
+        let mut parent: Vec<Option<NodeId>> = vec![None; universe];
+        for &v in run.order() {
+            dist[v.index()] = run.dist(v);
+            parent[v.index()] = run.parent(v);
+        }
+        BfsResult {
+            dist,
+            parent,
+            order: run.order().to_vec(),
+            layer_sizes: run.layer_sizes().to_vec(),
+            ball_sizes: run.ball_sizes().to_vec(),
+        }
+    }
+
     /// Distance from the source set to `v`, or [`UNREACHED`].
     #[inline]
     pub fn dist(&self, v: NodeId) -> u32 {
@@ -35,6 +55,11 @@ impl BfsResult {
     #[inline]
     pub fn parent(&self, v: NodeId) -> Option<NodeId> {
         self.parent[v.index()]
+    }
+
+    /// The full parent vector, indexed by node.
+    pub fn parents(&self) -> &[Option<NodeId>] {
+        &self.parent
     }
 
     /// The reached nodes in non-decreasing distance order.
@@ -88,52 +113,19 @@ impl BfsResult {
     }
 }
 
-/// Runs a BFS from the given source set over `view`.
+/// Runs a full BFS from the given source set over `view` into a
+/// throwaway workspace and returns the owned result; repeated callers
+/// hold a [`super::TraversalWorkspace`] and use [`super::bfs_in`].
 ///
-/// Sources not contained in the view are ignored. Runs until the whole
-/// reachable region is explored.
+/// Sources not contained in the view are ignored.
 pub fn bfs<A, I>(view: &A, sources: I) -> BfsResult
 where
     A: Adjacency,
     I: IntoIterator<Item = NodeId>,
 {
-    bfs_bounded(view, sources, u32::MAX)
-}
-
-/// Runs a BFS truncated at distance `max_dist` (inclusive).
-///
-/// Nodes farther than `max_dist` from every source are left [`UNREACHED`].
-///
-/// Thin wrapper over [`super::bfs_bounded_in`] with a throwaway
-/// [`super::TraversalWorkspace`]; repeated callers should hold a
-/// workspace and use the `_in` form directly.
-pub fn bfs_bounded<A, I>(view: &A, sources: I, max_dist: u32) -> BfsResult
-where
-    A: Adjacency,
-    I: IntoIterator<Item = NodeId>,
-{
     let mut ws = super::TraversalWorkspace::new();
-    let run = super::bfs_bounded_in(&mut ws, view, sources, max_dist);
+    let run = super::bfs_in(&mut ws, view, sources);
     BfsResult::from_run(view.universe(), &run)
-}
-
-impl BfsResult {
-    /// Materializes an owned result from a workspace run view.
-    pub(super) fn from_run(universe: usize, run: &super::BfsRun<'_>) -> BfsResult {
-        let mut dist = vec![UNREACHED; universe];
-        let mut parent: Vec<Option<NodeId>> = vec![None; universe];
-        for &v in run.order() {
-            dist[v.index()] = run.dist(v);
-            parent[v.index()] = run.parent(v);
-        }
-        BfsResult {
-            dist,
-            parent,
-            order: run.order().to_vec(),
-            layer_sizes: run.layer_sizes().to_vec(),
-            ball_sizes: run.ball_sizes().to_vec(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -178,7 +170,8 @@ mod tests {
     #[test]
     fn bounded_truncates() {
         let g = gen::path(10);
-        let r = bfs_bounded(&g.full_view(), [NodeId::new(0)], 3);
+        let mut ws = crate::algo::TraversalWorkspace::new();
+        let r = crate::algo::bfs_bounded_in(&mut ws, &g.full_view(), [NodeId::new(0)], 3);
         assert_eq!(r.reached_count(), 4);
         assert!(!r.reached(NodeId::new(4)));
         assert_eq!(r.ball(2).count(), 3);

@@ -1,16 +1,14 @@
-//! Eccentricity, diameter, and pairwise distances.
+//! Eccentricity, diameter, and pairwise distances, each into a
+//! caller-held [`TraversalWorkspace`] (lane-word plus ordering scratch).
 //!
-//! The all-pairs sweeps (`diameter_exact`, `pairwise_distances`, and the
-//! batched eccentricity helper) run their sources through the
+//! The all-pairs sweeps ([`diameter_exact_in`], [`pairwise_distances_in`],
+//! and the batched [`eccentricities_in`]) run their sources through the
 //! bit-parallel MS-BFS [`crate::algo::msbfs_in`] 64 lanes at a time, so
 //! an `n`-source sweep costs `⌈n / 64⌉` shared adjacency passes instead
 //! of `n`. Batches are composed by [`crate::algo::ms_batch_order_in`]
 //! so the 64 lanes of each pass start near each other — without that,
 //! 64 row-major-consecutive sources on a high-diameter graph string out
 //! into a line and the shared frontier degenerates to per-source cost.
-//! The `_in` variants reuse a caller-held [`TraversalWorkspace`]
-//! (lane-word plus ordering scratch); the owning functions are thin
-//! wrappers with a throwaway workspace.
 
 use super::msbfs::lanes_of;
 use crate::algo::{bfs_in, ms_batch_order_in, msbfs_in, TraversalWorkspace, MS_LANES, UNREACHED};
@@ -19,11 +17,6 @@ use crate::{Adjacency, NodeId};
 /// Eccentricity of `v` within its component of `view` (max BFS distance).
 ///
 /// Returns `None` if `v` is not in the view.
-pub fn eccentricity<A: Adjacency>(view: &A, v: NodeId) -> Option<u32> {
-    eccentricity_in(view, v, &mut TraversalWorkspace::new())
-}
-
-/// [`eccentricity`] into a caller-held workspace.
 pub fn eccentricity_in<A: Adjacency>(
     view: &A,
     v: NodeId,
@@ -64,19 +57,14 @@ pub fn eccentricities_in<A: Adjacency>(
 ///
 /// Cost is `O(⌈n/64⌉ · (n + m))` shared MS-BFS passes; intended for
 /// validation and for the modest graph sizes of the experiment suite,
-/// not for huge inputs.
+/// not for huge inputs. Every 64-lane batch reuses the same lane-word
+/// scratch, and batches are packed as BFS balls so the shared frontier
+/// stays shared.
 ///
 /// Returns `None` for an empty view and [`UNREACHED`]-free semantics
 /// otherwise: if the view is disconnected, the diameter of the *largest
 /// distance within any single component* is returned (distances across
 /// components are ignored).
-pub fn diameter_exact<A: Adjacency>(view: &A) -> Option<u32> {
-    diameter_exact_in(view, &mut TraversalWorkspace::new())
-}
-
-/// [`diameter_exact`] into a caller-held workspace: every 64-lane batch
-/// reuses the same lane-word scratch, and batches are packed as BFS
-/// balls so the shared frontier stays shared.
 pub fn diameter_exact_in<A: Adjacency>(view: &A, ws: &mut TraversalWorkspace) -> Option<u32> {
     let sources: Vec<NodeId> = view.nodes().collect();
     let order = ms_batch_order_in(ws, view, &sources);
@@ -102,11 +90,6 @@ pub fn diameter_exact_in<A: Adjacency>(view: &A, ws: &mut TraversalWorkspace) ->
 /// general, and a widely used estimator.
 ///
 /// Returns `None` for an empty view.
-pub fn diameter_two_sweep<A: Adjacency>(view: &A) -> Option<u32> {
-    diameter_two_sweep_in(view, &mut TraversalWorkspace::new())
-}
-
-/// [`diameter_two_sweep`] into a caller-held workspace.
 pub fn diameter_two_sweep_in<A: Adjacency>(view: &A, ws: &mut TraversalWorkspace) -> Option<u32> {
     let start = view.nodes().next()?;
     let far = {
@@ -120,14 +103,9 @@ pub fn diameter_two_sweep_in<A: Adjacency>(view: &A, ws: &mut TraversalWorkspace
 ///
 /// `result[u][v]` is the distance from `u` to `v`, or [`UNREACHED`] when
 /// `v` is unreachable from `u` or either endpoint is outside the view.
-pub fn pairwise_distances<A: Adjacency>(view: &A) -> Vec<Vec<u32>> {
-    pairwise_distances_in(view, &mut TraversalWorkspace::new())
-}
-
-/// [`pairwise_distances`] into a caller-held workspace: sources run 64
-/// lanes per shared MS-BFS pass, each scattered into the result from the
-/// pass's discovery log, and the per-call allocation is the `O(n^2)`
-/// result matrix itself.
+/// Sources run 64 lanes per shared MS-BFS pass, each scattered into the
+/// result from the pass's discovery log, and the per-call allocation is
+/// the `O(n^2)` result matrix itself.
 pub fn pairwise_distances_in<A: Adjacency>(view: &A, ws: &mut TraversalWorkspace) -> Vec<Vec<u32>> {
     let n = view.universe();
     let mut out = vec![vec![UNREACHED; n]; n];
@@ -155,37 +133,56 @@ mod tests {
     use super::*;
     use crate::{gen, Graph, NodeSet};
 
+    fn diameter<A: Adjacency>(view: &A) -> Option<u32> {
+        diameter_exact_in(view, &mut TraversalWorkspace::new())
+    }
+
+    fn two_sweep<A: Adjacency>(view: &A) -> Option<u32> {
+        diameter_two_sweep_in(view, &mut TraversalWorkspace::new())
+    }
+
     #[test]
     fn path_diameter() {
         let g = gen::path(9);
-        assert_eq!(diameter_exact(&g.full_view()), Some(8));
-        assert_eq!(diameter_two_sweep(&g.full_view()), Some(8));
+        assert_eq!(diameter(&g.full_view()), Some(8));
+        assert_eq!(two_sweep(&g.full_view()), Some(8));
     }
 
     #[test]
     fn cycle_diameter() {
         let g = gen::cycle(10);
-        assert_eq!(diameter_exact(&g.full_view()), Some(5));
+        assert_eq!(diameter(&g.full_view()), Some(5));
     }
 
     #[test]
     fn grid_diameter() {
         let g = gen::grid(4, 7);
-        assert_eq!(diameter_exact(&g.full_view()), Some(3 + 6));
+        assert_eq!(diameter(&g.full_view()), Some(3 + 6));
     }
 
     #[test]
     fn eccentricity_center_vs_leaf() {
         let g = gen::path(9);
-        assert_eq!(eccentricity(&g.full_view(), NodeId::new(4)), Some(4));
-        assert_eq!(eccentricity(&g.full_view(), NodeId::new(0)), Some(8));
+        let mut ws = TraversalWorkspace::new();
+        assert_eq!(
+            eccentricity_in(&g.full_view(), NodeId::new(4), &mut ws),
+            Some(4)
+        );
+        assert_eq!(
+            eccentricity_in(&g.full_view(), NodeId::new(0), &mut ws),
+            Some(8)
+        );
     }
 
     #[test]
     fn eccentricity_outside_view() {
         let g = gen::path(3);
         let alive = NodeSet::from_nodes(3, [0, 1].map(NodeId::new));
-        assert_eq!(eccentricity(&g.view(&alive), NodeId::new(2)), None);
+        let mut ws = TraversalWorkspace::new();
+        assert_eq!(
+            eccentricity_in(&g.view(&alive), NodeId::new(2), &mut ws),
+            None
+        );
     }
 
     #[test]
@@ -204,15 +201,15 @@ mod tests {
     #[test]
     fn two_sweep_is_lower_bound() {
         let g = gen::gnp(60, 0.08, 7);
-        let exact = diameter_exact(&g.full_view()).unwrap();
-        let approx = diameter_two_sweep(&g.full_view()).unwrap();
+        let exact = diameter(&g.full_view()).unwrap();
+        let approx = two_sweep(&g.full_view()).unwrap();
         assert!(approx <= exact);
     }
 
     #[test]
     fn pairwise_matches_bfs() {
         let g = gen::grid(3, 3);
-        let d = pairwise_distances(&g.full_view());
+        let d = pairwise_distances_in(&g.full_view(), &mut TraversalWorkspace::new());
         assert_eq!(d[0][8], 4);
         assert_eq!(d[4][4], 0);
         for (u, row) in d.iter().enumerate() {
@@ -227,10 +224,12 @@ mod tests {
         let g = gen::grid(9, 9); // 81 nodes: one full batch plus a ragged one
         let mut ws = TraversalWorkspace::new();
         let full = pairwise_distances_in(&g.full_view(), &mut ws);
-        assert_eq!(full, pairwise_distances(&g.full_view()));
+        let fresh = pairwise_distances_in(&g.full_view(), &mut TraversalWorkspace::new());
+        assert_eq!(full, fresh);
         let alive = NodeSet::from_nodes(81, (0..81).filter(|&i| i % 5 != 2).map(NodeId::new));
         let sub = pairwise_distances_in(&g.view(&alive), &mut ws);
-        assert_eq!(sub, pairwise_distances(&g.view(&alive)));
+        let fresh = pairwise_distances_in(&g.view(&alive), &mut TraversalWorkspace::new());
+        assert_eq!(sub, fresh);
         for i in (0..81).filter(|&i| i % 5 == 2) {
             assert!(sub[i].iter().all(|&d| d == UNREACHED), "dead row {i}");
         }
@@ -239,13 +238,13 @@ mod tests {
     #[test]
     fn disconnected_diameter_is_within_components() {
         let g = Graph::from_edges(5, [(0, 1), (2, 3), (3, 4)]).unwrap();
-        assert_eq!(diameter_exact(&g.full_view()), Some(2));
+        assert_eq!(diameter(&g.full_view()), Some(2));
     }
 
     #[test]
     fn empty_view() {
         let g = Graph::empty(0);
-        assert_eq!(diameter_exact(&g.full_view()), None);
-        assert_eq!(diameter_two_sweep(&g.full_view()), None);
+        assert_eq!(diameter(&g.full_view()), None);
+        assert_eq!(two_sweep(&g.full_view()), None);
     }
 }

@@ -438,7 +438,7 @@ fn splitmix64(x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo::{bfs, diameter_exact};
+    use crate::algo::{bfs, diameter_exact_in, TraversalWorkspace};
     use crate::gen;
 
     #[test]
@@ -454,7 +454,7 @@ mod tests {
     fn diameter_estimate_is_one_sided() {
         for (rows, cols) in [(4, 4), (6, 9), (1, 40)] {
             let g = gen::grid(rows, cols);
-            let exact = diameter_exact(&g.full_view()).unwrap();
+            let exact = diameter_exact_in(&g.full_view(), &mut TraversalWorkspace::new()).unwrap();
             let mut hb = HyperBall::new(HyperBallParams::new(6));
             let s = hb.sweep(&g.full_view());
             assert!(

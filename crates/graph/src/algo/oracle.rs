@@ -4,88 +4,32 @@
 //! The carving pipeline and the validators only ever ask one question of
 //! a graph metric — "distances from this node, within this view" — so
 //! they take it from a [`DistanceOracle`] instead of calling a concrete
-//! traversal. [`HopOracle`] answers with BFS hop counts (the paper's
-//! CONGEST metric, and the fast path for unweighted graphs);
-//! [`WeightedOracle`] answers with Dijkstra over the edge weights.
+//! traversal. Every answer is a borrowed [`DistanceMapIn`] over a
+//! caller-held [`TraversalWorkspace`] run. [`HopOracle`] answers with
+//! BFS hop counts (the paper's CONGEST metric, and the fast path for
+//! unweighted graphs); [`WeightedOracle`] answers with Dijkstra over the
+//! edge weights.
 //! [`oracle_for`] picks the matching metric for a graph, which is how
 //! the stack stays weight-generic with unweighted inputs bit-identical
 //! to the pre-oracle code: hop distances are integers, exactly
 //! representable as `f64`, and the hop oracle runs the very same BFS.
 
 use crate::algo::{
-    bfs, bfs_in, bfs_to_in, dijkstra, dijkstra_in, dijkstra_to_in, msbfs_in, msbfs_to_in, BfsRun,
-    MsBfsRun, SpRun, TraversalWorkspace, UNREACHED,
+    bfs_in, bfs_to_in, dijkstra_in, dijkstra_to_in, msbfs_in, msbfs_to_in, BfsRun, MsBfsRun, SpRun,
+    TraversalWorkspace, UNREACHED,
 };
 use crate::{Adjacency, Graph, NodeId, NodeSet};
 
 /// Distance value for unreached nodes, shared by both metrics.
 pub const ORACLE_UNREACHED: f64 = f64::INFINITY;
 
-/// Per-node distances from a single source, in some metric.
+/// Per-node distances from a single source, in some metric: a borrowed
+/// view of a [`TraversalWorkspace`] run, produced by
+/// [`DistanceOracle::distances_in`].
 ///
 /// Hop distances are integers embedded in `f64` (exact up to `2^53`), so
 /// comparisons against integer bounds behave identically to the `u32`
 /// BFS API.
-#[derive(Debug, Clone)]
-pub struct DistanceMap {
-    dist: Vec<f64>,
-    order: Vec<NodeId>,
-}
-
-impl DistanceMap {
-    /// Assembles a map from a raw distance vector and the reached nodes
-    /// sorted by non-decreasing distance.
-    pub(crate) fn new(dist: Vec<f64>, order: Vec<NodeId>) -> Self {
-        debug_assert!(order
-            .windows(2)
-            .all(|w| dist[w[0].index()] <= dist[w[1].index()]));
-        DistanceMap { dist, order }
-    }
-
-    /// Distance to `v`, or [`ORACLE_UNREACHED`].
-    #[inline]
-    pub fn dist(&self, v: NodeId) -> f64 {
-        self.dist[v.index()]
-    }
-
-    /// Whether `v` was reached.
-    #[inline]
-    pub fn reached(&self, v: NodeId) -> bool {
-        self.dist[v.index()] != ORACLE_UNREACHED
-    }
-
-    /// The reached nodes in non-decreasing distance order.
-    pub fn order(&self) -> &[NodeId] {
-        &self.order
-    }
-
-    /// Number of reached nodes.
-    pub fn reached_count(&self) -> usize {
-        self.order.len()
-    }
-
-    /// Largest distance reached (`None` if nothing was reached).
-    pub fn eccentricity(&self) -> Option<f64> {
-        self.order.last().map(|&v| self.dist(v))
-    }
-
-    /// Reached nodes with distance at most `r`, in visit order.
-    pub fn ball(&self, r: f64) -> impl Iterator<Item = NodeId> + '_ {
-        self.order
-            .iter()
-            .copied()
-            .take_while(move |&v| self.dist(v) <= r)
-    }
-
-    /// Number of reached nodes with distance at most `r`.
-    pub fn ball_count(&self, r: f64) -> usize {
-        self.order.partition_point(|&v| self.dist(v) <= r)
-    }
-}
-
-/// Borrowed distance map over a [`TraversalWorkspace`] run: the
-/// allocation-free counterpart of [`DistanceMap`], produced by
-/// [`DistanceOracle::distances_in`].
 #[derive(Clone, Copy)]
 pub enum DistanceMapIn<'w> {
     /// Backed by a hop BFS run.
@@ -147,11 +91,7 @@ impl DistanceMapIn<'_> {
 /// A single-source distance computation over a view, in a fixed metric.
 pub trait DistanceOracle {
     /// Distances from `source` within `view` (unreached nodes carry
-    /// [`ORACLE_UNREACHED`]).
-    fn distances<A: Adjacency>(&self, view: &A, source: NodeId) -> DistanceMap;
-
-    /// [`distances`](Self::distances) into a caller-held workspace: no
-    /// per-call allocation, value-identical distances.
+    /// [`ORACLE_UNREACHED`]), into a caller-held workspace.
     fn distances_in<'w, A: Adjacency>(
         &self,
         view: &A,
@@ -209,9 +149,6 @@ pub trait DistanceOracle {
 
     /// Whether this oracle measures edge weights (as opposed to hops).
     fn is_weighted_metric(&self) -> bool;
-
-    /// Short metric name for diagnostics (`"hop"` / `"weighted"`).
-    fn name(&self) -> &'static str;
 }
 
 /// Hop-count metric: BFS layers, every edge length 1.
@@ -219,21 +156,6 @@ pub trait DistanceOracle {
 pub struct HopOracle;
 
 impl DistanceOracle for HopOracle {
-    fn distances<A: Adjacency>(&self, view: &A, source: NodeId) -> DistanceMap {
-        let r = bfs(view, [source]);
-        let dist = (0..view.universe())
-            .map(|i| {
-                let d = r.dist(NodeId::new(i));
-                if d == crate::algo::UNREACHED {
-                    ORACLE_UNREACHED
-                } else {
-                    d as f64
-                }
-            })
-            .collect();
-        DistanceMap::new(dist, r.order().to_vec())
-    }
-
     fn distances_in<'w, A: Adjacency>(
         &self,
         view: &A,
@@ -275,10 +197,6 @@ impl DistanceOracle for HopOracle {
     fn is_weighted_metric(&self) -> bool {
         false
     }
-
-    fn name(&self) -> &'static str {
-        "hop"
-    }
 }
 
 /// Weighted metric: Dijkstra over the base graph's edge weights.
@@ -286,14 +204,6 @@ impl DistanceOracle for HopOracle {
 pub struct WeightedOracle;
 
 impl DistanceOracle for WeightedOracle {
-    fn distances<A: Adjacency>(&self, view: &A, source: NodeId) -> DistanceMap {
-        let r = dijkstra(view, [source]);
-        let dist = (0..view.universe())
-            .map(|i| r.dist(NodeId::new(i)))
-            .collect();
-        DistanceMap::new(dist, r.order().to_vec())
-    }
-
     fn distances_in<'w, A: Adjacency>(
         &self,
         view: &A,
@@ -316,10 +226,6 @@ impl DistanceOracle for WeightedOracle {
     fn is_weighted_metric(&self) -> bool {
         true
     }
-
-    fn name(&self) -> &'static str {
-        "weighted"
-    }
 }
 
 /// The metric matching a graph: [`WeightedOracle`] for weighted graphs,
@@ -333,13 +239,6 @@ pub enum MetricOracle {
 }
 
 impl DistanceOracle for MetricOracle {
-    fn distances<A: Adjacency>(&self, view: &A, source: NodeId) -> DistanceMap {
-        match self {
-            MetricOracle::Hop(o) => o.distances(view, source),
-            MetricOracle::Weighted(o) => o.distances(view, source),
-        }
-    }
-
     fn distances_in<'w, A: Adjacency>(
         &self,
         view: &A,
@@ -393,13 +292,6 @@ impl DistanceOracle for MetricOracle {
     fn is_weighted_metric(&self) -> bool {
         !matches!(self, MetricOracle::Hop(_))
     }
-
-    fn name(&self) -> &'static str {
-        match self {
-            MetricOracle::Hop(o) => o.name(),
-            MetricOracle::Weighted(o) => o.name(),
-        }
-    }
 }
 
 /// Picks the natural metric for `g`: the hop metric for unweighted
@@ -415,12 +307,14 @@ pub fn oracle_for(g: &Graph) -> MetricOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algo::bfs;
     use crate::{gen, Graph};
 
     #[test]
     fn hop_oracle_matches_bfs() {
         let g = gen::grid(4, 5);
-        let m = HopOracle.distances(&g.full_view(), NodeId::new(0));
+        let mut ws = TraversalWorkspace::new();
+        let m = HopOracle.distances_in(&g.full_view(), NodeId::new(0), &mut ws);
         let b = bfs(&g.full_view(), [NodeId::new(0)]);
         for v in g.nodes() {
             assert_eq!(m.dist(v), b.dist(v) as f64);
@@ -432,7 +326,8 @@ mod tests {
     #[test]
     fn weighted_oracle_uses_weights() {
         let g = Graph::from_weighted_edges(3, [(0, 1, 2.5), (1, 2, 0.25)]).unwrap();
-        let m = WeightedOracle.distances(&g.full_view(), NodeId::new(0));
+        let mut ws = TraversalWorkspace::new();
+        let m = WeightedOracle.distances_in(&g.full_view(), NodeId::new(0), &mut ws);
         assert_eq!(m.dist(NodeId::new(2)), 2.75);
         assert!(WeightedOracle.is_weighted_metric());
     }
@@ -441,11 +336,10 @@ mod tests {
     fn auto_selection() {
         let unweighted = gen::path(4);
         assert_eq!(oracle_for(&unweighted), MetricOracle::Hop(HopOracle));
-        assert_eq!(oracle_for(&unweighted).name(), "hop");
+        assert!(!oracle_for(&unweighted).is_weighted_metric());
         // Any weight spread selects Dijkstra.
         let weighted = Graph::from_weighted_edges(4, [(0, 1, 2.0)]).unwrap();
         assert!(oracle_for(&weighted).is_weighted_metric());
-        assert_eq!(oracle_for(&weighted).name(), "weighted");
         let wild = Graph::from_weighted_edges(3, [(0, 1, 1e-9), (1, 2, 1e9)]).unwrap();
         assert_eq!(oracle_for(&wild), MetricOracle::Weighted(WeightedOracle));
     }
@@ -456,8 +350,9 @@ mod tests {
         let unit =
             Graph::from_weighted_edges(25, base.edges().map(|(u, v)| (u.index(), v.index(), 1.0)))
                 .unwrap();
-        let hop = HopOracle.distances(&base.full_view(), NodeId::new(0));
-        let w = WeightedOracle.distances(&unit.full_view(), NodeId::new(0));
+        let (mut hop_ws, mut w_ws) = (TraversalWorkspace::new(), TraversalWorkspace::new());
+        let hop = HopOracle.distances_in(&base.full_view(), NodeId::new(0), &mut hop_ws);
+        let w = WeightedOracle.distances_in(&unit.full_view(), NodeId::new(0), &mut w_ws);
         for v in base.nodes() {
             assert_eq!(hop.dist(v), w.dist(v), "node {v}");
         }

@@ -7,8 +7,8 @@
 //! CONGEST, blows up message sizes — which is exactly the point of the
 //! paper's comparison).
 
-use crate::algo::{bfs_bounded, dijkstra};
-use crate::{Adjacency, Graph};
+use crate::algo::{bfs_bounded_in, dijkstra_in, TraversalWorkspace};
+use crate::{Adjacency, Graph, NodeId};
 
 /// Builds the `k`-th power of `view`: nodes are the alive nodes of the
 /// view (in the same index space), and `{u, v}` is an edge iff
@@ -23,7 +23,7 @@ use crate::{Adjacency, Graph};
 /// Cost is one truncated BFS per node (plus one Dijkstra per node when
 /// weighted), `O(n · m_k)` where `m_k` is the size of the explored
 /// balls; fine for the moderate instance sizes the LOCAL baseline is
-/// evaluated on.
+/// evaluated on. Every traversal runs in one workspace.
 ///
 /// # Panics
 ///
@@ -36,15 +36,20 @@ pub fn power_graph<A: Adjacency>(view: &A, k: u32) -> Graph {
     if weighted {
         builder.weighted();
     }
+    let mut ws = TraversalWorkspace::new();
+    let mut ball: Vec<NodeId> = Vec::new();
     for v in view.nodes() {
-        let r = bfs_bounded(view, [v], k);
-        let wdist = weighted.then(|| dijkstra(view, [v]));
-        for u in r.order() {
-            if u.index() > v.index() {
-                match &wdist {
-                    Some(d) => builder.weighted_edge(v.index(), u.index(), d.dist(*u)),
-                    None => builder.edge(v.index(), u.index()),
-                };
+        ball.clear();
+        let run = bfs_bounded_in(&mut ws, view, [v], k);
+        ball.extend(run.order().iter().filter(|u| u.index() > v.index()));
+        if weighted {
+            let d = dijkstra_in(&mut ws, view, [v]);
+            for &u in &ball {
+                builder.weighted_edge(v.index(), u.index(), d.dist(u));
+            }
+        } else {
+            for &u in &ball {
+                builder.edge(v.index(), u.index());
             }
         }
     }
@@ -128,8 +133,9 @@ mod tests {
     fn power_distances_contract() {
         let g = gen::cycle(12);
         let g3 = graph_power(&g, 3);
-        let d1 = algo::pairwise_distances(&g.full_view());
-        let d3 = algo::pairwise_distances(&g3.full_view());
+        let mut ws = algo::TraversalWorkspace::new();
+        let d1 = algo::pairwise_distances_in(&g.full_view(), &mut ws);
+        let d3 = algo::pairwise_distances_in(&g3.full_view(), &mut ws);
         for u in 0..12 {
             for v in 0..12 {
                 if u != v {

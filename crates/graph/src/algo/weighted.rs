@@ -1,9 +1,10 @@
-//! Weighted shortest paths: Dijkstra over the CSR, weighted
-//! eccentricity/diameter, and a Bellman–Ford reference oracle.
+//! Weighted shortest paths: the owned copy of a Dijkstra run and a
+//! Bellman–Ford reference oracle.
 //!
-//! This module mirrors the hop-count API of [`super::bfs`] and
-//! [`super::distance`] for graphs built with
-//! [`GraphBuilder::weighted_edge`](crate::GraphBuilder::weighted_edge).
+//! This module mirrors the hop-count [`super::bfs`] for graphs built with
+//! [`GraphBuilder::weighted_edge`](crate::GraphBuilder::weighted_edge);
+//! the traversals themselves run in a [`super::TraversalWorkspace`]
+//! ([`super::dijkstra_in`] and its bounded and targeted forms).
 //! Weights are finite non-negative `f64`s (enforced at build time), so
 //! every comparison below is total and the traversals are deterministic:
 //! the priority queue breaks distance ties by node index.
@@ -17,18 +18,34 @@ use crate::{Adjacency, NodeId};
 /// Distance value for nodes not reached by a weighted search.
 pub const W_UNREACHED: f64 = f64::INFINITY;
 
-/// The result of a weighted shortest-path search.
+/// An owned copy of one weighted traversal ([`super::SpRun`]), for
+/// callers that keep a result past the workspace's next run.
 ///
 /// Distances are measured in the view the search ran on; nodes outside
 /// the view or in other components carry [`W_UNREACHED`].
 #[derive(Debug, Clone)]
-pub struct DijkstraResult {
+pub struct SpResult {
     dist: Vec<f64>,
     parent: Vec<Option<NodeId>>,
     order: Vec<NodeId>,
 }
 
-impl DijkstraResult {
+impl SpResult {
+    /// Copies a workspace run over a view of `universe` nodes.
+    pub fn from_run(universe: usize, run: &super::SpRun<'_>) -> SpResult {
+        let mut dist = vec![W_UNREACHED; universe];
+        let mut parent: Vec<Option<NodeId>> = vec![None; universe];
+        for &v in run.order() {
+            dist[v.index()] = run.dist(v);
+            parent[v.index()] = run.parent(v);
+        }
+        SpResult {
+            dist,
+            parent,
+            order: run.order().to_vec(),
+        }
+    }
+
     /// Distance from the source set to `v`, or [`W_UNREACHED`].
     #[inline]
     pub fn dist(&self, v: NodeId) -> f64 {
@@ -82,92 +99,22 @@ impl DijkstraResult {
 }
 
 /// Runs Dijkstra from the given source set over `view`, using the base
-/// graph's edge weights (1 per edge on unweighted graphs).
+/// graph's edge weights (1 per edge on unweighted graphs), into a
+/// throwaway workspace and returns the owned result; repeated callers
+/// hold a [`super::TraversalWorkspace`] and use [`super::dijkstra_in`].
 ///
-/// Sources not contained in the view are ignored. Runs until the whole
-/// reachable region is explored.
-pub fn dijkstra<A, I>(view: &A, sources: I) -> DijkstraResult
-where
-    A: Adjacency,
-    I: IntoIterator<Item = NodeId>,
-{
-    dijkstra_bounded(view, sources, W_UNREACHED)
-}
-
-/// Runs Dijkstra truncated at distance `max_dist` (inclusive).
-///
-/// Nodes farther than `max_dist` from every source are left
-/// [`W_UNREACHED`].
-///
-/// Thin wrapper over [`super::dijkstra_bounded_in`] with a throwaway
-/// [`super::TraversalWorkspace`]; repeated callers should hold a
-/// workspace and use the `_in` form directly. The priority queue is a
-/// max-heap of `Reverse((distance-bits, node))`: f64 bit patterns of
+/// Sources not contained in the view are ignored. The priority queue is
+/// a max-heap of `Reverse((distance-bits, node))`: f64 bit patterns of
 /// non-negative finite values order like the values themselves, and the
 /// node index breaks ties deterministically.
-pub fn dijkstra_bounded<A, I>(view: &A, sources: I, max_dist: f64) -> DijkstraResult
+pub fn dijkstra<A, I>(view: &A, sources: I) -> SpResult
 where
     A: Adjacency,
     I: IntoIterator<Item = NodeId>,
 {
     let mut ws = super::TraversalWorkspace::new();
-    let run = super::dijkstra_bounded_in(&mut ws, view, sources, max_dist);
-    DijkstraResult::from_run(view.universe(), &run)
-}
-
-impl DijkstraResult {
-    /// Materializes an owned result from a workspace run view.
-    pub(super) fn from_run(universe: usize, run: &super::SpRun<'_>) -> DijkstraResult {
-        let mut dist = vec![W_UNREACHED; universe];
-        let mut parent: Vec<Option<NodeId>> = vec![None; universe];
-        for &v in run.order() {
-            dist[v.index()] = run.dist(v);
-            parent[v.index()] = run.parent(v);
-        }
-        DijkstraResult {
-            dist,
-            parent,
-            order: run.order().to_vec(),
-        }
-    }
-}
-
-/// Weighted eccentricity of `v` within its component of `view`.
-///
-/// Returns `None` if `v` is not in the view.
-pub fn weighted_eccentricity<A: Adjacency>(view: &A, v: NodeId) -> Option<f64> {
-    if !view.contains(v) {
-        return None;
-    }
-    dijkstra(view, [v]).eccentricity()
-}
-
-/// Exact weighted diameter of `view` via an all-pairs Dijkstra sweep.
-///
-/// Cost is `O(n · (n + m) log n)`; intended for validation and the
-/// experiment suite, like [`super::diameter_exact`]. Disconnected views
-/// report the largest distance within any single component.
-pub fn weighted_diameter_exact<A: Adjacency>(view: &A) -> Option<f64> {
-    let mut best: Option<f64> = None;
-    for v in view.nodes() {
-        let e = dijkstra(view, [v]).eccentricity()?;
-        best = Some(best.map_or(e, |b| b.max(e)));
-    }
-    best
-}
-
-/// All-pairs weighted distances (only for small graphs; `O(n^2)`
-/// memory). Unreachable or out-of-view pairs carry [`W_UNREACHED`].
-pub fn weighted_pairwise_distances<A: Adjacency>(view: &A) -> Vec<Vec<f64>> {
-    let n = view.universe();
-    let mut out = vec![vec![W_UNREACHED; n]; n];
-    for v in view.nodes() {
-        let r = dijkstra(view, [v]);
-        for u in view.nodes() {
-            out[v.index()][u.index()] = r.dist(u);
-        }
-    }
-    out
+    let run = super::dijkstra_in(&mut ws, view, sources);
+    SpResult::from_run(view.universe(), &run)
 }
 
 /// Bellman–Ford reference oracle: the same distances as [`dijkstra`],
@@ -273,7 +220,8 @@ mod tests {
         assert!(!r.reached(NodeId::new(2)), "dead node");
         assert!(!r.reached(NodeId::new(3)), "must not cross dead node 2");
 
-        let b = dijkstra_bounded(&g.full_view(), [NodeId::new(0)], 2.5);
+        let mut ws = crate::algo::TraversalWorkspace::new();
+        let b = crate::algo::dijkstra_bounded_in(&mut ws, &g.full_view(), [NodeId::new(0)], 2.5);
         assert_eq!(b.reached_count(), 3);
         assert!(!b.reached(NodeId::new(3)));
     }
@@ -289,15 +237,13 @@ mod tests {
     }
 
     #[test]
-    fn weighted_diameter_and_eccentricity() {
+    fn weighted_eccentricity() {
         let g = weighted_path();
-        assert_eq!(weighted_diameter_exact(&g.full_view()), Some(5.5));
-        assert_eq!(
-            weighted_eccentricity(&g.full_view(), NodeId::new(1)),
-            Some(3.5)
-        );
+        let r = dijkstra(&g.full_view(), [NodeId::new(1)]);
+        assert_eq!(r.eccentricity(), Some(3.5));
         let alive = NodeSet::from_nodes(4, [0, 1].map(NodeId::new));
-        assert_eq!(weighted_eccentricity(&g.view(&alive), NodeId::new(3)), None);
+        let outside = dijkstra(&g.view(&alive), [NodeId::new(3)]);
+        assert_eq!(outside.eccentricity(), None);
     }
 
     #[test]
@@ -320,16 +266,20 @@ mod tests {
     }
 
     #[test]
-    fn pairwise_is_symmetric() {
+    fn distances_are_symmetric() {
         let g = Graph::from_weighted_edges(4, [(0, 1, 1.5), (1, 2, 2.5), (0, 2, 5.0), (2, 3, 1.0)])
             .unwrap();
-        let d = weighted_pairwise_distances(&g.full_view());
-        for (u, row) in d.iter().enumerate() {
-            for (v, &duv) in row.iter().enumerate() {
-                assert_eq!(duv, d[v][u], "pair ({u},{v})");
+        let d: Vec<SpResult> = g.nodes().map(|v| dijkstra(&g.full_view(), [v])).collect();
+        for u in g.nodes() {
+            for v in g.nodes() {
+                assert_eq!(d[u.index()].dist(v), d[v.index()].dist(u), "pair ({u},{v})");
             }
         }
-        assert_eq!(d[0][2], 4.0, "detour through 1 beats the direct edge");
+        assert_eq!(
+            d[0].dist(NodeId::new(2)),
+            4.0,
+            "detour through 1 beats the direct edge"
+        );
     }
 
     #[test]
@@ -346,6 +296,5 @@ mod tests {
         let r = dijkstra(&g.full_view(), []);
         assert_eq!(r.reached_count(), 0);
         assert_eq!(r.eccentricity(), None);
-        assert_eq!(weighted_diameter_exact(&g.full_view()), None);
     }
 }

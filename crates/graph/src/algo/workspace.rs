@@ -12,11 +12,11 @@
 //!
 //! - [`bfs_in`] / [`bfs_bounded_in`] / [`bfs_to_in`] and
 //!   [`dijkstra_in`] / [`dijkstra_bounded_in`] / [`dijkstra_to_in`]:
-//!   drop-in `_in` variants of the owning traversals in
-//!   [`super::bfs`] and [`super::weighted`]. They return borrowed
-//!   run views ([`BfsRun`], [`SpRun`]) over the workspace instead of
-//!   owned result structs; outputs are value-identical to the owning
-//!   APIs.
+//!   the traversals. They return borrowed run views ([`BfsRun`],
+//!   [`SpRun`]) over the workspace, the one run type per metric; a
+//!   caller that keeps a run past the workspace's next traversal copies
+//!   it into [`super::BfsResult`] / [`super::SpResult`] with their
+//!   `from_run` constructors.
 //! - Pools: [`TraversalWorkspace::take_set`] /
 //!   [`TraversalWorkspace::give_set`] recycle [`NodeSet`]s (cleared, not
 //!   reallocated), [`TraversalWorkspace::take_aux_u32`] /
@@ -51,8 +51,8 @@ const NO_NODE: u32 = u32::MAX;
 /// Largest hop distance a traversal can assign: one below the
 /// [`UNREACHED`] sentinel. Bounded traversals clamp their radius here so
 /// `dist + 1` arithmetic can never wrap a reached node's distance into
-/// the sentinel (the `u32::MAX` boundary of `bfs(…) =
-/// bfs_bounded(…, u32::MAX)`).
+/// the sentinel (the `u32::MAX` boundary of `bfs_in(…) =
+/// bfs_bounded_in(…, u32::MAX)`).
 pub const MAX_HOP_DIST: u32 = UNREACHED - 1;
 
 /// Per-node scratch for hop (BFS) traversals.
@@ -423,12 +423,13 @@ impl SpParts<'_> {
     }
 }
 
-/// Borrowed view of one hop traversal inside a [`TraversalWorkspace`].
+/// Borrowed view of one hop traversal inside a [`TraversalWorkspace`],
+/// whether run by [`bfs_in`] or by the `sdnd_congest` primitives.
 ///
-/// Value-identical accessors to [`super::BfsResult`] (and, for the
-/// congest variant, `BfsOutcome`): unstamped nodes report
-/// [`UNREACHED`] / `None`. `ball_sizes` returns the prefix sums computed
-/// once at the end of the traversal.
+/// Unstamped nodes report [`UNREACHED`] / `None`. `ball_sizes` returns
+/// the prefix sums computed once at the end of the traversal.
+/// [`super::BfsResult::from_run`] copies it into an owned result with the
+/// same accessors.
 #[derive(Clone, Copy)]
 pub struct BfsRun<'w> {
     epoch: u32,
@@ -516,7 +517,9 @@ impl<'w> BfsRun<'w> {
 }
 
 /// Borrowed view of one weighted traversal inside a
-/// [`TraversalWorkspace`]; mirrors [`super::DijkstraResult`].
+/// [`TraversalWorkspace`], whether run by [`dijkstra_in`] or by the
+/// `sdnd_congest` weighted flood; [`super::SpResult::from_run`] copies
+/// it into an owned result with the same accessors.
 ///
 /// With a `_to_in` (targeted) traversal, only the distances of the
 /// requested targets are guaranteed final — untargeted nodes may carry
@@ -590,9 +593,10 @@ impl<'w> SpRun<'w> {
     }
 }
 
-// ---- the owning-API-compatible traversals over a workspace ----------
+// ---- the traversals ------------------------------------------------
 
-/// [`super::bfs`] into a workspace: full BFS, discovery-order parents.
+/// Full BFS from a source set (sources outside the view are ignored),
+/// with discovery-order parents.
 pub fn bfs_in<'w, A, I>(ws: &'w mut TraversalWorkspace, view: &A, sources: I) -> BfsRun<'w>
 where
     A: Adjacency,
@@ -601,8 +605,8 @@ where
     bfs_core(ws, view, sources, u32::MAX, None)
 }
 
-/// [`super::bfs_bounded`] into a workspace: BFS truncated at `max_dist`
-/// (inclusive).
+/// BFS truncated at `max_dist` (inclusive): nodes farther than
+/// `max_dist` from every source are left [`UNREACHED`].
 pub fn bfs_bounded_in<'w, A, I>(
     ws: &'w mut TraversalWorkspace,
     view: &A,
@@ -690,7 +694,8 @@ where
     ws.hop_run()
 }
 
-/// [`super::dijkstra`] into a workspace.
+/// Dijkstra from a source set over the base graph's edge weights (1 per
+/// edge on unweighted graphs); sources outside the view are ignored.
 pub fn dijkstra_in<'w, A, I>(ws: &'w mut TraversalWorkspace, view: &A, sources: I) -> SpRun<'w>
 where
     A: Adjacency,
@@ -699,7 +704,8 @@ where
     dijkstra_core(ws, view, sources, W_UNREACHED, None)
 }
 
-/// [`super::dijkstra_bounded`] into a workspace.
+/// Dijkstra truncated at distance `max_dist` (inclusive): nodes farther
+/// than `max_dist` from every source are left [`W_UNREACHED`].
 pub fn dijkstra_bounded_in<'w, A, I>(
     ws: &'w mut TraversalWorkspace,
     view: &A,
@@ -802,7 +808,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo::{bfs, bfs_bounded, dijkstra, dijkstra_bounded};
+    use crate::algo::{bfs, dijkstra};
     use crate::{gen, Graph};
 
     fn ids(v: &[usize]) -> Vec<NodeId> {
@@ -835,19 +841,26 @@ mod tests {
     }
 
     #[test]
-    fn bounded_and_subset_views_match() {
+    fn bounded_run_is_the_truncated_full_run_on_subset_views() {
         let mut ws = TraversalWorkspace::new();
         let g = gen::grid(5, 5);
         let alive = NodeSet::from_nodes(25, (0..25).filter(|&i| i != 7).map(NodeId::new));
         let view = g.view(&alive);
-        let own = bfs_bounded(&view, ids(&[0, 24]), 3);
+        let full = bfs(&view, ids(&[0, 24]));
         let run = bfs_bounded_in(&mut ws, &view, ids(&[0, 24]), 3);
-        assert_eq!(run.order(), own.order());
-        assert_eq!(run.eccentricity(), own.eccentricity());
+        let within: Vec<NodeId> = full.ball(3).collect();
+        assert_eq!(run.order(), within, "the full run's order up to radius 3");
+        assert_eq!(run.eccentricity(), Some(3));
+        assert!(!run.reached(NodeId::new(7)), "dead node");
         for v in g.nodes() {
-            assert_eq!(run.dist(v), own.dist(v), "node {v}");
+            let want = if full.dist(v) <= 3 {
+                full.dist(v)
+            } else {
+                UNREACHED
+            };
+            assert_eq!(run.dist(v), want, "node {v}");
         }
-        assert_eq!(run.ball(2).count(), own.ball(2).count());
+        assert_eq!(run.ball(2).count(), full.ball(2).count());
     }
 
     #[test]
@@ -891,11 +904,16 @@ mod tests {
             assert_eq!(run.eccentricity(), own.eccentricity());
             assert_eq!(run.ball_count(4.0), own.ball_count(4.0));
 
-            let ownb = dijkstra_bounded(&g.full_view(), [NodeId::new(1)], 3.5);
+            // The bounded run is the full run truncated at the radius.
             let runb = dijkstra_bounded_in(&mut ws, &g.full_view(), [NodeId::new(1)], 3.5);
-            assert_eq!(runb.order(), ownb.order());
+            assert_eq!(runb.order(), own.ball(3.5).collect::<Vec<_>>());
             for v in g.nodes() {
-                assert_eq!(runb.dist(v), ownb.dist(v));
+                let want = if own.dist(v) <= 3.5 {
+                    own.dist(v)
+                } else {
+                    W_UNREACHED
+                };
+                assert_eq!(runb.dist(v), want);
             }
         }
     }

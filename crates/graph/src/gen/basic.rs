@@ -98,7 +98,10 @@ mod tests {
     fn path_shape() {
         let g = path(6);
         assert_eq!((g.n(), g.m()), (6, 5));
-        assert_eq!(algo::diameter_exact(&g.full_view()), Some(5));
+        assert_eq!(
+            algo::diameter_exact_in(&g.full_view(), &mut algo::TraversalWorkspace::new()),
+            Some(5)
+        );
     }
 
     #[test]
@@ -119,7 +122,10 @@ mod tests {
     fn complete_shape() {
         let g = complete(6);
         assert_eq!(g.m(), 15);
-        assert_eq!(algo::diameter_exact(&g.full_view()), Some(1));
+        assert_eq!(
+            algo::diameter_exact_in(&g.full_view(), &mut algo::TraversalWorkspace::new()),
+            Some(1)
+        );
     }
 
     #[test]
@@ -127,7 +133,10 @@ mod tests {
         let g = star(7);
         assert_eq!(g.m(), 6);
         assert_eq!(g.degree(crate::NodeId::new(0)), 6);
-        assert_eq!(algo::diameter_exact(&g.full_view()), Some(2));
+        assert_eq!(
+            algo::diameter_exact_in(&g.full_view(), &mut algo::TraversalWorkspace::new()),
+            Some(2)
+        );
     }
 
     #[test]
@@ -149,6 +158,9 @@ mod tests {
         let g = hypercube(4);
         assert_eq!((g.n(), g.m()), (16, 32));
         assert!(g.nodes().all(|v| g.degree(v) == 4));
-        assert_eq!(algo::diameter_exact(&g.full_view()), Some(4));
+        assert_eq!(
+            algo::diameter_exact_in(&g.full_view(), &mut algo::TraversalWorkspace::new()),
+            Some(4)
+        );
     }
 }

@@ -174,7 +174,7 @@ mod tests {
         assert_eq!(s.n(), 4 + 4 * 2);
         assert_eq!(s.m(), 4 * 3);
         // Distances between original neighbors stretch to `length`.
-        let d = algo::pairwise_distances(&s.full_view());
+        let d = algo::pairwise_distances_in(&s.full_view(), &mut algo::TraversalWorkspace::new());
         assert_eq!(d[0][1], 3);
     }
 
@@ -209,7 +209,8 @@ mod tests {
         assert!(g.n() >= 400 && g.n() <= 1600, "n = {}", g.n());
         assert!(algo::is_connected(&g.full_view()));
         // Subdivision stretches the base diameter by path_length.
-        let diam = algo::diameter_two_sweep(&g.full_view()).unwrap() as usize;
+        let diam = algo::diameter_two_sweep_in(&g.full_view(), &mut algo::TraversalWorkspace::new())
+            .unwrap() as usize;
         assert!(diam >= bg.path_length(), "diameter {diam} too small");
         assert!(bg.is_base_node(NodeId::new(0)));
         assert!(!bg.is_base_node(NodeId::new(bg.base_n())));

@@ -1,6 +1,7 @@
 //! Property-based tests for the graph substrate.
 
 use proptest::prelude::*;
+use sdnd_graph::algo::TraversalWorkspace;
 use sdnd_graph::{algo, gen, Adjacency, Graph, NodeId, NodeSet};
 
 /// Strategy: a random simple graph as an edge list over `n` nodes.
@@ -48,7 +49,7 @@ proptest! {
 
     #[test]
     fn pairwise_distances_are_a_metric(g in arb_graph()) {
-        let d = algo::pairwise_distances(&g.full_view());
+        let d = algo::pairwise_distances_in(&g.full_view(), &mut TraversalWorkspace::new());
         let n = g.n();
         for (u, row) in d.iter().enumerate() {
             prop_assert_eq!(row[u], 0);
@@ -101,9 +102,10 @@ proptest! {
 
     #[test]
     fn power_graph_contracts_distances(g in arb_graph(), k in 1u32..4) {
-        let d1 = algo::pairwise_distances(&g.full_view());
+        let mut ws = TraversalWorkspace::new();
+        let d1 = algo::pairwise_distances_in(&g.full_view(), &mut ws);
         let gk = algo::power_graph(&g.full_view(), k);
-        let dk = algo::pairwise_distances(&gk.full_view());
+        let dk = algo::pairwise_distances_in(&gk.full_view(), &mut ws);
         for u in 0..g.n() {
             for v in 0..g.n() {
                 if u == v { continue; }
@@ -120,7 +122,7 @@ proptest! {
         let s = gen::subdivide(&g, len);
         prop_assert_eq!(s.n(), g.n() + g.m() * (len - 1));
         prop_assert_eq!(s.m(), g.m() * len);
-        let ds = algo::pairwise_distances(&s.full_view());
+        let ds = algo::pairwise_distances_in(&s.full_view(), &mut TraversalWorkspace::new());
         for (u, v) in g.edges() {
             prop_assert_eq!(ds[u.index()][v.index()], len as u32);
         }
@@ -152,9 +154,11 @@ proptest! {
     #[test]
     fn two_sweep_never_exceeds_exact_diameter(g in arb_graph()) {
         let view = g.full_view();
-        if let (Some(exact), Some(ts)) =
-            (algo::diameter_exact(&view), algo::diameter_two_sweep(&view))
-        {
+        let mut ws = TraversalWorkspace::new();
+        if let (Some(exact), Some(ts)) = (
+            algo::diameter_exact_in(&view, &mut ws),
+            algo::diameter_two_sweep_in(&view, &mut ws),
+        ) {
             prop_assert!(ts <= exact);
         }
     }

@@ -9,8 +9,7 @@
 
 use crate::protocol::{Request, ValidateTier, CARVE_SEED};
 use sdnd_clustering::{
-    validate_decomposition_approx_in, validate_decomposition_timed_in, CarveCtx,
-    NetworkDecomposition,
+    validate_decomposition_approx_in, validate_decomposition_in, CarveCtx, NetworkDecomposition,
 };
 use sdnd_congest::RoundLedger;
 use sdnd_core::registry::Algorithm;
@@ -436,7 +435,7 @@ impl ServeState {
                 started.elapsed().as_secs_f64() * 1e3,
             ))
         } else {
-            let (report, _timing) = validate_decomposition_timed_in(&g, &d, &mut self.ctx)?;
+            let report = validate_decomposition_in(&g, &d, &mut self.ctx)?;
             let ms = started.elapsed().as_secs_f64() * 1e3;
             self.estimator.record(key.graph, ms);
             Ok(format!(

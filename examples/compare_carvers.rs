@@ -64,7 +64,16 @@ fn main() {
         // make the strong clusters small even at this n.
         let mut l = RoundLedger::new();
         let ls = Ls93::new(5);
-        let c = transform::weak_to_strong(&g, &alive, eps, &ls, &params, &mut l);
+        let c = transform::weak_to_strong_in(
+            &g,
+            &alive,
+            eps,
+            &ls,
+            &params,
+            &mut l,
+            &mut CarveCtx::new(),
+        )
+        .expect("unarmed ctx never cancels");
         report("cg21-thm2.1 over ls93 (rand)", "strong", &c, l.rounds());
     }
 

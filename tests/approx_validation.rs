@@ -53,7 +53,8 @@ proptest! {
     /// lands within 3 standard errors of the true count.
     #[test]
     fn hyperball_respects_its_error_model(g in arb_graph()) {
-        let exact = algo::diameter_exact(&g.full_view()).expect("connected");
+        let exact = algo::diameter_exact_in(&g.full_view(), &mut algo::TraversalWorkspace::new())
+            .expect("connected");
         let params = HyperBallParams::new(8);
         let mut hb = HyperBall::new(params);
         let s = hb.sweep(&g.full_view());

@@ -140,9 +140,10 @@ fn ball_clusters(g: &Graph, radius: u32, seed: u64) -> Vec<Vec<NodeId>> {
     order.sort_by_key(|v| mix(seed, v.index()));
     let mut free = NodeSet::full(g.n());
     let mut clusters = Vec::new();
+    let mut ws = TraversalWorkspace::new();
     for s in order {
         if free.contains(s) {
-            let ball = algo::bfs_bounded(&g.view(&free), [s], radius)
+            let ball = algo::bfs_bounded_in(&mut ws, &g.view(&free), [s], radius)
                 .order()
                 .to_vec();
             for &v in &ball {
@@ -399,9 +400,10 @@ fn large_graph(family: u8, n: usize, seed: u64) -> Graph {
 /// `G[C]` paths detour around the holes.
 fn holed_cluster(g: &Graph, seed: u64) -> Vec<NodeId> {
     let mut free = NodeSet::full(g.n());
+    let mut ws = TraversalWorkspace::new();
     for k in 0..4 {
         let center = NodeId::new((mix(seed, k) % g.n() as u64) as usize);
-        for &v in algo::bfs_bounded(&g.full_view(), [center], 2).order() {
+        for &v in algo::bfs_bounded_in(&mut ws, &g.full_view(), [center], 2).order() {
             free.remove(v);
         }
     }

@@ -3,7 +3,7 @@
 //! identifier permutations.
 
 use proptest::prelude::*;
-use sdnd::core::{transform, Params};
+use sdnd::core::{transform, CarveCtx, Params};
 use sdnd::prelude::*;
 use sdnd::weak::{Ls93, Rg20};
 use sdnd_clustering::{validate_carving, validate_weak_carving};
@@ -57,7 +57,10 @@ proptest! {
         let alive = NodeSet::full(g.n());
         let mut ledger = RoundLedger::new();
         let carver = Rg20::ggr21();
-        let out = transform::weak_to_strong(&g, &alive, eps, &carver, &Params::default(), &mut ledger);
+        let out = transform::weak_to_strong_in(
+            &g, &alive, eps, &carver, &Params::default(), &mut ledger, &mut CarveCtx::new(),
+        )
+        .expect("unarmed ctx never cancels");
         let report = validate_carving(&g, &out);
         prop_assert!(
             report.is_valid_strong(eps),
@@ -93,7 +96,10 @@ proptest! {
         use sdnd::core::CutOrComponent;
         let alive = NodeSet::full(g.n());
         let mut ledger = RoundLedger::new();
-        let out = sdnd::core::sparse_cut::cut_or_component(&g, &alive, eps, &Params::default(), &mut ledger);
+        let out = sdnd::core::sparse_cut::cut_or_component_in(
+            &g, &alive, eps, &Params::default(), &mut ledger, &mut CarveCtx::new(),
+        )
+        .expect("unarmed ctx never cancels");
         let n = g.n();
         match out {
             CutOrComponent::SparseCut { v1, v2, middle } => {

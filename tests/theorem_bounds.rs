@@ -3,7 +3,7 @@
 //! corpus. These are the per-theorem "paper vs measured" checks recorded
 //! in EXPERIMENTS.md.
 
-use sdnd::core::{sparse_cut, transform, Params};
+use sdnd::core::{sparse_cut, transform, CarveCtx, Params};
 use sdnd::prelude::*;
 use sdnd::weak::Rg20;
 use sdnd_clustering::{metrics, validate_carving, validate_weak_carving, StrongCarver};
@@ -57,7 +57,16 @@ fn theorem21_diameter_formula() {
     let r = wc.forest().max_depth().unwrap();
 
     let mut ledger = RoundLedger::new();
-    let out = transform::weak_to_strong(&g, &alive, eps, &carver, &params, &mut ledger);
+    let out = transform::weak_to_strong_in(
+        &g,
+        &alive,
+        eps,
+        &carver,
+        &params,
+        &mut ledger,
+        &mut CarveCtx::new(),
+    )
+    .expect("unarmed ctx never cancels");
     let report = validate_carving(&g, &out);
     assert!(report.is_valid_strong(eps));
     let bound = 2 * (r + params.growth_window(eps, g.n())) + 2;
@@ -136,7 +145,15 @@ fn lemma31_bounds() {
         let n = g.n();
         let eps = 0.5;
         let mut ledger = RoundLedger::new();
-        let out = sparse_cut::cut_or_component(&g, &alive, eps, &params, &mut ledger);
+        let out = sparse_cut::cut_or_component_in(
+            &g,
+            &alive,
+            eps,
+            &params,
+            &mut ledger,
+            &mut CarveCtx::new(),
+        )
+        .expect("unarmed ctx never cancels");
         match out {
             sparse_cut::CutOrComponent::SparseCut { v1, v2, middle } => {
                 assert!(expect_cut, "{name}: unexpected cut");
@@ -153,7 +170,8 @@ fn lemma31_bounds() {
                 assert!(!expect_cut, "{name}: unexpected component");
                 assert!(u.len() >= n / 3);
                 let members: Vec<NodeId> = u.iter().collect();
-                let diam = metrics::strong_diameter_of(&g, &members).unwrap();
+                let diam =
+                    metrics::strong_diameter_of_in(&g, &members, &mut CarveCtx::new()).unwrap();
                 let bound = (8.0 * ln(n).powi(2) / eps).ceil() as u32 + 4;
                 assert!(diam <= bound, "{name}: diameter {diam} vs {bound}");
             }
@@ -174,7 +192,16 @@ fn black_box_composition_with_shallow_carver() {
     let shallow = sdnd::weak::Ls93::new(5);
 
     let mut ledger = RoundLedger::new();
-    let out = transform::weak_to_strong(&g, &alive, eps, &shallow, &params, &mut ledger);
+    let out = transform::weak_to_strong_in(
+        &g,
+        &alive,
+        eps,
+        &shallow,
+        &params,
+        &mut ledger,
+        &mut CarveCtx::new(),
+    )
+    .expect("unarmed ctx never cancels");
     let report = validate_carving(&g, &out);
     assert!(report.is_valid_strong(eps), "{:?}", report.violations);
     // LS93's radius cap bounds R; diameter <= 2 (R + window).

@@ -5,10 +5,10 @@
 //! decompose-and-validate run.
 
 use proptest::prelude::*;
-use sdnd::core::{transform, Params};
+use sdnd::core::{transform, CarveCtx, Params};
 use sdnd::prelude::*;
 use sdnd::weak::Rg20;
-use sdnd_graph::algo::{self, DistanceOracle, HopOracle, MetricOracle};
+use sdnd_graph::algo::{self, DistanceOracle, HopOracle, MetricOracle, TraversalWorkspace};
 use sdnd_graph::gen::{self, WeightDist};
 
 /// Strategy: a connected weighted random graph (uniform integer weights
@@ -39,13 +39,52 @@ fn arb_fractional_graph() -> impl Strategy<Value = Graph> {
     })
 }
 
+/// The Dijkstra sweeps that stop early agree with the Bellman–Ford
+/// distances `bf` from `s` wherever they are final: `dijkstra_to_in` at
+/// every target drawn by `picks`, and `dijkstra_bounded_in` on every
+/// node within the radius, reaching nothing beyond it. The radius is the
+/// distance of the node drawn by `at`, so the inclusive bound is tested
+/// at a node that lies exactly on it.
+fn early_stops_match_bellman_ford<A: Adjacency>(
+    view: &A,
+    s: NodeId,
+    bf: &[f64],
+    picks: &[usize],
+    at: usize,
+) -> Result<(), TestCaseError> {
+    let n = view.universe();
+    let radius = bf[at % n];
+    let mut ws = TraversalWorkspace::new();
+    let targets = NodeSet::from_nodes(n, picks.iter().map(|&i| NodeId::new(i % n)));
+    let to = algo::dijkstra_to_in(&mut ws, view, [s], &targets);
+    for v in targets.iter() {
+        prop_assert_eq!(to.dist(v), bf[v.index()], "target {}", v);
+    }
+    let bounded = algo::dijkstra_bounded_in(&mut ws, view, [s], radius);
+    for (i, &d) in bf.iter().enumerate() {
+        let v = NodeId::new(i);
+        if d <= radius {
+            prop_assert_eq!(bounded.dist(v), d, "node {} within {}", v, radius);
+        } else {
+            prop_assert!(!bounded.reached(v), "node {} beyond {}", v, radius);
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Dijkstra distances match the Bellman–Ford oracle — an
-    /// implementation too simple to share the priority queue's bugs.
+    /// implementation too simple to share the priority queue's bugs —
+    /// and so do the targeted and bounded sweeps where they are final.
     #[test]
-    fn dijkstra_matches_bellman_ford(g in arb_weighted_graph(), src in 0usize..8) {
+    fn dijkstra_matches_bellman_ford(
+        g in arb_weighted_graph(),
+        src in 0usize..8,
+        picks in prop::collection::vec(0usize..60, 1..6),
+        at in 0usize..60,
+    ) {
         let view = g.full_view();
         let s = NodeId::new(src.min(g.n() - 1));
         let d = algo::dijkstra(&view, [s]);
@@ -53,11 +92,17 @@ proptest! {
         for v in g.nodes() {
             prop_assert_eq!(d.dist(v), bf[v.index()], "node {}", v);
         }
+        early_stops_match_bellman_ford(&view, s, &bf, &picks, at)?;
     }
 
     /// Same check under fractional weights and on an induced view.
     #[test]
-    fn dijkstra_matches_bellman_ford_fractional(g in arb_fractional_graph(), drop in 0usize..5) {
+    fn dijkstra_matches_bellman_ford_fractional(
+        g in arb_fractional_graph(),
+        drop in 0usize..5,
+        picks in prop::collection::vec(0usize..40, 1..6),
+        at in 0usize..40,
+    ) {
         let alive = NodeSet::from_nodes(
             g.n(),
             g.nodes().filter(|v| v.index() % 7 != drop),
@@ -72,6 +117,7 @@ proptest! {
         for v in g.nodes() {
             prop_assert_eq!(d.dist(v), bf[v.index()], "node {}", v);
         }
+        early_stops_match_bellman_ford(&view, s, &bf, &picks, at)?;
     }
 
     /// On unit weights the weighted oracle IS the hop oracle.
@@ -79,8 +125,9 @@ proptest! {
     fn unit_weighted_oracle_equals_hop_oracle(n in 8usize..50, seed in 0u64..500) {
         let g = gen::gnp_connected(n, 2.5 / n as f64, seed);
         let unit = gen::reweight(&g, WeightDist::Unit, seed).unwrap();
-        let hop = HopOracle.distances(&g.full_view(), NodeId::new(0));
-        let w = algo::WeightedOracle.distances(&unit.full_view(), NodeId::new(0));
+        let (mut hop_ws, mut w_ws) = (TraversalWorkspace::new(), TraversalWorkspace::new());
+        let hop = HopOracle.distances_in(&g.full_view(), NodeId::new(0), &mut hop_ws);
+        let w = algo::WeightedOracle.distances_in(&unit.full_view(), NodeId::new(0), &mut w_ws);
         for v in g.nodes() {
             prop_assert_eq!(hop.dist(v), w.dist(v), "node {}", v);
         }
@@ -102,11 +149,16 @@ proptest! {
         let params = Params::default();
         let carver = Rg20::ggr21();
         let mut l_auto = RoundLedger::new();
-        let auto = transform::weak_to_strong(&g, &alive, eps, &carver, &params, &mut l_auto);
+        let auto = transform::weak_to_strong_in(
+            &g, &alive, eps, &carver, &params, &mut l_auto, &mut CarveCtx::new(),
+        )
+        .expect("unarmed ctx never cancels");
         let mut l_hop = RoundLedger::new();
-        let forced = transform::weak_to_strong_with_oracle(
+        let forced = transform::weak_to_strong_with_oracle_in(
             &g, &alive, eps, &carver, &params, MetricOracle::Hop(HopOracle), &mut l_hop,
-        );
+            &mut CarveCtx::new(),
+        )
+        .expect("unarmed ctx never cancels");
         prop_assert_eq!(auto.clusters(), forced.clusters());
         prop_assert_eq!(l_auto.rounds(), l_hop.rounds());
         prop_assert_eq!(l_auto.messages(), l_hop.messages());

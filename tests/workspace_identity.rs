@@ -1,11 +1,12 @@
 //! Bit-identity of the workspace-threaded carving pipeline.
 //!
 //! The `_in` entry points reuse one [`CarveCtx`] across arbitrarily many
-//! runs; these tests pin the tentpole contract: clusters, colors, dead
-//! sets, and every `RoundLedger` charge are **bit-identical** to the
-//! fresh-allocation wrappers, across theorem paths, metrics, weights,
-//! and eps values — and a context that survives a panicking carve stays
-//! safely reusable.
+//! runs; these tests pin the contract: clusters, colors, dead sets, and
+//! every `RoundLedger` charge are **bit-identical** to a fresh context
+//! (`&mut CarveCtx::new()`, or the `carve_strong` trait method and the
+//! `decompose_strong{,_improved}` and `validate_*` wrappers, which make
+//! one), across theorem paths, metrics, weights, and eps values — and a
+//! context that survives a panicking carve stays safely reusable.
 
 use proptest::prelude::*;
 use sdnd::clustering::{
@@ -15,6 +16,7 @@ use sdnd::clustering::{
 use sdnd::congest::RoundLedger;
 use sdnd::core::{sparse_cut, Params, Theorem22Carver, Theorem33Carver};
 use sdnd::prelude::*;
+use sdnd_graph::algo::WeightedOracle;
 use sdnd_graph::gen;
 
 fn unweighted(n: usize, seed: u64) -> Graph {
@@ -101,7 +103,10 @@ proptest! {
             let g = unweighted(n, seed);
             let alive = NodeSet::full(g.n());
             let mut lf = RoundLedger::new();
-            let fresh = sparse_cut::cut_or_component(&g, &alive, 0.5, &params, &mut lf);
+            let fresh = sparse_cut::cut_or_component_in(
+                &g, &alive, 0.5, &params, &mut lf, &mut CarveCtx::new(),
+            )
+            .expect("unarmed ctx never cancels");
             let mut lw = RoundLedger::new();
             let shared =
                 sparse_cut::cut_or_component_in(&g, &alive, 0.5, &params, &mut lw, &mut ctx)
@@ -143,26 +148,23 @@ proptest! {
         // A connected prefix and a scattered (likely disconnected) set.
         let prefix: Vec<NodeId> = (0..n / 2).map(NodeId::new).collect();
         let scattered: Vec<NodeId> = (0..n).step_by(3).map(NodeId::new).collect();
+        let w = &WeightedOracle;
         for members in [&prefix, &scattered] {
             prop_assert_eq!(
-                metrics::strong_diameter_of(&g, members),
+                metrics::strong_diameter_of_in(&g, members, &mut CarveCtx::new()),
                 metrics::strong_diameter_of_in(&g, members, &mut ctx)
             );
             prop_assert_eq!(
-                metrics::weak_diameter_of(&g, members),
+                metrics::weak_diameter_of_in(&g, members, &mut CarveCtx::new()),
                 metrics::weak_diameter_of_in(&g, members, &mut ctx)
             );
             prop_assert_eq!(
-                metrics::weighted_strong_diameter_of(&g, members),
-                metrics::weighted_strong_diameter_of_in(&g, members, &mut ctx)
+                metrics::strong_diameter_of_with_in(&g, members, w, &mut CarveCtx::new()),
+                metrics::strong_diameter_of_with_in(&g, members, w, &mut ctx)
             );
             prop_assert_eq!(
-                metrics::weighted_weak_diameter_of(&g, members),
-                metrics::weighted_weak_diameter_of_in(&g, members, &mut ctx)
-            );
-            prop_assert_eq!(
-                metrics::strong_diameter_two_sweep(&g, members),
-                metrics::strong_diameter_two_sweep_in(&g, members, &mut ctx)
+                metrics::weak_diameter_of_with_in(&g, members, w, &mut CarveCtx::new()),
+                metrics::weak_diameter_of_with_in(&g, members, w, &mut ctx)
             );
         }
 
