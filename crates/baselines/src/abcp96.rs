@@ -16,7 +16,7 @@
 //! message sizes faithfully, which is the measured contrast against the
 //! paper's CONGEST transformation (experiment E4).
 
-use sdnd_clustering::{decompose_with_weak_carver, BallCarving, StrongCarver};
+use sdnd_clustering::{try_decompose_by_carving, BallCarving, CarveCtx, StrongCarver, WeakCarver};
 use sdnd_congest::{bits_for_value, primitives, RoundLedger};
 use sdnd_graph::{algo, Adjacency, Graph, NodeId, NodeSet};
 use sdnd_weak::Rg20;
@@ -68,7 +68,16 @@ impl StrongCarver for Abcp96 {
         // weak decomposition).
         let mut power_ledger = RoundLedger::new();
         let weak = Rg20::rg20();
-        let weak_decomp = decompose_with_weak_carver(&gp, &weak, 0.5, &mut power_ledger);
+        let mut ctx = CarveCtx::new();
+        let start = NodeSet::full(gp.n());
+        let weak_decomp =
+            try_decompose_by_carving(&gp, &start, 0.5, &mut power_ledger, |g, alive, eps, l| {
+                Ok(weak
+                    .carve_weak_in(g, alive, eps, l, &mut ctx)?
+                    .into_parts()
+                    .0)
+            })
+            .expect("unarmed ctx never cancels");
         // Simulating those rounds on G: factor `power`; message sizes in
         // the simulation carry per-hop aggregations of up to deg^power
         // identifiers — we record the (conservative) size of one

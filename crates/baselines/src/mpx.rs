@@ -232,7 +232,9 @@ impl sdnd_clustering::EdgeCarver for Mpx13 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdnd_clustering::{decompose_with_strong_carver, validate_carving, validate_decomposition};
+    use sdnd_clustering::{
+        decompose_with_strong_carver_in, validate_carving, validate_decomposition, CarveCtx,
+    };
     use sdnd_graph::gen;
 
     fn check_carving(g: &Graph, eps: f64, seed: u64) -> BallCarving {
@@ -293,7 +295,10 @@ mod tests {
         for seed in 0..3 {
             let g = gen::grid(8, 8);
             let mut ledger = RoundLedger::new();
-            let d = decompose_with_strong_carver(&g, &Mpx13::new(seed), 0.5, &mut ledger);
+            let mut ctx = CarveCtx::new();
+            let d =
+                decompose_with_strong_carver_in(&g, &Mpx13::new(seed), 0.5, &mut ledger, &mut ctx)
+                    .expect("unarmed ctx never cancels");
             let report = validate_decomposition(&g, &d);
             assert!(report.is_valid(), "seed {seed}: {:?}", report.violations);
             let n = 64f64;

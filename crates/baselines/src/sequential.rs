@@ -82,7 +82,9 @@ impl StrongCarver for SequentialGreedy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdnd_clustering::{decompose_with_strong_carver, validate_carving, validate_decomposition};
+    use sdnd_clustering::{
+        decompose_with_strong_carver_in, validate_carving, validate_decomposition, CarveCtx,
+    };
     use sdnd_graph::gen;
 
     #[test]
@@ -114,7 +116,9 @@ mod tests {
         let g = gen::grid(10, 10);
         let carver = SequentialGreedy::new();
         let mut ledger = RoundLedger::new();
-        let d = decompose_with_strong_carver(&g, &carver, 0.5, &mut ledger);
+        let d =
+            decompose_with_strong_carver_in(&g, &carver, 0.5, &mut ledger, &mut CarveCtx::new())
+                .expect("unarmed ctx never cancels");
         let report = validate_decomposition(&g, &d);
         assert!(report.is_valid(), "{:?}", report.violations);
         let log2n = (100f64).log2();

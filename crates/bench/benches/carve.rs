@@ -22,7 +22,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sdnd_bench::env_usize;
-use sdnd_clustering::{validate_carving, validate_carving_in, BallCarving, CarveCtx, StrongCarver};
+use sdnd_clustering::{
+    validate_carving, validate_carving_in, BallCarving, CarveCtx, StrongCarver, WeakCarver,
+};
 use sdnd_congest::RoundLedger;
 use sdnd_core::{sparse_cut, Params, Theorem22Carver, Theorem33Carver};
 use sdnd_graph::{gen, Graph, NodeSet};
@@ -109,7 +111,7 @@ fn bench_carve(c: &mut Criterion) {
             let mut ctx = CarveCtx::new();
             b.iter(|| {
                 let mut l = RoundLedger::new();
-                Rg20::ggr21().carve_in(g, &alive, eps, &mut l, &mut ctx)
+                Rg20::ggr21().carve_weak_in(g, &alive, eps, &mut l, &mut ctx)
             })
         });
 

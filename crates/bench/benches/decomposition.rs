@@ -2,11 +2,10 @@
 //! algorithms).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sdnd_clustering::{decompose_with_strong_carver, decompose_with_weak_carver};
+use sdnd_clustering::CarveCtx;
 use sdnd_congest::RoundLedger;
-use sdnd_core::Params;
+use sdnd_core::{registry, Params};
 use sdnd_graph::gen;
-use sdnd_weak::{Ls93, Rg20};
 
 fn bench_decompositions(c: &mut Criterion) {
     let mut group = c.benchmark_group("decompose");
@@ -15,35 +14,23 @@ fn bench_decompositions(c: &mut Criterion) {
         let g = gen::grid(side, side);
         let n = g.n();
 
-        group.bench_with_input(BenchmarkId::new("rg20-weak", n), &g, |b, g| {
-            b.iter(|| {
-                let mut l = RoundLedger::new();
-                decompose_with_weak_carver(g, &Rg20::rg20(), 0.5, &mut l)
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("ls93-weak", n), &g, |b, g| {
-            b.iter(|| {
-                let mut l = RoundLedger::new();
-                decompose_with_weak_carver(g, &Ls93::new(3), 0.5, &mut l)
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("en16-strong", n), &g, |b, g| {
-            b.iter(|| {
-                let mut l = RoundLedger::new();
-                decompose_with_strong_carver(g, &sdnd_baselines::Mpx13::new(3), 0.5, &mut l)
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("ls93-sequential-strong", n), &g, |b, g| {
-            b.iter(|| {
-                let mut l = RoundLedger::new();
-                decompose_with_strong_carver(
-                    g,
-                    &sdnd_baselines::SequentialGreedy::new(),
-                    0.5,
-                    &mut l,
-                )
-            })
-        });
+        // The LS93 reduction over the weak carvers and the baselines,
+        // through the registry; `seed` only reaches ls93 and en16.
+        for (row, name) in [
+            ("rg20-weak", "rg20"),
+            ("ls93-weak", "ls93"),
+            ("en16-strong", "en16"),
+            ("ls93-sequential-strong", "sequential"),
+        ] {
+            let algo = registry::find_decompose(name).expect("registered");
+            group.bench_with_input(BenchmarkId::new(row, n), &g, |b, g| {
+                b.iter(|| {
+                    let mut l = RoundLedger::new();
+                    algo.decompose_in(3, g, &mut l, &mut CarveCtx::new())
+                        .expect("unarmed ctx never cancels")
+                })
+            });
+        }
         group.bench_with_input(BenchmarkId::new("cg21-thm2.3-strong", n), &g, |b, g| {
             b.iter(|| sdnd_core::decompose_strong(g, &Params::default()))
         });

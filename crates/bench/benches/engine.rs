@@ -31,6 +31,7 @@ fn families() -> Vec<(&'static str, Graph)> {
         ("clique", gen::complete(128)),
         ("clique", gen::complete(256)),
         ("clique", gen::complete(512)),
+        ("clique", gen::complete(1024)),
     ]
 }
 
@@ -54,8 +55,9 @@ fn bench_flood(c: &mut Criterion) {
     }
     // Parallel lane on the densest cases: bit-identical outcome, sharded
     // stepping over the per-run worker pool (speedup requires actual
-    // cores; see BENCH_engine.json).
-    for (n, threads) in [(256usize, 2usize), (256, 4), (512, 2)] {
+    // cores; BENCH_engine.json compares these rows with the matching
+    // `clique-session` rows above).
+    for (n, threads) in [(256usize, 2usize), (256, 4), (512, 2), (1024, 2)] {
         let g = gen::complete(n);
         let view = g.full_view();
         let kernel = primitives::BfsKernel::new(&view, [NodeId::new(0)], u32::MAX);

@@ -10,7 +10,7 @@
 //! Usage: `cargo run --release -p sdnd-bench --bin applications`
 
 use sdnd_bench::{env_seed, env_usize, graph_suite, opt, Table};
-use sdnd_clustering::{decompose_with_strong_carver, validate_decomposition};
+use sdnd_clustering::{decompose_with_strong_carver_in, validate_decomposition, CarveCtx};
 use sdnd_congest::RoundLedger;
 use sdnd_core::{apply, Params};
 
@@ -41,7 +41,8 @@ fn main() {
             ("mpx13/en16", {
                 let mut l = RoundLedger::new();
                 let mpx = sdnd_baselines::Mpx13::new(seed);
-                decompose_with_strong_carver(&g, &mpx, 0.5, &mut l)
+                decompose_with_strong_carver_in(&g, &mpx, 0.5, &mut l, &mut CarveCtx::new())
+                    .expect("unarmed ctx never cancels")
             }),
         ];
         for (dname, d) in decomps {

@@ -8,9 +8,9 @@
 //! strong diameter of a cluster is measured in its induced subgraph
 //! minus the cut edges.
 
-use crate::ClusteringError;
+use crate::{metrics, CarveCtx, ClusteringError};
 use sdnd_congest::RoundLedger;
-use sdnd_graph::{algo, Graph, NodeId, NodeSet};
+use sdnd_graph::{Graph, NodeId, NodeSet};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
@@ -181,36 +181,27 @@ pub fn validate_edge_carving(g: &Graph, ec: &EdgeCarving) -> EdgeCarvingReport {
         }
     }
 
-    // Per-cluster connectivity and diameter in G[C] - cut, computed by
-    // building the cluster subgraph explicitly.
+    // Per-cluster connectivity and strong diameter in G[C] - cut: one
+    // `G - cut` for every cluster, one exact iFUB per cluster under a
+    // shared context.
+    let uncut = Graph::from_edges(
+        g.n(),
+        g.edges()
+            .filter(|e| !cut.contains(e))
+            .map(|(u, v)| (u.index(), v.index())),
+    )
+    .expect("a subgraph of a valid graph");
+    let mut ctx = CarveCtx::new();
     let mut connected = true;
     let mut max_diam = Some(0u32);
     for (i, members) in ec.clusters().iter().enumerate() {
-        let set = NodeSet::from_nodes(g.n(), members.iter().copied());
-        let mut b = Graph::builder(g.n());
-        for &v in members {
-            for &u in g.neighbors(v) {
-                if v < u && set.contains(u) && !cut.contains(&(v, u)) {
-                    b.edge(v.index(), u.index());
-                }
+        match metrics::strong_diameter_of_in(&uncut, members, &mut ctx) {
+            Some(d) => max_diam = max_diam.map(|m| m.max(d)),
+            None => {
+                connected = false;
+                max_diam = None;
+                violations.push(format!("cluster {i} disconnected after edge cuts"));
             }
-        }
-        let sub = b.build().expect("cluster subgraph is valid");
-        let view = sub.view(&set);
-        let start = members[0];
-        let bfs = algo::bfs(&view, [start]);
-        if bfs.reached_count() != members.len() {
-            connected = false;
-            max_diam = None;
-            violations.push(format!("cluster {i} disconnected after edge cuts"));
-            continue;
-        }
-        let mut ecc = 0;
-        for &v in members {
-            ecc = ecc.max(algo::bfs(&view, [v]).eccentricity().unwrap_or(0));
-        }
-        if let Some(m) = max_diam {
-            max_diam = Some(m.max(ecc));
         }
     }
 

@@ -38,10 +38,7 @@ pub use ctx::CarveCtx;
 pub use decomposition::{ClusterId, NetworkDecomposition};
 pub use edge::{validate_edge_carving, EdgeCarver, EdgeCarving};
 pub use error::ClusteringError;
-pub use reduction::{
-    decompose_by_carving, decompose_with_strong_carver, decompose_with_strong_carver_in,
-    decompose_with_weak_carver, try_decompose_by_carving,
-};
+pub use reduction::{decompose_with_strong_carver_in, try_decompose_by_carving};
 pub use sdnd_graph::{Cancelled, Deadline};
 pub use steiner::{SteinerForest, SteinerTree};
 pub use traits::{StrongCarver, WeakCarver};

@@ -7,8 +7,14 @@
 //! clustered, and the clusters of repetition `i` form color class `i`
 //! (clusters of one repetition are pairwise non-adjacent by the carving
 //! guarantee).
+//!
+//! [`try_decompose_by_carving`] is the reduction over any carving
+//! closure — weak carvers included, by dropping their Steiner forests —
+//! and [`decompose_with_strong_carver_in`] is its form over a
+//! [`StrongCarver`] and a caller-held [`CarveCtx`]. Callers without a
+//! context pass `&mut CarveCtx::new()`.
 
-use crate::{BallCarving, CarveCtx, NetworkDecomposition, StrongCarver, WeakCarver};
+use crate::{BallCarving, CarveCtx, NetworkDecomposition, StrongCarver};
 use sdnd_congest::RoundLedger;
 use sdnd_graph::{Cancelled, Graph, NodeSet};
 
@@ -18,38 +24,18 @@ use sdnd_graph::{Cancelled, Graph, NodeSet};
 ///
 /// The closure receives `(graph, alive set, eps, ledger)` and must
 /// return a carving of that alive set. Repetitions run on the *dead*
-/// remainder of the previous one.
+/// remainder of the previous one. A weak carver plugs in by dropping
+/// its Steiner forest (`carving.into_parts().0`), giving a weak-diameter
+/// decomposition.
 ///
 /// A repetition that clusters nothing (possible for randomized carvers
 /// on tiny remnants — e.g. LS93 when every node draws radius 0) is
 /// retried without consuming a color.
 ///
-/// # Panics
-///
-/// Panics if the attempt count exceeds `16 (log2 n + 2)` — far beyond
-/// any valid carver at `eps = 1/2`, indicating a broken carver.
-pub fn decompose_by_carving<F>(
-    g: &Graph,
-    start: &NodeSet,
-    eps: f64,
-    ledger: &mut RoundLedger,
-    mut carve: F,
-) -> NetworkDecomposition
-where
-    F: FnMut(&Graph, &NodeSet, f64, &mut RoundLedger) -> BallCarving,
-{
-    try_decompose_by_carving(g, start, eps, ledger, |g, alive, eps, ledger| {
-        Ok(carve(g, alive, eps, ledger))
-    })
-    .expect("infallible carvings cannot be cancelled")
-}
-
-/// [`decompose_by_carving`] over a *fallible* carving closure: the
-/// cancellable spine of the reduction. The closure may return
-/// [`Cancelled`] (deadline tripped inside a carving phase), which
-/// aborts the repetition loop and propagates; completed repetitions are
-/// simply dropped — re-running on the same context after a
-/// cancellation is bit-identical to a fresh run.
+/// The closure may return [`Cancelled`] (deadline tripped inside a
+/// carving phase), which aborts the repetition loop and propagates;
+/// completed repetitions are simply dropped — re-running on the same
+/// context after a cancellation is bit-identical to a fresh run.
 ///
 /// # Errors
 ///
@@ -58,8 +44,8 @@ where
 ///
 /// # Panics
 ///
-/// As [`decompose_by_carving`]: a carver that stops clustering a
-/// constant fraction per repetition blows the attempt budget.
+/// Panics if the attempt count exceeds `16 (log2 n + 2)` — far beyond
+/// any valid carver at `eps = 1/2`, indicating a broken carver.
 pub fn try_decompose_by_carving<F>(
     g: &Graph,
     start: &NodeSet,
@@ -98,23 +84,10 @@ where
         .expect("repetition clusters partition the start set"))
 }
 
-/// [`decompose_by_carving`] specialized to a [`StrongCarver`], producing
-/// a strong-diameter network decomposition.
-pub fn decompose_with_strong_carver<C: StrongCarver + ?Sized>(
-    g: &Graph,
-    carver: &C,
-    eps: f64,
-    ledger: &mut RoundLedger,
-) -> NetworkDecomposition {
-    let start = NodeSet::full(g.n());
-    decompose_by_carving(g, &start, eps, ledger, |g, alive, eps, ledger| {
-        carver.carve_strong(g, alive, eps, ledger)
-    })
-}
-
-/// [`decompose_with_strong_carver`] with a caller-held [`CarveCtx`]: one
-/// traversal workspace serves every carving repetition (and stays warm
-/// for the caller's next decomposition), and the context's armed
+/// [`try_decompose_by_carving`] over a [`StrongCarver`] on all of `g`,
+/// producing a strong-diameter network decomposition. One traversal
+/// workspace, the context's, serves every carving repetition (and stays
+/// warm for the caller's next decomposition), and the context's armed
 /// deadline is honored at every carving phase boundary.
 ///
 /// # Errors
@@ -134,22 +107,6 @@ pub fn decompose_with_strong_carver_in<C: StrongCarver + ?Sized>(
     })
 }
 
-/// [`decompose_by_carving`] specialized to a [`WeakCarver`], producing a
-/// weak-diameter network decomposition (the Steiner forests of the
-/// individual repetitions are dropped; callers needing them should drive
-/// the carver directly).
-pub fn decompose_with_weak_carver<C: WeakCarver + ?Sized>(
-    g: &Graph,
-    carver: &C,
-    eps: f64,
-    ledger: &mut RoundLedger,
-) -> NetworkDecomposition {
-    let start = NodeSet::full(g.n());
-    decompose_by_carving(g, &start, eps, ledger, |g, alive, eps, ledger| {
-        carver.carve_weak(g, alive, eps, ledger).into_parts().0
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,7 +114,12 @@ mod tests {
 
     /// A toy strong carver: per connected component, takes the BFS ball
     /// of radius 1 around the min-id node and kills its boundary.
-    fn toy_carve(g: &Graph, alive: &NodeSet, _eps: f64, ledger: &mut RoundLedger) -> BallCarving {
+    fn toy_carve(
+        g: &Graph,
+        alive: &NodeSet,
+        _eps: f64,
+        ledger: &mut RoundLedger,
+    ) -> Result<BallCarving, Cancelled> {
         ledger.charge_rounds(3);
         let view = g.view(alive);
         let comps = algo::connected_components(&view);
@@ -173,7 +135,7 @@ mod tests {
             let ball: Vec<NodeId> = bfs.ball(1).collect();
             clusters.push(ball);
         }
-        BallCarving::new(alive.clone(), clusters).expect("balls are disjoint per component")
+        Ok(BallCarving::new(alive.clone(), clusters).expect("balls are disjoint per component"))
     }
 
     #[test]
@@ -181,7 +143,7 @@ mod tests {
         let g = gen::cycle(12);
         let start = NodeSet::full(12);
         let mut ledger = RoundLedger::new();
-        let d = decompose_by_carving(&g, &start, 0.5, &mut ledger, toy_carve);
+        let d = try_decompose_by_carving(&g, &start, 0.5, &mut ledger, toy_carve).unwrap();
         let report = crate::validate_decomposition(&g, &d);
         assert!(report.is_valid(), "violations: {:?}", report.violations);
         assert!(d.num_colors() >= 2);
@@ -193,7 +155,7 @@ mod tests {
         let g = gen::path(9);
         let start = NodeSet::full(9);
         let mut ledger = RoundLedger::new();
-        let d = decompose_by_carving(&g, &start, 0.5, &mut ledger, toy_carve);
+        let d = try_decompose_by_carving(&g, &start, 0.5, &mut ledger, toy_carve).unwrap();
         // First repetition clusters the radius-1 ball around node 0.
         assert_eq!(d.color_of(NodeId::new(0)), Some(0));
         crate::validate::assert_strong_decomposition(&g, &d, d.num_colors(), 2);
@@ -205,8 +167,8 @@ mod tests {
         let g = gen::path(4);
         let start = NodeSet::full(4);
         let mut ledger = RoundLedger::new();
-        let _ = decompose_by_carving(&g, &start, 0.5, &mut ledger, |_, alive, _, _| {
-            BallCarving::new(alive.clone(), vec![]).unwrap()
+        let _ = try_decompose_by_carving(&g, &start, 0.5, &mut ledger, |_, alive, _, _| {
+            Ok(BallCarving::new(alive.clone(), vec![]).unwrap())
         });
     }
 }

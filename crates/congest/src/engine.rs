@@ -874,10 +874,9 @@ impl Engine {
     /// Runs `protocol` on every alive node of `view` until quiescence,
     /// on the lane selected by [`with_threads`](Self::with_threads).
     ///
-    /// The `Send`/`Sync` bounds exist for the parallel lane; a protocol
-    /// that cannot satisfy them (interior mutability, `Rc`, ...) can
-    /// still run on [`run_sequential`](Self::run_sequential), which
-    /// relaxes them.
+    /// The `Send`/`Sync` bounds exist for the parallel lane. This is the
+    /// one-shot form: it builds a throwaway arena (`O(m)` setup), so
+    /// repeated runs on one graph should go through [`Engine::session`].
     ///
     /// # Errors
     ///
@@ -893,7 +892,7 @@ impl Engine {
         if self.threads > 1 {
             self.run_parallel(view, protocol)
         } else {
-            self.run_sequential(view, protocol)
+            self.run_transported(view, protocol, &self.watchdog(), &mut Reliable)
         }
     }
 
@@ -939,33 +938,9 @@ impl Engine {
         Watchdog::rounds(self.max_rounds).with_deadline(self.deadline.clone())
     }
 
-    /// Runs `protocol` on the sequential lane regardless of the
-    /// configured thread count, without the thread-safety bounds that
-    /// [`run`](Self::run) imposes for the parallel lane.
-    ///
-    /// This is the one-shot form: it builds a throwaway arena (`O(m)`
-    /// setup). Repeated runs on one graph should go through
-    /// [`Engine::session`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`EngineError`] on budget violations, invalid sends, or
-    /// if the round limit is exceeded.
-    pub fn run_sequential<A, P>(
-        &self,
-        view: &A,
-        protocol: &P,
-    ) -> Result<RunOutcome<P::State>, EngineError>
-    where
-        A: Adjacency,
-        P: Protocol,
-    {
-        self.run_transported(view, protocol, &self.watchdog(), &mut Reliable)
-    }
-
     /// A one-shot sequential run through `transport` under `watchdog`:
-    /// [`run_sequential`](Self::run_sequential) with the reliable
-    /// transport, and a single-shard async-lane run with its seeded one.
+    /// [`run`](Self::run)'s sequential lane with the reliable transport,
+    /// and a single-shard async-lane run with its seeded one.
     pub(crate) fn run_transported<A, P, T>(
         &self,
         view: &A,
@@ -1417,34 +1392,8 @@ impl<'g> EngineSession<'g> {
         P::Msg: Send + Sync + 'static,
     {
         if self.engine.threads > 1 {
-            self.run_parallel(view, protocol)
-        } else {
-            self.run_sequential(view, protocol)
+            return self.run_parallel(view, protocol);
         }
-    }
-
-    /// Runs `protocol` on the sequential lane regardless of the session
-    /// engine's thread count, without the thread-safety bounds of
-    /// [`run`](Self::run).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `view` does not borrow the session's graph.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`EngineError`] on budget violations, invalid sends, or
-    /// if the round limit is exceeded.
-    pub fn run_sequential<A, P>(
-        &mut self,
-        view: &A,
-        protocol: &P,
-    ) -> Result<RunOutcome<P::State>, EngineError>
-    where
-        A: Adjacency,
-        P: Protocol,
-        P::Msg: 'static,
-    {
         self.prepare(view);
         let slots = self.graph.directed_edges();
         let n = self.graph.n();

@@ -7,67 +7,34 @@
 //! in a pipelined schedule — a node at depth `d` forwards the merged
 //! count for layer `l` exactly `l - d` rounds after the census starts —
 //! so the upcast finishes in `L` extra rounds for `L` layers, matching
-//! the paper's `O(r*)` bound for computing `r*`.
+//! the paper's `O(r*)` bound for computing `r*`. The counts the root
+//! learns are the layer sizes of the BFS run itself, so
+//! [`layer_census_in`] returns that [`BfsRun`] and charges the upcast;
+//! [`CensusKernel`] replays the upcast on the engine.
 
 use super::bfs::bfs_in;
 use crate::{bits_for_value, Outbox, Protocol, RoundLedger};
 use sdnd_graph::algo::{BfsRun, TraversalWorkspace, UNREACHED};
 use sdnd_graph::{Adjacency, NodeId};
 
-/// Result of a layer census from a root node, borrowed from the
-/// workspace: the BFS run view plus the `u64` layer counts and
-/// cumulative ball sizes cached there.
-pub struct LayerCensusIn<'w> {
-    run: BfsRun<'w>,
-    layer_counts: &'w [u64],
-    ball_sizes: &'w [u64],
-}
-
-impl<'w> LayerCensusIn<'w> {
-    /// The underlying BFS run (distances, parents, order).
-    pub fn bfs(&self) -> &BfsRun<'w> {
-        &self.run
-    }
-
-    /// `layer_counts()[d]` = number of nodes at distance exactly `d`
-    /// from the root, as learned at the root.
-    pub fn layer_counts(&self) -> &'w [u64] {
-        self.layer_counts
-    }
-
-    /// Cumulative ball sizes `|B_r|` (prefix sums, computed once).
-    ///
-    /// Only extends to the deepest census layer; prefer
-    /// [`LayerCensusIn::ball_size`] for radius lookups that may exceed it.
-    pub fn ball_sizes(&self) -> &'w [u64] {
-        self.ball_sizes
-    }
-
-    /// `|B_r|` for an arbitrary radius, clamped: radii beyond the deepest
-    /// layer return the full reached count, and an empty census returns 0.
-    pub fn ball_size(&self, r: u32) -> u64 {
-        match self.ball_sizes.len() {
-            0 => 0,
-            len => self.ball_sizes[(r as usize).min(len - 1)],
-        }
-    }
-}
-
 /// Runs a BFS from `root` truncated at `r_max` and pipelines the layer
 /// counts back to the root. Charges the BFS cost plus `L` upcast rounds
 /// (where `L` is the deepest non-empty layer) and the pipelined upcast
 /// messages.
 ///
-/// The BFS runs through the fused [`bfs_in`], the upcast accounting
-/// reuses a pooled buffer, and the counts live in the caller-held
-/// workspace — no per-call allocation.
+/// Returns the BFS run the census was taken on: the counts the root
+/// learns are its [`layer_sizes`](BfsRun::layer_sizes), with
+/// [`ball_sizes`](BfsRun::ball_sizes) and the clamped
+/// [`ball_size`](BfsRun::ball_size) as their prefix sums. The BFS runs
+/// through the fused [`bfs_in`] and the upcast accounting reuses a
+/// pooled buffer — no per-call allocation.
 pub fn layer_census_in<'w, A: Adjacency>(
     view: &A,
     root: NodeId,
     r_max: u32,
     ledger: &mut RoundLedger,
     ws: &'w mut TraversalWorkspace,
-) -> LayerCensusIn<'w> {
+) -> BfsRun<'w> {
     let count_bits = bits_for_value(view.universe().max(2) as u64);
     let mut sub_max = ws.take_aux_u32();
     {
@@ -101,12 +68,7 @@ pub fn layer_census_in<'w, A: Adjacency>(
         ledger.record_messages(messages, count_bits);
     }
     ws.give_aux_u32(sub_max);
-    ws.fill_hop_counts_u64();
-    LayerCensusIn {
-        run: ws.hop_run(),
-        layer_counts: ws.hop_layer_counts_u64(),
-        ball_sizes: ws.hop_ball_sizes_u64(),
-    }
+    ws.hop_run()
 }
 
 /// Kernel program for the pipelined upcast, given the BFS tree (dist and
@@ -208,11 +170,8 @@ mod tests {
             .unwrap();
 
         let root_counts = &out.states[root.index()].as_ref().unwrap().counts;
-        assert_eq!(
-            root_counts.as_slice(),
-            census.layer_counts(),
-            "census mismatch"
-        );
+        let census_counts: Vec<u64> = census.layer_sizes().iter().map(|&c| c as u64).collect();
+        assert_eq!(root_counts, &census_counts, "census mismatch");
 
         // The fast path charged: BFS cost + upcast cost. Kernel upcast
         // rounds/messages must match the upcast part exactly.
@@ -238,7 +197,7 @@ mod tests {
             &mut ledger,
             &mut ws,
         );
-        assert_eq!(census.layer_counts(), &[1, 1, 1, 1, 1, 1, 1]);
+        assert_eq!(census.layer_sizes(), &[1, 1, 1, 1, 1, 1, 1]);
         assert_eq!(census.ball_sizes(), &[1, 2, 3, 4, 5, 6, 7]);
         // BFS: 7 rounds (last forwarder at distance 6 delivers in round 7);
         // upcast: 6 rounds.
@@ -264,7 +223,7 @@ mod tests {
         let mut ws = TraversalWorkspace::new();
         let mut ledger = RoundLedger::new();
         let census = layer_census_in(&g.full_view(), NodeId::new(0), 4, &mut ledger, &mut ws);
-        assert_eq!(census.layer_counts().len(), 5);
+        assert_eq!(census.layer_sizes().len(), 5);
         assert_eq!(census.ball_sizes().last(), Some(&5));
     }
 
@@ -303,7 +262,7 @@ mod tests {
             &mut ledger,
             &mut ws,
         );
-        assert_eq!(census.layer_counts(), &[1]);
+        assert_eq!(census.layer_sizes(), &[1]);
         assert_eq!(ledger.rounds(), 0);
     }
 }

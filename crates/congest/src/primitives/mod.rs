@@ -30,7 +30,7 @@ mod sp_bfs;
 mod tree;
 
 pub use bfs::{bfs, bfs_in, BfsKernel};
-pub use census::{layer_census_in, CensusKernel, LayerCensusIn};
+pub use census::{layer_census_in, CensusKernel};
 pub use dfs_order::SubsetDfsRanks;
 pub use leader::{elect_leader, LeaderInfo, LeaderKernel};
 pub use sp_bfs::{sp_bfs, sp_bfs_in, SpBfsKernel, SpBfsState};

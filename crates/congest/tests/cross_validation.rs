@@ -159,7 +159,8 @@ proptest! {
         let out = run_both(&mut session, &view, &kernel);
 
         let root_counts = &out.states[src.index()].as_ref().expect("root alive").counts;
-        prop_assert_eq!(root_counts.as_slice(), census.layer_counts());
+        let census_counts: Vec<u64> = census.layer_sizes().iter().map(|&c| c as u64).collect();
+        prop_assert_eq!(root_counts, &census_counts);
         let upcast_rounds = full.rounds() - bfs_ledger.rounds();
         prop_assert_eq!(out.rounds, upcast_rounds, "upcast rounds");
     }

@@ -31,21 +31,36 @@
 //! Dead nodes: at most `eps/2` from the `log n` invocations of `A` plus
 //! at most `eps/2` from ball boundaries (each boundary is an `eps/2`
 //! fraction of its removed ball, and removed balls are disjoint).
+//!
+//! The balls grow in the input's own metric: hop layers on an
+//! unweighted graph, weighted balls grown in steps of the largest edge
+//! weight on a weighted one (see [`weak_to_strong_in`]).
 
 use crate::Params;
 use sdnd_clustering::{BallCarving, Cancelled, CarveCtx, WeakCarver};
 use sdnd_congest::{bits_for_value, primitives, RoundLedger};
-use sdnd_graph::algo::MetricOracle;
 use sdnd_graph::{algo, Adjacency as _, Graph, NodeId, NodeSet};
 
 /// Runs the Theorem 2.1 transformation: a strong-diameter ball carving
 /// of `G[alive]` removing at most an `eps` fraction of `alive`, via
 /// black-box invocations of the weak carver `a`.
 ///
-/// The Case II ball growth runs in the graph's natural metric
-/// ([`algo::oracle_for`]): hop-count layer censuses on unweighted
-/// graphs, weighted [`primitives::sp_bfs_in`] balls on weighted graphs —
-/// see [`weak_to_strong_with_oracle_in`] for the weighted growth rule.
+/// The Case II ball growth runs in the graph's own metric. On an
+/// unweighted graph it is the paper's: integer radii, layer censuses,
+/// boundary layer `r* + 1` killed. On a weighted graph
+/// ([`Graph::is_weighted`]) the radius grows in steps of `W` (the
+/// largest alive edge weight in the component) starting from the
+/// weighted eccentricity of the giant cluster, over weighted
+/// [`primitives::sp_bfs_in`] balls: every topological neighbor of `B_r`
+/// lies inside `B_{r + W}`, so the ratio condition
+/// `|B_r| >= (1 - eps/2) |B_{r+W}|` bounds the killed shell exactly as
+/// the unit-step rule does in hops, and a failed step still multiplies
+/// the ball size by `1 / (1 - eps/2)` — the growth window and the
+/// dead-fraction budget carry over unchanged. The killed shell itself is
+/// computed topologically (alive neighbors of the ball outside it),
+/// which is what non-adjacency of the output clusters actually requires.
+/// A unit-weighted graph yields the clusters of its unweighted twin.
+///
 /// Every Case II ball growth (layer census or weighted flood) and
 /// component scan reuses the context's traversal workspace. The armed
 /// deadline is honored once per processed component (each component
@@ -67,44 +82,6 @@ pub fn weak_to_strong_in<A: WeakCarver + ?Sized>(
     eps: f64,
     a: &A,
     params: &Params,
-    ledger: &mut RoundLedger,
-    ctx: &mut CarveCtx,
-) -> Result<BallCarving, Cancelled> {
-    weak_to_strong_with_oracle_in(g, alive, eps, a, params, algo::oracle_for(g), ledger, ctx)
-}
-
-/// [`weak_to_strong_in`] with an explicit distance metric for the Case II
-/// ball growth.
-///
-/// With a hop oracle the growth is the paper's: integer radii, layer
-/// censuses, boundary layer `r* + 1` killed. With a weighted oracle the
-/// radius grows in steps of `W` (the largest alive edge weight in the
-/// component) starting from the weighted eccentricity of the giant
-/// cluster: every topological neighbor of `B_r` lies inside
-/// `B_{r + W}`, so the ratio condition `|B_r| >= (1 - eps/2) |B_{r+W}|`
-/// bounds the killed shell exactly as the unit-step rule does in hops,
-/// and a failed step still multiplies the ball size by
-/// `1 / (1 - eps/2)` — the growth window and the dead-fraction budget
-/// carry over unchanged. The killed shell itself is computed
-/// topologically (alive neighbors of the ball outside it), which is
-/// what non-adjacency of the output clusters actually requires.
-///
-/// Unweighted graphs under the hop oracle are bit-identical to the
-/// pre-oracle implementation; the equivalence proptest pins unit-weight
-/// graphs under the weighted oracle against them as well.
-///
-/// # Errors
-///
-/// [`Cancelled`] when the context's armed deadline trips at a component
-/// boundary (or inside the weak carver); see [`weak_to_strong_in`].
-#[allow(clippy::too_many_arguments)]
-pub fn weak_to_strong_with_oracle_in<A: WeakCarver + ?Sized>(
-    g: &Graph,
-    alive: &NodeSet,
-    eps: f64,
-    a: &A,
-    params: &Params,
-    oracle: MetricOracle,
     ledger: &mut RoundLedger,
     ctx: &mut CarveCtx,
 ) -> Result<BallCarving, Cancelled> {
@@ -150,7 +127,6 @@ pub fn weak_to_strong_with_oracle_in<A: WeakCarver + ?Sized>(
                 threshold,
                 window,
                 a,
-                oracle,
                 &mut out_clusters,
                 &mut next_work,
                 &mut branch,
@@ -181,7 +157,6 @@ fn process_component<A: WeakCarver + ?Sized>(
     threshold: f64,
     window: u32,
     a: &A,
-    oracle: MetricOracle,
     out_clusters: &mut Vec<Vec<NodeId>>,
     next_work: &mut Vec<NodeSet>,
     ledger: &mut RoundLedger,
@@ -228,179 +203,174 @@ fn process_component<A: WeakCarver + ?Sized>(
             }
             ctx.ws.give_set(remaining);
         }
-        Some(ci) => match oracle {
-            MetricOracle::Hop(_) => {
-                // Case II: ball-grow from the giant cluster's tree root
-                // over the whole component (the carver's dead stay alive
-                // here).
-                let root = wc.forest().tree(ci).root();
-                let tree_depth = wc.forest().tree(ci).depth().expect("valid tree");
-                let r_lo = tree_depth;
-                let r_hi = r_lo + window;
+        Some(ci) if !g.is_weighted() => {
+            // Case II: ball-grow from the giant cluster's tree root
+            // over the whole component (the carver's dead stay alive
+            // here).
+            let root = wc.forest().tree(ci).root();
+            let tree_depth = wc.forest().tree(ci).depth().expect("valid tree");
+            let r_lo = tree_depth;
+            let r_hi = r_lo + window;
 
-                let view = g.view(s);
-                let census =
-                    primitives::layer_census_in(&view, root, r_hi + 1, ledger, &mut ctx.ws);
-                debug_assert!(
-                    wc.carving().clusters()[ci]
-                        .iter()
-                        .all(|&m| census.bfs().reached(m) && census.bfs().dist(m) <= r_lo),
-                    "tree depth bounds the root-to-member distance in G[S]"
-                );
-
-                // Clamped accessor: safe past the deepest census layer
-                // and (vacuously) on an empty census.
-                let ball_at = |r: u32| -> u64 { census.ball_size(r) };
-                let mut r_star = r_hi;
-                for r in r_lo..=r_hi {
-                    if ball_at(r) as f64 >= (1.0 - eps / 2.0) * ball_at(r + 1) as f64 {
-                        r_star = r;
-                        break;
-                    }
-                }
-                assert!(
-                    ball_at(r_star) as f64 >= (1.0 - eps / 2.0) * ball_at(r_star + 1) as f64,
-                    "no good radius in the growth window — ball sizes would exceed n"
-                );
-
-                let ball: Vec<NodeId> = census.bfs().ball(r_star).collect();
-                let boundary: Vec<NodeId> = census
-                    .bfs()
-                    .order()
+            let view = g.view(s);
+            let census = primitives::layer_census_in(&view, root, r_hi + 1, ledger, &mut ctx.ws);
+            debug_assert!(
+                wc.carving().clusters()[ci]
                     .iter()
-                    .copied()
-                    .filter(|&v| census.bfs().dist(v) == r_star + 1)
-                    .collect();
+                    .all(|&m| census.reached(m) && census.dist(m) <= r_lo),
+                "tree depth bounds the root-to-member distance in G[S]"
+            );
 
-                out_clusters.push(ball.clone());
-
-                let mut remaining = ctx.ws.take_set(g.n());
-                remaining.assign(s);
-                for v in ball.into_iter().chain(boundary) {
-                    remaining.remove(v);
+            // Clamped accessor: safe past the deepest census layer
+            // and (vacuously) on an empty census.
+            let ball_at = |r: u32| census.ball_size(r);
+            let mut r_star = r_hi;
+            for r in r_lo..=r_hi {
+                if ball_at(r) as f64 >= (1.0 - eps / 2.0) * ball_at(r + 1) as f64 {
+                    r_star = r;
+                    break;
                 }
-                if !remaining.is_empty() {
-                    let view = g.view(&remaining);
-                    next_work.extend(algo::connected_components(&view).into_sets());
-                }
-                ctx.ws.give_set(remaining);
             }
-            MetricOracle::Weighted(_) => {
-                // Case II in the weighted metric: grow `B_r(a)` in steps
-                // of the largest alive edge weight `W`. Every neighbor
-                // of `B_r` lies inside `B_{r + W}`, so the usual ratio
-                // condition between consecutive steps bounds the killed
-                // shell, and each failed step still multiplies the ball
-                // size by `1 / (1 - eps/2)`.
-                let root = wc.forest().tree(ci).root();
-                let tree_depth = wc.forest().tree(ci).depth().expect("valid tree");
+            assert!(
+                ball_at(r_star) as f64 >= (1.0 - eps / 2.0) * ball_at(r_star + 1) as f64,
+                "no good radius in the growth window — ball sizes would exceed n"
+            );
 
-                // Scratch sets for the shell computation, taken before
-                // the flood so the pool and the run view never borrow
-                // the workspace at the same time.
-                let mut in_ball = ctx.ws.take_set(g.n());
-                let mut shell = ctx.ws.take_set(g.n());
+            let ball: Vec<NodeId> = census.ball(r_star).collect();
+            let boundary: Vec<NodeId> = census
+                .order()
+                .iter()
+                .copied()
+                .filter(|&v| census.dist(v) == r_star + 1)
+                .collect();
 
-                let view = g.view(s);
-                let w_max = s
-                    .iter()
-                    .flat_map(|v| view.neighbors_weighted(v))
-                    .fold(0.0_f64, |acc, (_, w)| acc.max(w));
-                let step = if w_max > 0.0 { w_max } else { 1.0 };
-                // Truncate the flood like the hop branch truncates its
-                // census at `r_hi + 1`: members sit within weighted
-                // distance `tree_depth · W` of the root (the Steiner
-                // tree's edges are real edges), so everything the growth
-                // rule can inspect lies within one window past that —
-                // flooding the whole component would inflate the round
-                // charge far beyond the paper's window-bounded analysis.
-                let r_cap = tree_depth as f64 * step.max(1.0) + (window as f64 + 1.0) * step;
-                let (sp, rounds) = primitives::sp_bfs_in(&view, [root], r_cap, ledger, &mut ctx.ws);
-                // Ball counts and the component's max edge weight reach
-                // the root by a convergecast over the relaxation tree:
-                // its height is at most the flooding round count, with
-                // one counter message per reached node (the weighted
-                // mirror of the layer-census upcast charge).
-                let count_bits = bits_for_value(g.n().max(2) as u64);
-                ledger.charge_rounds(rounds);
-                ledger.record_messages(sp.reached_count() as u64, count_bits);
+            out_clusters.push(ball.clone());
 
-                let member_ecc = wc.carving().clusters()[ci]
-                    .iter()
-                    .fold(0.0_f64, |acc, &m| acc.max(sp.dist(m)));
-                // Start no lower than the hop rule would (the tree depth
-                // covers the members whenever weights are at most 1, and
-                // keeps unit-weight runs identical to hop runs) and no
-                // lower than the weighted eccentricity of the members
-                // (which covers them in general).
-                let r_lo = (tree_depth as f64).max(member_ecc);
-                debug_assert!(
-                    wc.carving().clusters()[ci]
-                        .iter()
-                        .all(|&m| sp.reached(m) && sp.dist(m) <= r_lo),
-                    "r_lo covers the giant cluster in the weighted metric"
-                );
-
-                let mut r_star = r_lo + window as f64 * step;
-                for k in 0..=window {
-                    let r = r_lo + k as f64 * step;
-                    if sp.ball_count(r) as f64 >= (1.0 - eps / 2.0) * sp.ball_count(r + step) as f64
-                    {
-                        r_star = r;
-                        break;
-                    }
-                }
-                assert!(
-                    sp.ball_count(r_star) as f64
-                        >= (1.0 - eps / 2.0) * sp.ball_count(r_star + step) as f64,
-                    "no good radius in the growth window — ball sizes would exceed n"
-                );
-
-                let ball: Vec<NodeId> = sp.ball(r_star).collect();
-                // The killed shell is all of `B_{r*+step} \ B_{r*}` —
-                // the removed region is then exactly `B_{r*+step}`, so
-                // the ratio condition bounds the shell by `eps/2` of it,
-                // and removed regions stay disjoint across Case II
-                // invocations (the paper's accounting, with `B_{r+1}`
-                // generalized to `B_{r+W}`). Any topological neighbor of
-                // the ball is also killed outright: mathematically it
-                // already lies in the shell, but doing it by adjacency
-                // keeps non-adjacency of the output immune to `f64`
-                // rounding at the shell's outer rim. Under unit weights
-                // both sets are exactly the hop layer `r* + 1`.
-                for &v in &ball {
-                    in_ball.insert(v);
-                }
-                for v in sp.ball(r_star + step) {
-                    if !in_ball.contains(v) {
-                        shell.insert(v);
-                    }
-                }
-                for &v in &ball {
-                    for u in view.neighbors(v) {
-                        if !in_ball.contains(u) {
-                            shell.insert(u);
-                        }
-                    }
-                }
-
-                out_clusters.push(ball.clone());
-
-                let mut remaining = ctx.ws.take_set(g.n());
-                remaining.assign(s);
-                for v in ball {
-                    remaining.remove(v);
-                }
-                remaining.subtract(&shell);
-                if !remaining.is_empty() {
-                    let view = g.view(&remaining);
-                    next_work.extend(algo::connected_components(&view).into_sets());
-                }
-                ctx.ws.give_set(remaining);
-                ctx.ws.give_set(in_ball);
-                ctx.ws.give_set(shell);
+            let mut remaining = ctx.ws.take_set(g.n());
+            remaining.assign(s);
+            for v in ball.into_iter().chain(boundary) {
+                remaining.remove(v);
             }
-        },
+            if !remaining.is_empty() {
+                let view = g.view(&remaining);
+                next_work.extend(algo::connected_components(&view).into_sets());
+            }
+            ctx.ws.give_set(remaining);
+        }
+        Some(ci) => {
+            // Case II in the weighted metric: grow `B_r(a)` in steps
+            // of the largest alive edge weight `W`. Every neighbor
+            // of `B_r` lies inside `B_{r + W}`, so the usual ratio
+            // condition between consecutive steps bounds the killed
+            // shell, and each failed step still multiplies the ball
+            // size by `1 / (1 - eps/2)`.
+            let root = wc.forest().tree(ci).root();
+            let tree_depth = wc.forest().tree(ci).depth().expect("valid tree");
+
+            // Scratch sets for the shell computation, taken before
+            // the flood so the pool and the run view never borrow
+            // the workspace at the same time.
+            let mut in_ball = ctx.ws.take_set(g.n());
+            let mut shell = ctx.ws.take_set(g.n());
+
+            let view = g.view(s);
+            let w_max = s
+                .iter()
+                .flat_map(|v| view.neighbors_weighted(v))
+                .fold(0.0_f64, |acc, (_, w)| acc.max(w));
+            let step = if w_max > 0.0 { w_max } else { 1.0 };
+            // Truncate the flood like the hop branch truncates its
+            // census at `r_hi + 1`: members sit within weighted
+            // distance `tree_depth · W` of the root (the Steiner
+            // tree's edges are real edges), so everything the growth
+            // rule can inspect lies within one window past that —
+            // flooding the whole component would inflate the round
+            // charge far beyond the paper's window-bounded analysis.
+            let r_cap = tree_depth as f64 * step.max(1.0) + (window as f64 + 1.0) * step;
+            let (sp, rounds) = primitives::sp_bfs_in(&view, [root], r_cap, ledger, &mut ctx.ws);
+            // Ball counts and the component's max edge weight reach
+            // the root by a convergecast over the relaxation tree:
+            // its height is at most the flooding round count, with
+            // one counter message per reached node (the weighted
+            // mirror of the layer-census upcast charge).
+            let count_bits = bits_for_value(g.n().max(2) as u64);
+            ledger.charge_rounds(rounds);
+            ledger.record_messages(sp.reached_count() as u64, count_bits);
+
+            let member_ecc = wc.carving().clusters()[ci]
+                .iter()
+                .fold(0.0_f64, |acc, &m| acc.max(sp.dist(m)));
+            // Start no lower than the hop rule would (the tree depth
+            // covers the members whenever weights are at most 1, and
+            // keeps unit-weight runs identical to hop runs) and no
+            // lower than the weighted eccentricity of the members
+            // (which covers them in general).
+            let r_lo = (tree_depth as f64).max(member_ecc);
+            debug_assert!(
+                wc.carving().clusters()[ci]
+                    .iter()
+                    .all(|&m| sp.reached(m) && sp.dist(m) <= r_lo),
+                "r_lo covers the giant cluster in the weighted metric"
+            );
+
+            let mut r_star = r_lo + window as f64 * step;
+            for k in 0..=window {
+                let r = r_lo + k as f64 * step;
+                if sp.ball_count(r) as f64 >= (1.0 - eps / 2.0) * sp.ball_count(r + step) as f64 {
+                    r_star = r;
+                    break;
+                }
+            }
+            assert!(
+                sp.ball_count(r_star) as f64
+                    >= (1.0 - eps / 2.0) * sp.ball_count(r_star + step) as f64,
+                "no good radius in the growth window — ball sizes would exceed n"
+            );
+
+            let ball: Vec<NodeId> = sp.ball(r_star).collect();
+            // The killed shell is all of `B_{r*+step} \ B_{r*}` —
+            // the removed region is then exactly `B_{r*+step}`, so
+            // the ratio condition bounds the shell by `eps/2` of it,
+            // and removed regions stay disjoint across Case II
+            // invocations (the paper's accounting, with `B_{r+1}`
+            // generalized to `B_{r+W}`). Any topological neighbor of
+            // the ball is also killed outright: mathematically it
+            // already lies in the shell, but doing it by adjacency
+            // keeps non-adjacency of the output immune to `f64`
+            // rounding at the shell's outer rim. Under unit weights
+            // both sets are exactly the hop layer `r* + 1`.
+            for &v in &ball {
+                in_ball.insert(v);
+            }
+            for v in sp.ball(r_star + step) {
+                if !in_ball.contains(v) {
+                    shell.insert(v);
+                }
+            }
+            for &v in &ball {
+                for u in view.neighbors(v) {
+                    if !in_ball.contains(u) {
+                        shell.insert(u);
+                    }
+                }
+            }
+
+            out_clusters.push(ball.clone());
+
+            let mut remaining = ctx.ws.take_set(g.n());
+            remaining.assign(s);
+            for v in ball {
+                remaining.remove(v);
+            }
+            remaining.subtract(&shell);
+            if !remaining.is_empty() {
+                let view = g.view(&remaining);
+                next_work.extend(algo::connected_components(&view).into_sets());
+            }
+            ctx.ws.give_set(remaining);
+            ctx.ws.give_set(in_ball);
+            ctx.ws.give_set(shell);
+        }
     }
     Ok(())
 }
@@ -603,37 +573,6 @@ mod tests {
                 weighted.dead().iter().collect::<Vec<_>>()
             );
         }
-    }
-
-    #[test]
-    fn explicit_oracle_overrides_auto_selection() {
-        use sdnd_graph::algo::{HopOracle, MetricOracle};
-        // Forcing the hop oracle on a weighted graph must equal running
-        // on the unweighted twin: the hop branch never reads weights.
-        let weighted =
-            gen::gnp_connected_weighted(50, 0.08, 2, gen::WeightDist::UniformInt { lo: 1, hi: 8 })
-                .unwrap();
-        let twin =
-            Graph::from_edges(50, weighted.edges().map(|(u, v)| (u.index(), v.index()))).unwrap();
-        let alive = NodeSet::full(50);
-        let params = Params::default();
-        let carver = Rg20::ggr21();
-        let mut l1 = RoundLedger::new();
-        let forced = weak_to_strong_with_oracle_in(
-            &weighted,
-            &alive,
-            0.5,
-            &carver,
-            &params,
-            MetricOracle::Hop(HopOracle),
-            &mut l1,
-            &mut CarveCtx::new(),
-        )
-        .expect("unarmed ctx never cancels");
-        let mut l2 = RoundLedger::new();
-        let hop = weak_to_strong(&twin, &alive, 0.5, &carver, &params, &mut l2);
-        assert_eq!(forced.clusters(), hop.clusters());
-        assert_eq!(l1.rounds(), l2.rounds());
     }
 
     #[test]

@@ -211,8 +211,7 @@ fn process_component<A: WeakEdgeCarver + ?Sized>(
             let r_lo = wc.forest().tree(ci).depth().expect("valid tree");
             let r_hi = r_lo + window;
 
-            let census = primitives::layer_census_in(&view, root, r_hi + 1, ledger, &mut ctx.ws);
-            let bfs = census.bfs();
+            let bfs = primitives::layer_census_in(&view, root, r_hi + 1, ledger, &mut ctx.ws);
 
             // Edge census per radius: E_in[r] (edges inside B_r) and
             // X[r] (edges from layer r to r+1).

@@ -25,10 +25,7 @@ pub use distance::{
 pub use hyperball::{HyperBall, HyperBallParams, HyperBallSummary};
 pub use induced::{induced_subgraph, InducedSubgraph};
 pub use msbfs::{ms_batch_order_in, msbfs_bounded_in, msbfs_in, msbfs_to_in, MsBfsRun, MS_LANES};
-pub use oracle::{
-    oracle_for, DistanceMapIn, DistanceOracle, HopOracle, MetricOracle, WeightedOracle,
-    ORACLE_UNREACHED,
-};
+pub use oracle::{DistanceMapIn, DistanceOracle, HopOracle, WeightedOracle, ORACLE_UNREACHED};
 pub use power::{graph_power, power_graph};
 pub use weighted::{bellman_ford, dijkstra, SpResult, W_UNREACHED};
 pub use workspace::{

@@ -1,24 +1,21 @@
 //! Distance oracles: one interface over hop-count BFS and weighted
 //! Dijkstra.
 //!
-//! The carving pipeline and the validators only ever ask one question of
-//! a graph metric — "distances from this node, within this view" — so
-//! they take it from a [`DistanceOracle`] instead of calling a concrete
-//! traversal. Every answer is a borrowed [`DistanceMapIn`] over a
-//! caller-held [`TraversalWorkspace`] run. [`HopOracle`] answers with
-//! BFS hop counts (the paper's CONGEST metric, and the fast path for
-//! unweighted graphs); [`WeightedOracle`] answers with Dijkstra over the
-//! edge weights.
-//! [`oracle_for`] picks the matching metric for a graph, which is how
-//! the stack stays weight-generic with unweighted inputs bit-identical
-//! to the pre-oracle code: hop distances are integers, exactly
-//! representable as `f64`, and the hop oracle runs the very same BFS.
+//! The validators only ever ask one question of a graph metric —
+//! "distances from this node, within this view" — so they take it from a
+//! [`DistanceOracle`] instead of calling a concrete traversal. Every
+//! answer is a borrowed [`DistanceMapIn`] over a caller-held
+//! [`TraversalWorkspace`] run. [`HopOracle`] answers with BFS hop counts
+//! (the paper's CONGEST metric, and the fast path for unweighted
+//! graphs); [`WeightedOracle`] answers with Dijkstra over the edge
+//! weights. Hop distances are integers, exactly representable as `f64`,
+//! and the hop oracle runs the very same BFS as the `u32` API.
 
 use crate::algo::{
     bfs_in, bfs_to_in, dijkstra_in, dijkstra_to_in, msbfs_in, msbfs_to_in, BfsRun, MsBfsRun, SpRun,
     TraversalWorkspace, UNREACHED,
 };
-use crate::{Adjacency, Graph, NodeId, NodeSet};
+use crate::{Adjacency, NodeId, NodeSet};
 
 /// Distance value for unreached nodes, shared by both metrics.
 pub const ORACLE_UNREACHED: f64 = f64::INFINITY;
@@ -62,29 +59,6 @@ impl DistanceMapIn<'_> {
             DistanceMapIn::Hop(r) => r.reached(v),
             DistanceMapIn::Weighted(r) => r.reached(v),
         }
-    }
-
-    /// The reached nodes in non-decreasing distance order.
-    pub fn order(&self) -> &[NodeId] {
-        match self {
-            DistanceMapIn::Hop(r) => r.order(),
-            DistanceMapIn::Weighted(r) => r.order(),
-        }
-    }
-
-    /// Number of reached nodes.
-    pub fn reached_count(&self) -> usize {
-        self.order().len()
-    }
-
-    /// Largest distance reached (`None` if nothing was reached).
-    pub fn eccentricity(&self) -> Option<f64> {
-        self.order().last().map(|&v| self.dist(v))
-    }
-
-    /// Number of reached nodes with distance at most `r`.
-    pub fn ball_count(&self, r: f64) -> usize {
-        self.order().partition_point(|&v| self.dist(v) <= r)
     }
 }
 
@@ -228,82 +202,6 @@ impl DistanceOracle for WeightedOracle {
     }
 }
 
-/// The metric matching a graph: [`WeightedOracle`] for weighted graphs,
-/// [`HopOracle`] otherwise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricOracle {
-    /// Hop counts (unweighted graphs).
-    Hop(HopOracle),
-    /// Edge weights via Dijkstra (weighted graphs).
-    Weighted(WeightedOracle),
-}
-
-impl DistanceOracle for MetricOracle {
-    fn distances_in<'w, A: Adjacency>(
-        &self,
-        view: &A,
-        source: NodeId,
-        ws: &'w mut TraversalWorkspace,
-    ) -> DistanceMapIn<'w> {
-        match self {
-            MetricOracle::Hop(o) => o.distances_in(view, source, ws),
-            MetricOracle::Weighted(o) => o.distances_in(view, source, ws),
-        }
-    }
-
-    fn distances_to_in<'w, A: Adjacency>(
-        &self,
-        view: &A,
-        source: NodeId,
-        targets: &NodeSet,
-        ws: &'w mut TraversalWorkspace,
-    ) -> DistanceMapIn<'w> {
-        match self {
-            MetricOracle::Hop(o) => o.distances_to_in(view, source, targets, ws),
-            MetricOracle::Weighted(o) => o.distances_to_in(view, source, targets, ws),
-        }
-    }
-
-    fn batch_distances_in<'w, A: Adjacency>(
-        &self,
-        view: &A,
-        sources: &[NodeId],
-        ws: &'w mut TraversalWorkspace,
-    ) -> Option<MsBfsRun<'w>> {
-        match self {
-            MetricOracle::Hop(o) => o.batch_distances_in(view, sources, ws),
-            MetricOracle::Weighted(o) => o.batch_distances_in(view, sources, ws),
-        }
-    }
-
-    fn batch_distances_to_in<'w, A: Adjacency>(
-        &self,
-        view: &A,
-        sources: &[NodeId],
-        targets: &NodeSet,
-        ws: &'w mut TraversalWorkspace,
-    ) -> Option<MsBfsRun<'w>> {
-        match self {
-            MetricOracle::Hop(o) => o.batch_distances_to_in(view, sources, targets, ws),
-            MetricOracle::Weighted(o) => o.batch_distances_to_in(view, sources, targets, ws),
-        }
-    }
-
-    fn is_weighted_metric(&self) -> bool {
-        !matches!(self, MetricOracle::Hop(_))
-    }
-}
-
-/// Picks the natural metric for `g`: the hop metric for unweighted
-/// graphs, Dijkstra over the edge weights for weighted ones.
-pub fn oracle_for(g: &Graph) -> MetricOracle {
-    if g.is_weighted() {
-        MetricOracle::Weighted(WeightedOracle)
-    } else {
-        MetricOracle::Hop(HopOracle)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,8 +217,6 @@ mod tests {
         for v in g.nodes() {
             assert_eq!(m.dist(v), b.dist(v) as f64);
         }
-        assert_eq!(m.eccentricity(), Some(7.0));
-        assert_eq!(m.ball_count(2.0), b.ball(2).count());
     }
 
     #[test]
@@ -330,18 +226,6 @@ mod tests {
         let m = WeightedOracle.distances_in(&g.full_view(), NodeId::new(0), &mut ws);
         assert_eq!(m.dist(NodeId::new(2)), 2.75);
         assert!(WeightedOracle.is_weighted_metric());
-    }
-
-    #[test]
-    fn auto_selection() {
-        let unweighted = gen::path(4);
-        assert_eq!(oracle_for(&unweighted), MetricOracle::Hop(HopOracle));
-        assert!(!oracle_for(&unweighted).is_weighted_metric());
-        // Any weight spread selects Dijkstra.
-        let weighted = Graph::from_weighted_edges(4, [(0, 1, 2.0)]).unwrap();
-        assert!(oracle_for(&weighted).is_weighted_metric());
-        let wild = Graph::from_weighted_edges(3, [(0, 1, 1e-9), (1, 2, 1e9)]).unwrap();
-        assert_eq!(oracle_for(&wild), MetricOracle::Weighted(WeightedOracle));
     }
 
     #[test]

@@ -65,8 +65,6 @@ struct HopScratch {
     order: Vec<NodeId>,
     layer_sizes: Vec<usize>,
     ball_sizes: Vec<usize>,
-    layer_counts64: Vec<u64>,
-    ball_sizes64: Vec<u64>,
 }
 
 /// Per-node scratch for weighted (Dijkstra / relaxation) traversals.
@@ -215,31 +213,6 @@ impl TraversalWorkspace {
             layer_sizes: &h.layer_sizes,
             ball_sizes: &h.ball_sizes,
         }
-    }
-
-    /// Mirrors the current hop run's layer sizes and cumulative ball
-    /// sizes into the cached `u64` buffers (used by the congest layer
-    /// census, whose counters are `u64`).
-    pub fn fill_hop_counts_u64(&mut self) {
-        let h = &mut self.hop;
-        h.layer_counts64.clear();
-        h.layer_counts64
-            .extend(h.layer_sizes.iter().map(|&s| s as u64));
-        h.ball_sizes64.clear();
-        h.ball_sizes64
-            .extend(h.ball_sizes.iter().map(|&s| s as u64));
-    }
-
-    /// The `u64` layer counts filled by
-    /// [`fill_hop_counts_u64`](Self::fill_hop_counts_u64).
-    pub fn hop_layer_counts_u64(&self) -> &[u64] {
-        &self.hop.layer_counts64
-    }
-
-    /// The `u64` cumulative ball sizes filled by
-    /// [`fill_hop_counts_u64`](Self::fill_hop_counts_u64).
-    pub fn hop_ball_sizes_u64(&self) -> &[u64] {
-        &self.hop.ball_sizes64
     }
 
     // ---- weighted arena ---------------------------------------------

@@ -26,9 +26,9 @@ type Winner = (u64, NodeId, u32, Option<NodeId>);
 
 /// The LS93 randomized weak-diameter carver.
 ///
-/// Each call to [`carve`](Self::carve) advances the internal seed so
-/// repeated invocations (e.g. by the carving→decomposition reduction)
-/// draw fresh radii.
+/// Each call to [`carve_weak`](WeakCarver::carve_weak) advances the
+/// internal seed so repeated invocations (e.g. by the
+/// carving→decomposition reduction) draw fresh radii.
 #[derive(Debug, Clone)]
 pub struct Ls93 {
     seed: Cell<u64>,
@@ -48,13 +48,15 @@ impl Ls93 {
     pub fn radius_cap(n: usize, eps: f64) -> u32 {
         ((2.0 * (n.max(2) as f64).ln()) / eps).ceil() as u32
     }
+}
 
+impl WeakCarver for Ls93 {
     /// Runs the carving on `G[alive]`.
     ///
     /// # Panics
     ///
     /// Panics if `eps` is not in `(0, 1)`.
-    pub fn carve(
+    fn carve_weak(
         &self,
         g: &Graph,
         alive: &NodeSet,
@@ -169,18 +171,6 @@ impl Ls93 {
         WeakCarving::new(carving, SteinerForest::from_trees(trees))
             .expect("one tree per cluster by construction")
     }
-}
-
-impl WeakCarver for Ls93 {
-    fn carve_weak(
-        &self,
-        g: &Graph,
-        alive: &NodeSet,
-        eps: f64,
-        ledger: &mut RoundLedger,
-    ) -> WeakCarving {
-        self.carve(g, alive, eps, ledger)
-    }
 
     fn name(&self) -> &'static str {
         "ls93"
@@ -196,7 +186,7 @@ mod tests {
     fn check(g: &Graph, eps: f64, seed: u64) -> WeakCarving {
         let alive = NodeSet::full(g.n());
         let mut ledger = RoundLedger::new();
-        let wc = Ls93::new(seed).carve(g, &alive, eps, &mut ledger);
+        let wc = Ls93::new(seed).carve_weak(g, &alive, eps, &mut ledger);
         let report = validate_weak_carving(g, &wc);
         assert!(
             report.carving.clusters_nonadjacent,
@@ -251,7 +241,7 @@ mod tests {
         let mut total = 0.0;
         for seed in 0..10 {
             let mut ledger = RoundLedger::new();
-            let wc = Ls93::new(seed).carve(&g, &alive, 0.5, &mut ledger);
+            let wc = Ls93::new(seed).carve_weak(&g, &alive, 0.5, &mut ledger);
             total += wc.carving().dead_fraction();
         }
         let avg = total / 10.0;
@@ -264,8 +254,8 @@ mod tests {
         let alive = NodeSet::full(36);
         let carver = Ls93::new(7);
         let mut ledger = RoundLedger::new();
-        let a = carver.carve(&g, &alive, 0.5, &mut ledger);
-        let b = carver.carve(&g, &alive, 0.5, &mut ledger);
+        let a = carver.carve_weak(&g, &alive, 0.5, &mut ledger);
+        let b = carver.carve_weak(&g, &alive, 0.5, &mut ledger);
         // Same carver, consecutive calls: fresh randomness (generically
         // different clusterings).
         assert_ne!(
@@ -279,7 +269,7 @@ mod tests {
     fn empty_input() {
         let g = gen::path(3);
         let mut ledger = RoundLedger::new();
-        let wc = Ls93::new(0).carve(&g, &NodeSet::empty(3), 0.5, &mut ledger);
+        let wc = Ls93::new(0).carve_weak(&g, &NodeSet::empty(3), 0.5, &mut ledger);
         assert_eq!(wc.carving().num_clusters(), 0);
     }
 }

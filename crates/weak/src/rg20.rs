@@ -47,7 +47,7 @@
 use sdnd_clustering::{
     BallCarving, Cancelled, CarveCtx, SteinerForest, SteinerTree, WeakCarver, WeakCarving,
 };
-use sdnd_congest::{bits_for_value, RoundLedger};
+use sdnd_congest::RoundLedger;
 use sdnd_graph::algo::bfs_bounded_in;
 use sdnd_graph::{Graph, NodeId, NodeSet};
 use std::collections::hash_map::Entry;
@@ -476,7 +476,7 @@ impl<'g> Run<'g> {
     }
 }
 
-impl Rg20 {
+impl WeakCarver for Rg20 {
     /// Runs the carving on `G[alive]`, removing at most an `eps`
     /// fraction of `alive` and returning non-adjacent clusters with
     /// Steiner trees.
@@ -484,25 +484,23 @@ impl Rg20 {
     /// # Panics
     ///
     /// Panics if `eps` is not in `(0, 1)`.
-    pub fn carve(
+    fn carve_weak(
         &self,
         g: &Graph,
         alive: &NodeSet,
         eps: f64,
         ledger: &mut RoundLedger,
     ) -> WeakCarving {
-        self.carve_in(g, alive, eps, ledger, &mut CarveCtx::new())
+        self.carve_weak_in(g, alive, eps, ledger, &mut CarveCtx::new())
             .expect("unarmed ctx never cancels")
     }
 
-    /// [`carve`](Self::carve) with a caller-held [`CarveCtx`]: the
-    /// per-phase tree rebuilds (the GGR21 variant) run their BFS through
-    /// the context's traversal workspace, and the context's armed
-    /// deadline is honored at every traversal epoch — once per bit
-    /// phase, once per growth step inside a phase, and once per rebuilt
-    /// tree — so the abort latency is bounded by a single epoch, not a
-    /// whole blue/red sweep. Output bit-identical to
-    /// [`carve`](Self::carve) when it completes.
+    /// The carving with a caller-held [`CarveCtx`]: the per-phase tree
+    /// rebuilds (the GGR21 variant) run their BFS through the context's
+    /// traversal workspace, and the context's armed deadline is honored
+    /// at every traversal epoch — once per bit phase, once per growth
+    /// step inside a phase, and once per rebuilt tree — so the abort
+    /// latency is bounded by a single epoch, not a whole blue/red sweep.
     ///
     /// # Errors
     ///
@@ -512,7 +510,7 @@ impl Rg20 {
     /// # Panics
     ///
     /// Panics if `eps` is not in `(0, 1)`.
-    pub fn carve_in(
+    fn carve_weak_in(
         &self,
         g: &Graph,
         alive: &NodeSet,
@@ -540,36 +538,6 @@ impl Rg20 {
         Ok(out)
     }
 
-    /// Measured high-water marks `(max tree depth, congestion)` are
-    /// available post-hoc from the returned forest; this helper exposes
-    /// the theoretical bit budget used for message sizing.
-    pub fn message_bits_for(g: &Graph) -> u32 {
-        2 * bits_for_value(g.n().max(2) as u64 - 1)
-    }
-}
-
-impl WeakCarver for Rg20 {
-    fn carve_weak(
-        &self,
-        g: &Graph,
-        alive: &NodeSet,
-        eps: f64,
-        ledger: &mut RoundLedger,
-    ) -> WeakCarving {
-        self.carve(g, alive, eps, ledger)
-    }
-
-    fn carve_weak_in(
-        &self,
-        g: &Graph,
-        alive: &NodeSet,
-        eps: f64,
-        ledger: &mut RoundLedger,
-        ctx: &mut CarveCtx,
-    ) -> Result<WeakCarving, Cancelled> {
-        self.carve_in(g, alive, eps, ledger, ctx)
-    }
-
     fn name(&self) -> &'static str {
         if self.rebuild_trees {
             "ggr21"
@@ -588,7 +556,7 @@ mod tests {
     fn check(g: &Graph, eps: f64, carver: &Rg20) -> (WeakCarving, RoundLedger) {
         let alive = NodeSet::full(g.n());
         let mut ledger = RoundLedger::new();
-        let wc = carver.carve(g, &alive, eps, &mut ledger);
+        let wc = carver.carve_weak(g, &alive, eps, &mut ledger);
         let report = validate_weak_carving(g, &wc);
         assert!(
             report.carving.is_valid_weak(eps),
@@ -661,7 +629,7 @@ mod tests {
         let g = gen::grid(6, 6);
         let alive = NodeSet::from_nodes(36, (0..36).filter(|&i| i % 7 != 3).map(NodeId::new));
         let mut ledger = RoundLedger::new();
-        let wc = Rg20::rg20().carve(&g, &alive, 0.5, &mut ledger);
+        let wc = Rg20::rg20().carve_weak(&g, &alive, 0.5, &mut ledger);
         let report = validate_weak_carving(&g, &wc);
         assert!(report.carving.is_valid_weak(0.5), "{:?}", report.violations);
         // No cluster contains a node outside the alive set (checked by
@@ -673,11 +641,11 @@ mod tests {
     fn singleton_and_empty_inputs() {
         let g = gen::path(3);
         let mut ledger = RoundLedger::new();
-        let empty = Rg20::rg20().carve(&g, &NodeSet::empty(3), 0.5, &mut ledger);
+        let empty = Rg20::rg20().carve_weak(&g, &NodeSet::empty(3), 0.5, &mut ledger);
         assert_eq!(empty.carving().num_clusters(), 0);
 
         let one = NodeSet::from_nodes(3, [NodeId::new(1)]);
-        let wc = Rg20::rg20().carve(&g, &one, 0.5, &mut ledger);
+        let wc = Rg20::rg20().carve_weak(&g, &one, 0.5, &mut ledger);
         assert_eq!(wc.carving().num_clusters(), 1);
         assert_eq!(wc.carving().dead_fraction(), 0.0);
     }
@@ -687,7 +655,7 @@ mod tests {
         let g = gen::grid(6, 6);
         let alive = NodeSet::full(36);
         let mut ledger = RoundLedger::new();
-        let _ = Rg20::rg20().carve(&g, &alive, 0.5, &mut ledger);
+        let _ = Rg20::rg20().carve_weak(&g, &alive, 0.5, &mut ledger);
         let cost = sdnd_congest::CostModel::congest_for(36);
         assert!(
             ledger.complies_with(&cost),
@@ -702,6 +670,6 @@ mod tests {
     fn rejects_bad_eps() {
         let g = gen::path(4);
         let mut ledger = RoundLedger::new();
-        let _ = Rg20::rg20().carve(&g, &NodeSet::full(4), 1.5, &mut ledger);
+        let _ = Rg20::rg20().carve_weak(&g, &NodeSet::full(4), 1.5, &mut ledger);
     }
 }

@@ -264,14 +264,14 @@ impl<'g> EdgeRun<'g> {
     }
 }
 
-impl Rg20Edge {
+impl WeakEdgeCarver for Rg20Edge {
     /// Runs the edge carving on `G[alive]`, cutting at most an `eps`
     /// fraction of its edges.
     ///
     /// # Panics
     ///
     /// Panics if `eps` is not in `(0, 1)`.
-    pub fn carve(
+    fn carve_weak_edges(
         &self,
         g: &Graph,
         alive: &NodeSet,
@@ -291,18 +291,6 @@ impl Rg20Edge {
         }
         run.finish()
     }
-}
-
-impl WeakEdgeCarver for Rg20Edge {
-    fn carve_weak_edges(
-        &self,
-        g: &Graph,
-        alive: &NodeSet,
-        eps: f64,
-        ledger: &mut RoundLedger,
-    ) -> WeakEdgeCarving {
-        self.carve(g, alive, eps, ledger)
-    }
 
     fn name(&self) -> &'static str {
         "rg20-edge"
@@ -318,7 +306,7 @@ mod tests {
     fn check(g: &Graph, eps: f64) -> WeakEdgeCarving {
         let alive = NodeSet::full(g.n());
         let mut ledger = RoundLedger::new();
-        let wc = Rg20Edge::new().carve(g, &alive, eps, &mut ledger);
+        let wc = Rg20Edge::new().carve_weak_edges(g, &alive, eps, &mut ledger);
         // Separation after cuts and the cut budget (clusters may be
         // internally disconnected — this is a *weak* carving).
         let report = validate_edge_carving(g, wc.carving());
@@ -361,8 +349,8 @@ mod tests {
         let alive = NodeSet::full(g.n());
         let mut l1 = RoundLedger::new();
         let mut l2 = RoundLedger::new();
-        let loose = Rg20Edge::new().carve(&g, &alive, 0.5, &mut l1);
-        let tight = Rg20Edge::new().carve(&g, &alive, 0.1, &mut l2);
+        let loose = Rg20Edge::new().carve_weak_edges(&g, &alive, 0.5, &mut l1);
+        let tight = Rg20Edge::new().carve_weak_edges(&g, &alive, 0.1, &mut l2);
         assert!(tight.carving().cut_fraction(&g) <= 0.1 + 1e-9);
         assert!(loose.carving().cut_fraction(&g) <= 0.5 + 1e-9);
     }
@@ -379,7 +367,7 @@ mod tests {
     fn empty_input() {
         let g = gen::path(3);
         let mut ledger = RoundLedger::new();
-        let wc = Rg20Edge::new().carve(&g, &NodeSet::empty(3), 0.5, &mut ledger);
+        let wc = Rg20Edge::new().carve_weak_edges(&g, &NodeSet::empty(3), 0.5, &mut ledger);
         assert_eq!(wc.carving().num_clusters(), 0);
     }
 }

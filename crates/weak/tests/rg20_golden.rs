@@ -8,7 +8,7 @@
 //! charged them deterministically. A change to the carver meant as a pure
 //! refactor or speed-up must keep every row.
 
-use sdnd_clustering::WeakCarving;
+use sdnd_clustering::{WeakCarver, WeakCarving};
 use sdnd_congest::RoundLedger;
 use sdnd_graph::{gen, Graph, NodeId, NodeSet};
 use sdnd_weak::Rg20;
@@ -101,7 +101,7 @@ fn inputs() -> Vec<(&'static str, Graph, NodeSet)> {
 
 fn carve(carver: &Rg20, g: &Graph, alive: &NodeSet, eps: f64) -> Pin {
     let mut ledger = RoundLedger::new();
-    let wc = carver.carve(g, alive, eps, &mut ledger);
+    let wc = carver.carve_weak(g, alive, eps, &mut ledger);
     (
         digest(&wc),
         ledger.messages(),

@@ -12,7 +12,7 @@
 use proptest::prelude::*;
 use sdnd::prelude::*;
 use sdnd_baselines::SequentialGreedy;
-use sdnd_clustering::{decompose_with_strong_carver, validate_carving};
+use sdnd_clustering::{decompose_with_strong_carver_in, validate_carving, CarveCtx};
 use sdnd_graph::gen;
 
 /// Strategy: a connected random graph with 8..=56 nodes, optionally
@@ -37,7 +37,10 @@ proptest! {
     #[test]
     fn sequential_decompositions_validate(g in arb_connected_graph()) {
         let mut ledger = RoundLedger::new();
-        let d = decompose_with_strong_carver(&g, &SequentialGreedy::new(), 0.5, &mut ledger);
+        let d = decompose_with_strong_carver_in(
+            &g, &SequentialGreedy::new(), 0.5, &mut ledger, &mut CarveCtx::new(),
+        )
+        .expect("unarmed ctx never cancels");
         let report = validate_decomposition(&g, &d);
         prop_assert!(report.is_valid(), "violations: {:?}", report.violations);
         // LS93-style analysis: O(log n) color classes.

@@ -4,7 +4,8 @@
 //! source for the weighted metric; weak sweeps bounded by the strong
 //! diameter) must produce bit-identical verdicts, violation lists, and
 //! diameters to an all-pairs reference on arbitrary (often invalid)
-//! carvings and decompositions, and on clusters of hundreds of members.
+//! carvings, decompositions and edge carvings, and on clusters of
+//! hundreds of members.
 //!
 //! The reference is written here from [`DistanceOracle::distances_in`]:
 //! one full sweep from every member, folding every member-pair distance
@@ -18,8 +19,10 @@ use sdnd::graph::algo::{self, DistanceOracle, HopOracle, TraversalWorkspace, Wei
 use sdnd::graph::{gen, Adjacency, Graph, NodeId, NodeSet};
 use sdnd_clustering::metrics::{strong_diameter_of_with_in, weak_diameter_of_with_in};
 use sdnd_clustering::{
-    validate_carving, validate_decomposition, BallCarving, CarveCtx, NetworkDecomposition,
+    validate_carving, validate_decomposition, validate_edge_carving, BallCarving, CarveCtx,
+    EdgeCarving, NetworkDecomposition,
 };
+use std::collections::HashSet;
 
 /// Largest distance `oracle` computes from any member to any member
 /// inside `view`; `None` when some member does not reach another.
@@ -130,6 +133,57 @@ fn arb_clusters(g: &Graph, k: usize, seed: u64) -> Vec<Vec<NodeId>> {
     }
     clusters.retain(|c| !c.is_empty());
     clusters
+}
+
+/// A partition of every node into at most `k` clusters by a hash of
+/// `seed` (clusters are often disconnected).
+fn partition(g: &Graph, k: usize, seed: u64) -> Vec<Vec<NodeId>> {
+    let mut clusters: Vec<Vec<NodeId>> = vec![Vec::new(); k];
+    for v in g.nodes() {
+        clusters[(mix(seed, v.index()) % k as u64) as usize].push(v);
+    }
+    clusters.retain(|c| !c.is_empty());
+    clusters
+}
+
+/// The edge validator's per-cluster fields from first principles: each
+/// cluster's `G[C] - cut` built as its own graph, one BFS from every
+/// member, and a disconnection violation per cluster some member does
+/// not reach. Returns `(connected, max strong diameter, violations)`.
+fn edge_reference(
+    g: &Graph,
+    clusters: &[Vec<NodeId>],
+    cut: &HashSet<(NodeId, NodeId)>,
+) -> (bool, Option<u32>, Vec<String>) {
+    let (mut connected, mut max) = (true, Some(0u32));
+    let mut violations = Vec::new();
+    for (i, members) in clusters.iter().enumerate() {
+        let set = NodeSet::from_nodes(g.n(), members.iter().copied());
+        let inside = g
+            .edges()
+            .filter(|&(u, v)| set.contains(u) && set.contains(v) && !cut.contains(&(u, v)));
+        let sub = Graph::from_edges(g.n(), inside.map(|(u, v)| (u.index(), v.index())))
+            .expect("a subgraph of a valid graph");
+        let view = sub.view(&set);
+        let mut ecc = Some(0u32);
+        for &s in members {
+            let bfs = algo::bfs(&view, [s]);
+            if bfs.reached_count() != members.len() {
+                ecc = None;
+                break;
+            }
+            ecc = ecc.map(|e| e.max(bfs.eccentricity().unwrap_or(0)));
+        }
+        match ecc {
+            Some(e) => max = max.map(|m| m.max(e)),
+            None => {
+                connected = false;
+                max = None;
+                violations.push(format!("cluster {i} disconnected after edge cuts"));
+            }
+        }
+    }
+    (connected, max, violations)
 }
 
 /// Ball-grown clusters: nodes in hashed order seed hop balls of
@@ -266,6 +320,54 @@ proptest! {
         prop_assert_eq!(report.clusters_connected, want.connected);
         prop_assert_eq!(report.max_strong_diameter, want.strong);
         prop_assert_eq!(report.max_weak_diameter, want.weak);
+    }
+
+    /// Edge validator: its connectivity verdict, strong diameter and
+    /// violations coincide with an all-pairs BFS on every `G[C] - cut`.
+    /// Clusters partition the graph (hashed lanes, often disconnected,
+    /// or ball-grown), every inter-cluster edge is cut, and hashed
+    /// intra-cluster cuts may disconnect a cluster.
+    #[test]
+    fn edge_validator_matches_all_pairs_reference(
+        n in 8usize..72,
+        p_mil in 20u64..150,
+        shape in 0u8..2,
+        k in 1usize..6,
+        cut_every in 2u64..12,
+        seed in 0u64..1000,
+    ) {
+        let g = gen::gnp(n, p_mil as f64 / 1000.0, seed);
+        let clusters = match shape {
+            0 => partition(&g, k, seed),
+            _ => ball_clusters(&g, 1 + k as u32 % 4, seed),
+        };
+        let mut lane = vec![0usize; g.n()];
+        for (i, members) in clusters.iter().enumerate() {
+            for &v in members {
+                lane[v.index()] = i;
+            }
+        }
+        let cut: HashSet<(NodeId, NodeId)> = g
+            .edges()
+            .enumerate()
+            .filter(|&(i, (u, v))| {
+                lane[u.index()] != lane[v.index()] || mix(seed ^ 0xc0ffee, i).is_multiple_of(cut_every)
+            })
+            .map(|(_, e)| e)
+            .collect();
+        let ec = EdgeCarving::new(
+            NodeSet::full(g.n()),
+            clusters.clone(),
+            cut.iter().copied().collect(),
+        )
+        .expect("clusters partition the graph");
+        let report = validate_edge_carving(&g, &ec);
+
+        let (connected, strong, violations) = edge_reference(&g, &clusters, &cut);
+        prop_assert!(report.separation_ok, "violations: {:?}", report.violations);
+        prop_assert_eq!(report.clusters_connected, connected);
+        prop_assert_eq!(report.max_strong_diameter, strong);
+        prop_assert_eq!(&report.violations, &violations);
     }
 }
 

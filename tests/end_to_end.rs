@@ -100,7 +100,14 @@ fn randomized_vs_deterministic_diameter_shape() {
     // graph diameter — while both decompositions stay valid.
     let g = gen::cycle(512);
     let mut ledger = RoundLedger::new();
-    let en16 = sdnd_clustering::decompose_with_strong_carver(&g, &Mpx13::new(9), 0.5, &mut ledger);
+    let en16 = sdnd_clustering::decompose_with_strong_carver_in(
+        &g,
+        &Mpx13::new(9),
+        0.5,
+        &mut ledger,
+        &mut sdnd_clustering::CarveCtx::new(),
+    )
+    .expect("unarmed ctx never cancels");
     let q = validate_decomposition(&g, &en16);
     let log_bound = 24.0 * (512f64).ln(); // generous constant on O(log n)
     assert!(

@@ -1,14 +1,13 @@
 //! Property-based and end-to-end tests for the weighted pipeline:
 //! weighted distances against an independent oracle, weight propagation
-//! through graph transformations, hop-path equivalence of the
-//! oracle-parameterized carving, and a full weighted
+//! through graph transformations, determinism of the hop-metric
+//! pipeline on unweighted inputs, and a full weighted
 //! decompose-and-validate run.
 
 use proptest::prelude::*;
-use sdnd::core::{transform, CarveCtx, Params};
+use sdnd::core::Params;
 use sdnd::prelude::*;
-use sdnd::weak::Rg20;
-use sdnd_graph::algo::{self, DistanceOracle, HopOracle, MetricOracle, TraversalWorkspace};
+use sdnd_graph::algo::{self, DistanceOracle, HopOracle, TraversalWorkspace};
 use sdnd_graph::gen::{self, WeightDist};
 
 /// Strategy: a connected weighted random graph (uniform integer weights
@@ -133,36 +132,16 @@ proptest! {
         }
     }
 
-    /// The refactored (oracle-parameterized) carving path is bit-identical
-    /// to the hop-count implementation on unweighted inputs: the auto
-    /// oracle and the explicitly forced hop oracle agree cluster-for-
-    /// cluster, node-for-node, round-for-round — and the full seeded
-    /// decomposition pipeline remains deterministic on top of it.
+    /// On unweighted inputs the graph's only metric is hops, so Theorem
+    /// 2.1 grows hop balls; the full seeded decomposition pipeline on top
+    /// of it is deterministic.
     #[test]
     fn hop_oracle_carving_is_bit_identical_on_unweighted_inputs(
         n in 10usize..60,
         seed in 0u64..500,
-        eps in 0.25f64..0.75,
     ) {
         let g = gen::gnp_connected(n, 2.5 / n as f64, seed);
-        let alive = NodeSet::full(g.n());
         let params = Params::default();
-        let carver = Rg20::ggr21();
-        let mut l_auto = RoundLedger::new();
-        let auto = transform::weak_to_strong_in(
-            &g, &alive, eps, &carver, &params, &mut l_auto, &mut CarveCtx::new(),
-        )
-        .expect("unarmed ctx never cancels");
-        let mut l_hop = RoundLedger::new();
-        let forced = transform::weak_to_strong_with_oracle_in(
-            &g, &alive, eps, &carver, &params, MetricOracle::Hop(HopOracle), &mut l_hop,
-            &mut CarveCtx::new(),
-        )
-        .expect("unarmed ctx never cancels");
-        prop_assert_eq!(auto.clusters(), forced.clusters());
-        prop_assert_eq!(l_auto.rounds(), l_hop.rounds());
-        prop_assert_eq!(l_auto.messages(), l_hop.messages());
-
         let (d1, r1) = sdnd::core::decompose_strong(&g, &params);
         let (d2, r2) = sdnd::core::decompose_strong(&g, &params);
         prop_assert_eq!(d1.clusters(), d2.clusters());
