@@ -7,7 +7,9 @@
 //! Sizes: grids at n = 256 and 1024 always; the order-of-magnitude
 //! larger `scaling` bins (64x64 = 4096, 102x102 = 10404) join when
 //! `SDND_N` allows, mirroring `src/bin/scaling.rs`. Expander and G(n,p)
-//! rows pin the non-grid topologies at n = 1024.
+//! rows pin the non-grid topologies at n = 1024, and a geometric graph
+//! on 5000 nodes (mean degree 12, carve-grid's other family) joins when
+//! `SDND_N` allows.
 //!
 //! Rows come in pairs where it matters: `X` runs with a fresh context
 //! per call (the `carve_strong` trait method, or the `_in` form with
@@ -46,6 +48,15 @@ fn graphs() -> Vec<(String, Graph)> {
     ];
     if n_max >= 4096 {
         out.push(("grid-64x64".to_string(), gen::grid(64, 64)));
+    }
+    if n_max >= 5000 {
+        // The geometric-5000 instance of the `validate` suite: mean
+        // degree 12, as in the benchmark's carve-grid workload.
+        let radius = (12.0 / (std::f64::consts::PI * 5000.0)).sqrt();
+        out.push((
+            "geometric-5000".to_string(),
+            gen::random_geometric(5000, radius, 7).expect("valid geometric parameters"),
+        ));
     }
     if n_max >= 10404 {
         out.push(("grid-102x102".to_string(), gen::grid(102, 102)));

@@ -609,6 +609,17 @@ where
     bfs_core(ws, view, sources, u32::MAX, Some(targets))
 }
 
+/// The one hop-BFS loop behind [`bfs_in`], [`bfs_bounded_in`] and
+/// [`bfs_to_in`].
+///
+/// It walks the base CSR row of each node and tests the epoch stamp
+/// before the view's membership bit (relying on the [`Adjacency`] law
+/// that a view's neighbours are the base neighbours it contains): on the
+/// whole-component views of deep truncated balls most neighbours are
+/// already stamped, so the bit is rarely read. It expands one layer at a
+/// time, so each layer's size is read off the queue once the layer
+/// before it is done; a run that stops on its last target keeps the
+/// partial layer discovered so far.
 fn bfs_core<'w, A, I>(
     ws: &'w mut TraversalWorkspace,
     view: &A,
@@ -620,10 +631,11 @@ where
     A: Adjacency,
     I: IntoIterator<Item = NodeId>,
 {
-    // Clamp so `du + 1` below can never reach the `UNREACHED` sentinel:
-    // with `du < max_dist <= MAX_HOP_DIST`, `du + 1 <= MAX_HOP_DIST`.
+    // Clamp so `d + 1` below can never reach the `UNREACHED` sentinel:
+    // with `d < max_dist <= MAX_HOP_DIST`, `d + 1 <= MAX_HOP_DIST`.
     // Value-identical for every realizable input (distances are < n).
     let max_dist = max_dist.min(MAX_HOP_DIST);
+    let g = view.graph();
     {
         let mut p = ws.begin_hop(view.universe());
         let mut remaining = targets.map_or(usize::MAX, NodeSet::len);
@@ -635,32 +647,31 @@ where
                 }
             }
         }
-        if !p.order.is_empty() {
-            p.layer_sizes.push(p.order.len());
-        }
-        let mut head = 0usize;
-        'run: while head < p.order.len() && remaining > 0 {
-            let u = p.order[head];
-            head += 1;
-            let du = p.dist[u.index()];
-            if du >= max_dist {
-                continue;
+        // `order[start..end]` is layer `d`, complete when it is expanded.
+        let (mut start, mut d) = (0usize, 0u32);
+        'run: while start < p.order.len() {
+            let end = p.order.len();
+            p.layer_sizes.push(end - start);
+            if d >= max_dist || remaining == 0 {
+                break;
             }
-            for v in view.neighbors(u) {
-                if !p.reached(v) {
-                    if p.layer_sizes.len() <= (du + 1) as usize {
-                        p.layer_sizes.push(0);
+            for head in start..end {
+                let u = p.order[head];
+                for &v in g.neighbors(u) {
+                    if p.stamp[v.index()] == p.epoch || !view.contains(v) {
+                        continue;
                     }
-                    p.layer_sizes[(du + 1) as usize] += 1;
-                    p.visit(v, du + 1, u.index() as u32);
+                    p.visit(v, d + 1, u.index() as u32);
                     if targets.is_some_and(|t| t.contains(v)) {
                         remaining -= 1;
                         if remaining == 0 {
+                            p.layer_sizes.push(p.order.len() - end);
                             break 'run;
                         }
                     }
                 }
             }
+            (start, d) = (end, d + 1);
         }
         p.seal();
     }

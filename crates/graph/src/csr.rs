@@ -2,6 +2,7 @@
 
 use crate::{FullView, GraphError, NodeId, NodeSet, SubsetView};
 use serde::{DeError, Deserialize, Serialize, Value};
+use std::collections::TryReserveError;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -241,7 +242,7 @@ impl Graph {
             deg[u] += 1;
             deg[v] += 1;
         }
-        let mut scatter = CsrScatter::from_degrees(deg, weighted);
+        let mut scatter = CsrScatter::from_degrees(deg, weighted).map_err(|_| alloc_error(n))?;
         // Pass 2: scatter. A stream that yields different edges the
         // second time would overflow its rows; `put` checks.
         for (u, v, w) in stream() {
@@ -639,7 +640,8 @@ impl GraphBuilder {
             deg[u] += 1;
             deg[v] += 1;
         }
-        let mut scatter = CsrScatter::from_degrees(deg, self.weighted);
+        let mut scatter =
+            CsrScatter::from_degrees(deg, self.weighted).map_err(|_| alloc_error(n))?;
         for &(u, v, w) in &self.edges {
             scatter
                 .put(u, v, w)
@@ -647,6 +649,13 @@ impl GraphBuilder {
                 .expect("degrees counted from the same edge list");
         }
         scatter.finish((0..n as u64).collect())
+    }
+}
+
+/// The builders' report of node arrays the allocator refused.
+fn alloc_error(n: usize) -> GraphError {
+    GraphError::InvalidParameter {
+        reason: format!("cannot allocate the CSR rows of {n} nodes"),
     }
 }
 
@@ -696,21 +705,34 @@ pub(crate) struct CsrScatter {
 
 impl CsrScatter {
     /// Sizes the rows from a directed-slot histogram (`deg[u]` counts
-    /// every occurrence of `u` as an endpoint, duplicates included).
-    pub(crate) fn from_degrees(deg: Vec<usize>, weighted: bool) -> CsrScatter {
-        let n = deg.len();
-        let mut offsets = vec![0usize; n + 1];
-        for (u, &d) in deg.iter().enumerate() {
-            offsets[u + 1] = offsets[u] + d;
+    /// every occurrence of `u` as an endpoint, duplicates included),
+    /// which becomes the rows' cursors in place.
+    ///
+    /// # Errors
+    ///
+    /// The allocator's refusal of the `n + 1` offsets, so a loader can
+    /// report an untrusted node count it cannot hold instead of
+    /// aborting.
+    pub(crate) fn from_degrees(
+        mut deg: Vec<usize>,
+        weighted: bool,
+    ) -> Result<CsrScatter, TryReserveError> {
+        let mut offsets = Vec::new();
+        offsets.try_reserve_exact(deg.len() + 1)?;
+        offsets.push(0);
+        let mut slots = 0usize;
+        for d in &mut deg {
+            let start = slots;
+            slots += *d;
+            *d = start;
+            offsets.push(slots);
         }
-        let slots = offsets[n];
-        let cursor = offsets[..n].to_vec();
-        CsrScatter {
+        Ok(CsrScatter {
             offsets,
-            cursor,
+            cursor: deg,
             adj: vec![NodeId::new(0); slots],
             weights: weighted.then(|| vec![0.0f64; slots]),
-        }
+        })
     }
 
     /// Places the directed slot `u -> v` (one orientation; callers put
@@ -742,7 +764,7 @@ impl CsrScatter {
     /// scatter pass yielded fewer edges than the counting pass).
     pub(crate) fn finish(self, ids: Vec<u64>) -> Result<Graph, GraphError> {
         let CsrScatter {
-            offsets,
+            mut offsets,
             cursor,
             mut adj,
             mut weights,
@@ -755,12 +777,15 @@ impl CsrScatter {
                 ),
             });
         }
-        let mut new_offsets = vec![0usize; n + 1];
+        // The compacted offsets overwrite the scatter offsets in place:
+        // row `u` reads its old end before `offsets[u + 1]` is rewritten,
+        // and its old start was carried over from row `u - 1`.
         let mut write = 0usize;
+        let mut start = 0usize;
         match &mut weights {
             None => {
                 for u in 0..n {
-                    let (start, end) = (offsets[u], offsets[u + 1]);
+                    let end = offsets[u + 1];
                     adj[start..end].sort_unstable();
                     // Compaction never overtakes the read cursor: earlier
                     // rows only shrink, so `write <= start` throughout.
@@ -773,7 +798,8 @@ impl CsrScatter {
                             prev = Some(v);
                         }
                     }
-                    new_offsets[u + 1] = write;
+                    offsets[u + 1] = write;
+                    start = end;
                 }
             }
             Some(ws) => {
@@ -782,7 +808,7 @@ impl CsrScatter {
                 // weight first and dedup keeps the first of each run.
                 let mut row: Vec<(NodeId, f64)> = Vec::new();
                 for u in 0..n {
-                    let (start, end) = (offsets[u], offsets[u + 1]);
+                    let end = offsets[u + 1];
                     row.clear();
                     row.extend(
                         adj[start..end]
@@ -797,14 +823,15 @@ impl CsrScatter {
                         ws[write] = w;
                         write += 1;
                     }
-                    new_offsets[u + 1] = write;
+                    offsets[u + 1] = write;
+                    start = end;
                 }
                 ws.truncate(write);
             }
         }
         adj.truncate(write);
         Ok(Graph {
-            offsets: new_offsets,
+            offsets,
             adj,
             ids,
             weights,

@@ -97,6 +97,13 @@ pub enum DatasetError {
         /// Why it no longer applies.
         why: String,
     },
+    /// The node-indexed arrays of the graph could not be allocated: the
+    /// node count is one past the largest index in the file, which one
+    /// short line can push to `2^32`.
+    OutOfMemory {
+        /// The node count whose arrays the allocator refused.
+        nodes: usize,
+    },
 }
 
 impl fmt::Display for DatasetError {
@@ -116,6 +123,9 @@ impl fmt::Display for DatasetError {
             }
             DatasetError::Stale { path, why } => {
                 write!(f, "{}: stale cache: {why}", path.display())
+            }
+            DatasetError::OutOfMemory { nodes } => {
+                write!(f, "cannot allocate the node arrays of a {nodes}-node graph")
             }
         }
     }
@@ -354,6 +364,10 @@ pub fn load_edge_list(path: &Path, opts: &LoadOptions) -> Result<Graph, DatasetE
             }
             let hi = u.max(v);
             if hi >= deg.len() {
+                // Amortized, not exact: indices may grow one line at a
+                // time.
+                deg.try_reserve(hi + 1 - deg.len())
+                    .map_err(|_| DatasetError::OutOfMemory { nodes: hi + 1 })?;
                 deg.resize(hi + 1, 0);
             }
             deg[u] += 1;
@@ -363,6 +377,9 @@ pub fn load_edge_list(path: &Path, opts: &LoadOptions) -> Result<Graph, DatasetE
         },
     )?;
     let n = opts.nodes.unwrap_or_else(|| max_index.map_or(0, |m| m + 1));
+    let out_of_memory = |_| DatasetError::OutOfMemory { nodes: n };
+    deg.try_reserve_exact(n - deg.len())
+        .map_err(out_of_memory)?;
     deg.resize(n, 0);
 
     let weighted = match opts.weights {
@@ -381,7 +398,7 @@ pub fn load_edge_list(path: &Path, opts: &LoadOptions) -> Result<Graph, DatasetE
     // Pass 2: scatter each edge into its two pre-sized CSR rows. A file
     // that changed between the passes overflows or underfills a row and
     // is reported, never silently corrupted.
-    let mut scatter = CsrScatter::from_degrees(deg, weighted);
+    let mut scatter = CsrScatter::from_degrees(deg, weighted).map_err(out_of_memory)?;
     scan_lines(
         open_pass(path, decompressed.as_deref())?,
         path,
@@ -392,7 +409,10 @@ pub fn load_edge_list(path: &Path, opts: &LoadOptions) -> Result<Graph, DatasetE
             Ok(())
         },
     )?;
-    Ok(scatter.finish((0..n as u64).collect())?)
+    let mut ids = Vec::new();
+    ids.try_reserve_exact(n).map_err(out_of_memory)?;
+    ids.extend(0..n as u64);
+    Ok(scatter.finish(ids)?)
 }
 
 /// Whether a cached graph satisfies what `opts` asks for; a mismatch

@@ -17,6 +17,14 @@ use crate::{Graph, NodeId, NodeSet};
 /// the graph. This trait is sealed in spirit — downstream code should not
 /// need to implement it — but it is left open so the simulator can wrap
 /// views with instrumentation.
+///
+/// Every implementation obeys one law: `neighbors(v)` is
+/// `graph().neighbors(v)` filtered by `contains`, in the same order. The
+/// hop BFS ([`crate::algo::bfs_in`] and its bounded and targeted forms)
+/// and the MS-BFS's bottom-up levels rely on it: they walk the base CSR
+/// row and drop out-of-view neighbours by their own checks (the hop BFS
+/// tests `contains` after its cheaper visited stamp; an out-of-view node
+/// never carries an MS-BFS frontier bit).
 pub trait Adjacency {
     /// Size of the node index space (not the number of alive nodes).
     fn universe(&self) -> usize;

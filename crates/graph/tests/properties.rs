@@ -1,8 +1,9 @@
 //! Property-based tests for the graph substrate.
 
 use proptest::prelude::*;
-use sdnd_graph::algo::TraversalWorkspace;
+use sdnd_graph::algo::{bfs_bounded_in, bfs_in, bfs_to_in, BfsRun, TraversalWorkspace, UNREACHED};
 use sdnd_graph::{algo, gen, Adjacency, Graph, NodeId, NodeSet};
+use std::collections::VecDeque;
 
 /// Strategy: a random simple graph as an edge list over `n` nodes.
 fn arb_graph() -> impl Strategy<Value = Graph> {
@@ -15,8 +16,200 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
     })
 }
 
+/// Everything a hop traversal reports, as a textbook queue BFS computes
+/// it: sources in the given order (outside the view or repeated ones
+/// skipped), neighbours in view order, no expansion at `max_dist`, and a
+/// stop right after the last target is discovered.
+#[derive(Debug, PartialEq)]
+struct Reference {
+    dist: Vec<u32>,
+    parent: Vec<Option<NodeId>>,
+    order: Vec<NodeId>,
+    layer_sizes: Vec<usize>,
+    ball_sizes: Vec<usize>,
+    eccentricity: Option<u32>,
+}
+
+fn reference_bfs<A: Adjacency>(
+    view: &A,
+    sources: &[NodeId],
+    max_dist: u32,
+    targets: Option<&NodeSet>,
+) -> Reference {
+    let n = view.universe();
+    let mut dist = vec![UNREACHED; n];
+    let mut parent = vec![None; n];
+    let mut order = Vec::new();
+    let mut queue = VecDeque::new();
+    let mut remaining = targets.map_or(usize::MAX, NodeSet::len);
+    for &s in sources {
+        if view.contains(s) && dist[s.index()] == UNREACHED {
+            dist[s.index()] = 0;
+            order.push(s);
+            queue.push_back(s);
+            if targets.is_some_and(|t| t.contains(s)) {
+                remaining -= 1;
+            }
+        }
+    }
+    'bfs: while remaining > 0 {
+        let Some(u) = queue.pop_front() else { break };
+        let du = dist[u.index()];
+        if du >= max_dist {
+            continue;
+        }
+        for v in view.neighbors(u) {
+            if dist[v.index()] == UNREACHED {
+                dist[v.index()] = du + 1;
+                parent[v.index()] = Some(u);
+                order.push(v);
+                queue.push_back(v);
+                if targets.is_some_and(|t| t.contains(v)) {
+                    remaining -= 1;
+                    if remaining == 0 {
+                        break 'bfs;
+                    }
+                }
+            }
+        }
+    }
+    let mut layer_sizes = Vec::new();
+    for &v in &order {
+        let d = dist[v.index()] as usize;
+        if layer_sizes.len() <= d {
+            layer_sizes.resize(d + 1, 0);
+        }
+        layer_sizes[d] += 1;
+    }
+    let ball_sizes = layer_sizes
+        .iter()
+        .scan(0, |acc, &s| {
+            *acc += s;
+            Some(*acc)
+        })
+        .collect();
+    let eccentricity = order.iter().map(|v| dist[v.index()]).max();
+    Reference {
+        dist,
+        parent,
+        order,
+        layer_sizes,
+        ball_sizes,
+        eccentricity,
+    }
+}
+
+/// The reference fields read back from a workspace run.
+fn read_run(run: BfsRun<'_>, n: usize) -> Reference {
+    Reference {
+        dist: (0..n).map(|i| run.dist(NodeId::new(i))).collect(),
+        parent: (0..n).map(|i| run.parent(NodeId::new(i))).collect(),
+        order: run.order().to_vec(),
+        layer_sizes: run.layer_sizes().to_vec(),
+        ball_sizes: run.ball_sizes().to_vec(),
+        eccentricity: run.eccentricity(),
+    }
+}
+
+/// Runs the three entry points on `view` against [`reference_bfs`]:
+/// cut-offs 0, 1, `cut` and `u32::MAX`; an empty and a seeded target set
+/// (members outside the view included); and a target set whose last
+/// member is discovered mid-layer, which ends the run on a partial last
+/// layer.
+fn check_bfs_entry_points<A: Adjacency>(
+    view: &A,
+    ws: &mut TraversalWorkspace,
+    sources: &[NodeId],
+    cut: u32,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let n = view.universe();
+    let src = || sources.iter().copied();
+    let full = reference_bfs(view, sources, u32::MAX, None);
+    prop_assert_eq!(&read_run(bfs_in(ws, view, src()), n), &full, "bfs_in");
+    for bound in [0, 1, cut, u32::MAX] {
+        let want = reference_bfs(view, sources, bound, None);
+        let got = read_run(bfs_bounded_in(ws, view, src(), bound), n);
+        prop_assert_eq!(got, want, "bfs_bounded_in at {}", bound);
+    }
+
+    let mut target_sets = vec![
+        NodeSet::empty(n),
+        NodeSet::from_nodes(
+            n,
+            (0..n)
+                .filter(|&i| (seed >> (i % 32)) & 3 == 0)
+                .map(NodeId::new),
+        ),
+    ];
+    // The full run's node at a seeded index whose successor in the order
+    // shares its layer, plus one seeded earlier node.
+    let d = |k: usize| full.dist[full.order[k].index()];
+    let mid: Vec<usize> = (0..full.order.len().saturating_sub(1))
+        .filter(|&k| d(k) > 0 && d(k) == d(k + 1))
+        .collect();
+    if !mid.is_empty() {
+        let k = mid[seed as usize % mid.len()];
+        let earlier = full.order[(seed >> 8) as usize % (k + 1)];
+        let targets = NodeSet::from_nodes(n, [earlier, full.order[k]]);
+        let want = reference_bfs(view, sources, u32::MAX, Some(&targets));
+        let layer = d(k) as usize;
+        prop_assert_eq!(
+            want.layer_sizes.len(),
+            layer + 1,
+            "stops on the last target's layer"
+        );
+        prop_assert!(
+            want.layer_sizes[layer] < full.layer_sizes[layer],
+            "stops mid-layer"
+        );
+        target_sets.push(targets);
+    }
+    for targets in &target_sets {
+        let want = reference_bfs(view, sources, u32::MAX, Some(targets));
+        let got = read_run(bfs_to_in(ws, view, src(), targets), n);
+        prop_assert_eq!(got, want, "bfs_to_in to {:?}", targets);
+    }
+    Ok(())
+}
+
+/// A graph, an alive mask, sources, a cut-off and a seed.
+type BfsCase = (Graph, NodeSet, Vec<NodeId>, u32, u64);
+
+/// Strategy: a random graph, a random alive mask, source picks (repeats
+/// and nodes outside the view allowed), a random cut-off and a seed.
+fn arb_bfs_case() -> impl Strategy<Value = BfsCase> {
+    (arb_graph(), 0u64..1 << 32).prop_flat_map(|(g, seed)| {
+        let n = g.n();
+        (
+            prop::collection::vec(prop::bool::ANY, n),
+            prop::collection::vec(0..n, 1..4),
+            0u32..8,
+        )
+            .prop_map(move |(mask, picks, cut)| {
+                // Roughly three of four nodes alive.
+                let alive = NodeSet::from_nodes(
+                    n,
+                    (0..n).filter(|&i| mask[i] || i % 2 == 0).map(NodeId::new),
+                );
+                let sources = picks.into_iter().map(NodeId::new).collect();
+                (g.clone(), alive, sources, cut, seed)
+            })
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `bfs_in`, `bfs_bounded_in` and `bfs_to_in` report exactly what a
+    /// textbook queue BFS does, on full and subset views alike.
+    #[test]
+    fn bfs_entry_points_match_a_reference_bfs(case in arb_bfs_case()) {
+        let (g, alive, sources, cut, seed) = case;
+        let mut ws = TraversalWorkspace::new();
+        check_bfs_entry_points(&g.full_view(), &mut ws, &sources, cut, seed)?;
+        check_bfs_entry_points(&g.view(&alive), &mut ws, &sources, cut, seed)?;
+    }
 
     #[test]
     fn csr_roundtrip_preserves_edges(g in arb_graph()) {

@@ -35,14 +35,20 @@
 //!
 //! # Run state
 //!
-//! All bookkeeping is dense: a per-node current-root array (a cluster's
-//! label is its root's identifier), tree records indexed by the root's
-//! node index, edge congestion counts at CSR edge slots, and one
-//! `(root, node)` table for tree membership and entry depths. Requests are grouped by a stable sort on label. The
-//! GGR21 rebuild runs a distance-only workspace BFS and recovers the
-//! CONGEST BFS kernel's minimum-index parents only along root-to-member
-//! paths. Every loop visits trees in ascending label order, so outputs
-//! and charged rounds are the same on every call.
+//! All bookkeeping is dense and indexed by node: each node's current
+//! root (a cluster's label is its root's identifier), tree records at
+//! the root's index, edge congestion counts at CSR edge slots, and per
+//! node a short list of `(root, depth)` entries, one for each tree the
+//! node is a non-root entry of (the tree it joined and the older ones it
+//! stays in as a helper). Requests are grouped by a stable sort on
+//! label. The next growth step's candidates, the neighbours of the nodes
+//! that joined, are deduplicated with per-step stamps rather than a
+//! sort: their order is immaterial, because a label group's joins
+//! commute. The GGR21 rebuild runs a distance-only workspace BFS
+//! truncated at the old tree's depth and recovers the CONGEST BFS
+//! kernel's minimum-index parents only along root-to-member paths.
+//! Every loop visits trees in ascending label order, so outputs and
+//! charged rounds are the same on every call.
 
 use sdnd_clustering::{
     BallCarving, Cancelled, CarveCtx, SteinerForest, SteinerTree, WeakCarver, WeakCarving,
@@ -50,9 +56,6 @@ use sdnd_clustering::{
 use sdnd_congest::RoundLedger;
 use sdnd_graph::algo::bfs_bounded_in;
 use sdnd_graph::{Graph, NodeId, NodeSet};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// The GGR21 variant rebuilds only trees deeper than this (rebuilding is
 /// pointless for shallow trees and singletons).
@@ -91,39 +94,43 @@ impl Default for Rg20 {
     }
 }
 
-/// Multiplicative (Fibonacci) hash of one packed `(root, node)` key,
-/// rotated so the well-mixed high product bits pick the bucket. Keys
-/// are node-index pairs the run creates itself, so SipHash's resistance
-/// to crafted collisions buys nothing here.
-#[derive(Default)]
-struct PairHasher(u64);
+/// Tree membership: for every node, the `(root, depth)` of each tree it
+/// is a non-root entry of. A node sits in the tree it joined and in the
+/// few older trees it stays in as a helper, so each list is short.
+struct Entries(Vec<Vec<(NodeId, u32)>>);
 
-impl Hasher for PairHasher {
-    fn finish(&self) -> u64 {
-        self.0
+impl Entries {
+    /// Depth of non-root entry `v` in the tree rooted at `r`.
+    fn depth(&self, r: NodeId, v: NodeId) -> Option<u32> {
+        self.0[v.index()]
+            .iter()
+            .find(|&&(root, _)| root == r)
+            .map(|&(_, d)| d)
     }
 
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("tree entry keys hash as one u64")
+    /// Records `v` at depth `d` in the tree rooted at `r`, unless `v` is
+    /// already an entry of it; returns whether it was new.
+    fn insert(&mut self, r: NodeId, v: NodeId, d: u32) -> bool {
+        let list = &mut self.0[v.index()];
+        let new = list.iter().all(|&(root, _)| root != r);
+        if new {
+            list.push((r, d));
+        }
+        new
     }
 
-    fn write_u64(&mut self, key: u64) {
-        self.0 = key.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(26);
+    fn remove(&mut self, r: NodeId, v: NodeId) {
+        let list = &mut self.0[v.index()];
+        if let Some(i) = list.iter().position(|&(root, _)| root == r) {
+            list.swap_remove(i);
+        }
     }
-}
-
-/// Tree membership: `key(root, node)` → depth, for every non-root entry
-/// of every tree.
-type EntryDepths = HashMap<u64, u32, BuildHasherDefault<PairHasher>>;
-
-fn key(root: NodeId, v: NodeId) -> u64 {
-    u64::from(u32::from(root)) << 32 | u64::from(u32::from(v))
 }
 
 /// Per-cluster bookkeeping, indexed by the root's node index.
 #[derive(Default)]
 struct Tree {
-    /// Non-root entries `(node, parent)`; depths live in [`EntryDepths`].
+    /// Non-root entries `(node, parent)`; depths live in [`Entries`].
     edges: Vec<(NodeId, NodeId)>,
     /// Current number of members (terminals).
     members: u32,
@@ -175,10 +182,13 @@ struct Run<'g> {
     /// Root of each node's current cluster (valid only for input nodes).
     root: Vec<NodeId>,
     trees: Vec<Tree>,
-    depths: EntryDepths,
+    entries: Entries,
     congestion: Congestion,
     max_depth: u32,
     id_bits: u32,
+    /// Growth-step stamps that deduplicate the next step's candidates.
+    seen: Vec<u32>,
+    step: u32,
 }
 
 impl<'g> Run<'g> {
@@ -197,13 +207,15 @@ impl<'g> Run<'g> {
             alive: alive0.clone(),
             root: g.nodes().collect(),
             trees,
-            depths: EntryDepths::with_capacity_and_hasher(alive0.len(), Default::default()),
+            entries: Entries(vec![Vec::new(); g.n()]),
             congestion: Congestion {
                 uses: vec![0; g.directed_edges()],
                 max: 0,
             },
             max_depth: 0,
             id_bits: g.id_bits(),
+            seen: vec![0; g.n()],
+            step: 0,
         }
     }
 
@@ -222,7 +234,7 @@ impl<'g> Run<'g> {
         if v == r {
             Some(0)
         } else {
-            self.depths.get(&key(r, v)).copied()
+            self.entries.depth(r, v)
         }
     }
 
@@ -319,14 +331,23 @@ impl<'g> Run<'g> {
                 }
             }
 
-            // Next step's candidates: neighbors of newly joined nodes.
-            let mut next: Vec<NodeId> = Vec::new();
-            for &v in &exposed {
-                next.extend_from_slice(self.g.neighbors(v));
+            // Next step's candidates: neighbors of newly joined nodes,
+            // each once. Their order is immaterial: requests are grouped
+            // by label, and a group's joins commute.
+            self.step = self.step.wrapping_add(1);
+            if self.step == 0 {
+                self.seen.fill(0);
+                self.step = 1;
             }
-            next.sort_unstable();
-            next.dedup();
-            candidates = next;
+            candidates.clear();
+            for &v in &exposed {
+                for &w in self.g.neighbors(v) {
+                    if self.seen[w.index()] != self.step {
+                        self.seen[w.index()] = self.step;
+                        candidates.push(w);
+                    }
+                }
+            }
         }
         Ok(steps)
     }
@@ -345,14 +366,11 @@ impl<'g> Run<'g> {
         t.dirty = true;
         // If v is already r itself or a helper in r's tree, its old
         // attachment is reused — no new edge, no depth change.
-        if v != r {
-            if let Entry::Vacant(entry) = self.depths.entry(key(r, v)) {
-                entry.insert(d);
-                t.edges.push((v, w));
-                t.depth = t.depth.max(d);
-                self.max_depth = self.max_depth.max(t.depth);
-                self.congestion.add(self.g, v, w);
-            }
+        if v != r && self.entries.insert(r, v, d) {
+            t.edges.push((v, w));
+            t.depth = t.depth.max(d);
+            self.max_depth = self.max_depth.max(t.depth);
+            self.congestion.add(self.g, v, w);
         }
     }
 
@@ -401,7 +419,7 @@ impl<'g> Run<'g> {
             let mut edges = std::mem::take(&mut tree.edges);
             for &(v, p) in &edges {
                 self.congestion.remove(g, v, p);
-                self.depths.remove(&key(r, v));
+                self.entries.remove(r, v);
             }
             edges.clear();
             // Every member is a terminal of the old tree, whose
@@ -419,16 +437,15 @@ impl<'g> Run<'g> {
                 depth = depth.max(bfs.dist(m));
                 let mut cur = m;
                 while cur != r {
-                    let Entry::Vacant(entry) = self.depths.entry(key(r, cur)) else {
-                        break;
-                    };
                     let d = bfs.dist(cur);
+                    if !self.entries.insert(r, cur, d) {
+                        break;
+                    }
                     let p = *g
                         .neighbors(cur)
                         .iter()
                         .find(|&&x| bfs.dist(x) == d - 1)
                         .expect("non-root reached node has a parent");
-                    entry.insert(d);
                     edges.push((cur, p));
                     self.congestion.add(g, cur, p);
                     cur = p;

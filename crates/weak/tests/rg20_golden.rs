@@ -5,8 +5,10 @@
 //! and largest message bits, and charged rounds — against pinned values.
 //! The digests and traffic were recorded from the hash-map implementation
 //! that preceded the dense run state, the rounds once the tree rebuild
-//! charged them deterministically. A change to the carver meant as a pure
-//! refactor or speed-up must keep every row.
+//! charged them deterministically; the carve-grid rows were recorded
+//! before the entry-depth map became per-node lists and the hop BFS
+//! tested stamps first. A change to the carver meant as a pure refactor
+//! or speed-up must keep every row.
 
 use sdnd_clustering::{WeakCarver, WeakCarving};
 use sdnd_congest::RoundLedger;
@@ -141,6 +143,29 @@ const GOLDEN: &[(&str, &str, Pin)] = &[
     ("alive-subset-30x30", "ggr21@0.02500", (0xeb302c60fbcd5872, 117928, 2256720, 20, 37124)),
 ];
 
+/// Asserts `got` equals `golden` row by row, printing the current rows
+/// on a mismatch so a deliberate re-record can copy them.
+fn assert_rows(got: &[(&str, String, Pin)], golden: &[(&str, &str, Pin)]) {
+    let table: Vec<String> = got
+        .iter()
+        .map(|(name, run, p)| {
+            format!(
+                "    (\"{name}\", \"{run}\", ({:#018x}, {}, {}, {}, {})),",
+                p.0, p.1, p.2, p.3, p.4
+            )
+        })
+        .collect();
+    let table = table.join("\n");
+    assert_eq!(got.len(), golden.len(), "current rows:\n{table}");
+    for ((name, run, pin), (gname, grun, gpin)) in got.iter().zip(golden) {
+        assert_eq!((*name, run.as_str()), (*gname, *grun), "row order");
+        assert_eq!(
+            pin, gpin,
+            "{name} {run}: (digest, messages, total bits, max bits, rounds); current rows:\n{table}"
+        );
+    }
+}
+
 #[test]
 fn carvings_match_the_pinned_outputs() {
     let mut got = Vec::new();
@@ -152,24 +177,39 @@ fn carvings_match_the_pinned_outputs() {
             }
         }
     }
-    let table: Vec<String> = got
+    assert_rows(&got, GOLDEN);
+}
+
+/// The weak carvings of the benchmark's carve-grid workload: GGR21 at
+/// the inner eps on the whole grid-102x102 and on the first seed-1
+/// geometric-5000 instance (mean degree 12, perfbench's
+/// `instance_seed(1, 0)`). Their rebuilt trees are deep but small, so
+/// each truncated rebuild BFS covers far more of the graph than its
+/// cluster — the case the hop BFS's stamp-first neighbour test is for.
+#[rustfmt::skip]
+const CARVE_GRID_GOLDEN: &[(&str, &str, Pin)] = &[
+    ("grid-102x102", "ggr21@0.01786", (0x602739b081efe070, 6539249, 179809294, 28, 564354)),
+    ("geometric-5000#0", "ggr21@0.01923", (0xe62f9ca758d91ae3, 1054775, 23816065, 26, 38630)),
+];
+
+#[test]
+fn carve_grid_carvings_match_the_pinned_outputs() {
+    let inputs = [
+        ("grid-102x102", gen::grid(102, 102)),
+        (
+            "geometric-5000#0",
+            geometric(5000, 12.0, 1 ^ 0x9e37_79b9_7f4a_7c15),
+        ),
+    ];
+    let got: Vec<(&str, String, Pin)> = inputs
         .iter()
-        .map(|(name, run, p)| {
-            format!(
-                "    (\"{name}\", \"{run}\", ({:#018x}, {}, {}, {}, {})),",
-                p.0, p.1, p.2, p.3, p.4
-            )
+        .map(|(name, g)| {
+            let eps = inner_eps(g.n());
+            let pin = carve(&Rg20::ggr21(), g, &NodeSet::full(g.n()), eps);
+            (*name, format!("ggr21@{eps:.5}"), pin)
         })
         .collect();
-    let table = table.join("\n");
-    assert_eq!(got.len(), GOLDEN.len(), "current rows:\n{table}");
-    for ((name, run, pin), (gname, grun, gpin)) in got.iter().zip(GOLDEN) {
-        assert_eq!((*name, run.as_str()), (*gname, *grun), "row order");
-        assert_eq!(
-            pin, gpin,
-            "{name} {run}: (digest, messages, total bits, max bits, rounds); current rows:\n{table}"
-        );
-    }
+    assert_rows(&got, CARVE_GRID_GOLDEN);
 }
 
 /// The tree rebuild must charge the same rounds on every call: the
