@@ -11,8 +11,14 @@
 //! setup is a small fraction of the work; the clique convergecast is the
 //! deliberate worst case for one-shot runs (traffic `O(n)` on `O(n^2)`
 //! edges) and therefore the case the session API exists for.
+//!
+//! `engine-congest` runs congest-sim's shapes (grid-64x64 and a 4-regular
+//! expander-4096, BFS flood and leader election) on a sequential and a
+//! two-thread session: rounds too light to fork, where the two-thread
+//! lane must cost what the sequential one does. `engine-fork` times one
+//! scoped spawn and join, the price of a forked round.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use sdnd_congest::{primitives, CostModel, Engine, RoundLedger};
 use sdnd_graph::{gen, Graph, NodeId};
 
@@ -53,9 +59,9 @@ fn bench_flood(c: &mut Criterion) {
             |b, _| b.iter(|| session.run(&view, &kernel).expect("flood runs")),
         );
     }
-    // Parallel lane on the densest cases: bit-identical outcome, sharded
-    // stepping over the per-run worker pool (speedup requires actual
-    // cores; BENCH_engine.json compares these rows with the matching
+    // Threads on the densest cases: bit-identical outcome, heavy rounds
+    // forked over scoped helpers (speedup requires actual cores;
+    // BENCH_engine.json compares these rows with the matching
     // `clique-session` rows above).
     for (n, threads) in [(256usize, 2usize), (256, 4), (512, 2), (1024, 2)] {
         let g = gen::complete(n);
@@ -111,5 +117,44 @@ fn bench_convergecast(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_flood, bench_convergecast);
+fn bench_congest_shapes(c: &mut Criterion) {
+    let mut group = c.benchmark_group("engine-congest");
+    for (name, g) in [
+        ("grid-64x64", gen::grid(64, 64)),
+        (
+            "expander-4096",
+            gen::random_regular_connected(4096, 4, 1).expect("expander generates"),
+        ),
+    ] {
+        let view = g.full_view();
+        let bfs = primitives::BfsKernel::new(&view, [NodeId::new(0)], u32::MAX);
+        let leader = primitives::LeaderKernel::new(&view);
+        for (lane, threads) in [("session", 1), ("par2-session", 2)] {
+            let engine = Engine::new(CostModel::congest_for(g.n())).with_threads(threads);
+            let mut session = engine.session(&g);
+            group.bench_with_input(BenchmarkId::new(format!("bfs-{lane}"), name), &g, |b, _| {
+                b.iter(|| session.run(&view, &bfs).expect("flood runs"))
+            });
+            group.bench_with_input(
+                BenchmarkId::new(format!("leader-{lane}"), name),
+                &g,
+                |b, _| b.iter(|| session.run(&view, &leader).expect("election runs")),
+            );
+        }
+    }
+    group.finish();
+
+    let mut group = c.benchmark_group("engine-fork");
+    group.bench_function("scope-spawn-join", |b| {
+        b.iter(|| std::thread::scope(|s| s.spawn(|| black_box(1)).join().expect("joins")))
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_flood,
+    bench_convergecast,
+    bench_congest_shapes
+);
 criterion_main!(benches);

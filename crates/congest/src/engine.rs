@@ -53,25 +53,30 @@
 //! `r + 1`. The engine stops at *quiescence* (a round in which no message
 //! was sent) or at `max_rounds`.
 //!
-//! [`Engine::with_threads`] selects an opt-in parallel stepping lane that
-//! is *bit-identical* to the sequential lane: a node writes only its own
-//! out-edge slots — a contiguous CSR range, so shards receive disjoint
-//! chunks — and reads only the immutable front buffer, so no two threads
-//! ever touch the same memory mutably. Each node's step is a pure
-//! function of its state and its (deterministically gathered) inbox,
-//! hence the states, round count, and ledger cannot depend on the thread
-//! count. The `tests/determinism.rs` property suite pins this.
+//! Every lane runs on one sequential core over one flat slot arena, and
+//! every node steps through one body. [`Engine::with_threads`] lets that
+//! core *fork heavy rounds*. A round is heavy when its work estimate —
+//! the nodes it steps (the previous round's distinct receivers) times
+//! the graph's mean degree `⌈2m/n⌉` — reaches a fixed threshold. A
+//! heavy round is cut into contiguous node shards balanced by slot
+//! (degree) mass; the caller steps shard 0 while `std::thread::scope`
+//! helpers step the others. Each shard writes only its own slice of the
+//! back buffer (a node's out-edge slots are a contiguous CSR range) and
+//! of the states, and clones its inboxes from the shared, read-only
+//! front buffer, so no two threads touch the same memory mutably. After
+//! the join, receivers are marked, shard ledgers merged and the first
+//! error taken, all in shard order; a helper's panic is resumed on the
+//! caller. Every other round runs inline on the caller, because a scoped
+//! spawn and join costs more than a light round (`BENCH_engine.json`'s
+//! `parallel_lane` records the costs the threshold was chosen from). On
+//! sparse graphs such as congest-sim's grid and expander no round is
+//! heavy, so the lane costs what the sequential one does.
 //!
-//! The lane is backed by a worker pool: one `std::thread::scope` per
-//! *run* (not per round, as the pre-session engine paid) spawns
-//! long-lived workers that receive one phase per round over a channel and
-//! hand their buffers back. The back buffer lives as per-shard owned
-//! chunks and the front buffer behind an `Arc`, rotated between rounds
-//! without copying, which is what lets safe Rust keep the workers alive
-//! across rounds. (A pool persisting across *runs* would need the worker
-//! threads to outlive the borrows of each run's protocol — not
-//! expressible without `unsafe`, which this crate forbids; the remaining
-//! per-run cost is the thread spawns themselves, independent of `m`.)
+//! Forking changes no outcome: each node's step is a pure function of
+//! its state and its (deterministically gathered) inbox, and the fork
+//! decision depends only on the run's traffic. The states, round count
+//! and ledger therefore cannot depend on the thread count or on which
+//! rounds forked; `tests/determinism.rs` pins this.
 //!
 //! # Error precedence
 //!
@@ -87,7 +92,6 @@ use std::any::{Any, TypeId};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::sync::{mpsc, Arc};
 
 /// A distributed node program.
 ///
@@ -144,32 +148,81 @@ pub(crate) fn slot_array<M>(len: usize) -> Vec<Slot<M>> {
     (0..len).map(|_| Slot::empty()).collect()
 }
 
-/// Reusable sequential-lane buffers for one message type on one graph:
-/// the double-buffered slot arenas, the has-mail stamps, and the
-/// send/inbox scratch vectors.
+/// Work estimate (nodes stepped × `⌈2m/n⌉`) from which a lane with
+/// threads forks a round. A scoped spawn and join costs tens of
+/// microseconds, a sequential message a few nanoseconds; the
+/// `parallel_lane` section of `BENCH_engine.json` records both and the
+/// rows this value was chosen from.
+const FORK_WORK: usize = 32_768;
+
+#[cfg(not(test))]
+fn fork_work() -> usize {
+    FORK_WORK
+}
+
+/// The unit tests force every round to fork, or none, per test thread.
+#[cfg(test)]
+fn fork_work() -> usize {
+    tests::FORK_WORK_OVERRIDE
+        .with(std::cell::Cell::get)
+        .unwrap_or(FORK_WORK)
+}
+
+/// Reusable buffers for one message type on one graph, shared by every
+/// lane: the double-buffered slot arenas, the has-mail stamps, and the
+/// send/inbox scratch (one entry per shard; the inline rounds use the
+/// first).
 ///
 /// Nothing is cleared between runs. Run `k`'s round-`r` stamps are
 /// `base + r`, and `base` advances past every stamp the run may have
 /// written, so stale slots from earlier runs never alias a live round.
 struct SeqArena<M> {
+    bufs: Buffers<M>,
+    base: u64,
+}
+
+/// A [`SeqArena`]'s buffers, apart from its epoch so that a run can
+/// borrow them while its [`EpochGuard`] holds the epoch.
+struct Buffers<M> {
     cur: Vec<Slot<M>>,
     next: Vec<Slot<M>>,
     cur_mail: Vec<u64>,
     next_mail: Vec<u64>,
+    scratch: Vec<Scratch<M>>,
+}
+
+/// One stepping thread's scratch: the slots its node wrote (in send
+/// order) and the inbox being gathered; in a forked round also the
+/// shard's distinct receivers, deduplicated on its own mail stamps
+/// (sized on the first fork).
+struct Scratch<M> {
     sent: Vec<usize>,
     inbox: Vec<(NodeId, M)>,
-    base: u64,
+    receivers: Vec<NodeId>,
+    mail: Vec<u64>,
+}
+
+impl<M> Scratch<M> {
+    fn new() -> Self {
+        Scratch {
+            sent: Vec::new(),
+            inbox: Vec::new(),
+            receivers: Vec::new(),
+            mail: Vec::new(),
+        }
+    }
 }
 
 impl<M> SeqArena<M> {
     fn new(slots: usize, n: usize) -> Self {
         SeqArena {
-            cur: slot_array(slots),
-            next: slot_array(slots),
-            cur_mail: vec![0; n],
-            next_mail: vec![0; n],
-            sent: Vec::new(),
-            inbox: Vec::new(),
+            bufs: Buffers {
+                cur: slot_array(slots),
+                next: slot_array(slots),
+                cur_mail: vec![0; n],
+                next_mail: vec![0; n],
+                scratch: vec![Scratch::new()],
+            },
             base: 0,
         }
     }
@@ -251,27 +304,20 @@ impl Transport for Reliable {
     }
 }
 
-/// Shard geometry of the parallel lane for one (graph, thread-count)
-/// pair: contiguous node ranges balancing *slot* (degree) mass — on
-/// degree-skewed graphs a hub's message work would otherwise serialize
-/// onto one thread — the matching slot ranges, and a precomputed map from
-/// each directed edge to the chunk location of its reverse edge. The
-/// bounds are a pure function of graph and thread count, so determinism
-/// is unaffected.
+/// Shard geometry for one (graph, thread-count) pair: contiguous node
+/// ranges balancing *slot* (degree) mass — on degree-skewed graphs a
+/// hub's message work would otherwise serialize onto one thread — and
+/// the matching slot ranges. The bounds are a pure function of graph and
+/// thread count, so determinism is unaffected.
 pub(crate) struct ParLayout {
-    pub(crate) threads: usize,
     pub(crate) node_bounds: Vec<usize>,
     pub(crate) slot_bounds: Vec<usize>,
-    /// `rev_loc[e] = (shard, offset)` locating the reverse of directed
-    /// edge `e` in the chunked buffers.
-    rev_loc: Vec<(u32, u32)>,
 }
 
 impl ParLayout {
     pub(crate) fn carve(g: &Graph, threads: usize) -> ParLayout {
         let n = g.n();
         let slots = g.directed_edges();
-        assert!(slots <= u32::MAX as usize, "chunk offsets are u32");
         let threads = threads.min(n.max(1));
         let offset_of = |b: usize| {
             if b == n {
@@ -296,268 +342,270 @@ impl ParLayout {
             node_bounds.push(lo);
         }
         node_bounds.push(n);
-        let slot_bounds: Vec<usize> = node_bounds.iter().map(|&b| offset_of(b)).collect();
-
-        let mut loc: Vec<(u32, u32)> = vec![(0, 0); slots];
-        for s in 0..threads {
-            for (off, e) in (slot_bounds[s]..slot_bounds[s + 1]).enumerate() {
-                loc[e] = (s as u32, off as u32);
-            }
-        }
-        let rev_loc = g.reverse_edges().iter().map(|&e| loc[e]).collect();
+        let slot_bounds = node_bounds.iter().map(|&b| offset_of(b)).collect();
         ParLayout {
-            threads,
             node_bounds,
             slot_bounds,
-            rev_loc,
         }
     }
 
     pub(crate) fn shards(&self) -> usize {
-        self.threads
+        self.node_bounds.len() - 1
     }
 }
 
-/// Reusable parallel-lane buffers for one message type: the two slot
-/// buffers live as per-shard owned chunks (carved by a [`ParLayout`]) so
-/// they can rotate through the worker pool without copying. Same stamp
-/// epoch (`base`) scheme as [`SeqArena`].
-struct ParArena<M> {
-    front: Vec<Vec<Slot<M>>>,
-    back: Vec<Vec<Slot<M>>>,
-    cur_mail: Vec<u64>,
-    next_mail: Vec<u64>,
-    base: u64,
-    /// Thread count the chunks were carved for (re-carved on change).
-    threads: usize,
+/// What every step of one run reads.
+struct RunCx<'a, P> {
+    engine: &'a Engine,
+    protocol: &'a P,
+    g: &'a Graph,
+    rev: &'a [usize],
+    alive: &'a [bool],
 }
 
-impl<M> ParArena<M> {
-    fn new(layout: &ParLayout, n: usize) -> Self {
-        let chunks = || {
-            (0..layout.shards())
-                .map(|s| slot_array(layout.slot_bounds[s + 1] - layout.slot_bounds[s]))
-                .collect()
-        };
-        ParArena {
-            front: chunks(),
-            back: chunks(),
-            cur_mail: vec![0; n],
-            next_mail: vec![0; n],
-            base: 0,
-            threads: layout.threads,
-        }
-    }
-}
-
-/// One round of work handed to a pool worker: the shared front buffer and
-/// mail stamps (read-only), plus this shard's owned back chunk, state
-/// chunk, and recipient scratch, all returned in the [`PhaseResult`].
-struct PhaseTask<M, S> {
-    r: u64,
-    base: u64,
-    front: Arc<Vec<Vec<Slot<M>>>>,
-    mail: Arc<Vec<u64>>,
-    back_chunk: Vec<Slot<M>>,
-    states: Vec<Option<S>>,
-    recipients: Vec<NodeId>,
-}
-
-/// A worker's report for one phase: the owned buffers handed back, plus
-/// what the conductor needs to fold shards deterministically.
-struct PhaseResult<M, S> {
-    back_chunk: Vec<Slot<M>>,
-    states: Vec<Option<S>>,
-    recipients: Vec<NodeId>,
-    any: bool,
-    ledger: RoundLedger,
-    error: Option<EngineError>,
-}
-
-/// Main-thread side of the worker pool for one run: owns the rotating
-/// buffers and the per-worker channels. Dropping it (or clearing
-/// `task_txs`) shuts the workers down.
-struct Conductor<M, S> {
-    base: u64,
-    front: Arc<Vec<Vec<Slot<M>>>>,
-    mail: Arc<Vec<u64>>,
-    back: Vec<Vec<Slot<M>>>,
-    next_mail: Vec<u64>,
-    state_chunks: Vec<Vec<Option<S>>>,
-    recip_bufs: Vec<Vec<NodeId>>,
-    task_txs: Vec<mpsc::Sender<PhaseTask<M, S>>>,
-    result_rxs: Vec<mpsc::Receiver<PhaseResult<M, S>>>,
-}
-
-impl<M: Clone, S> Conductor<M, S> {
-    /// Dispatches round `r` to every worker and folds the results back in
-    /// shard order — so ledger totals and the reported error (the
-    /// lowest-index erring node) match the sequential lane. Returns
-    /// whether any message was sent.
-    ///
-    /// Each worker has its own result channel, received in shard order:
-    /// collection is deterministic without reordering, and a worker that
-    /// dies (protocol panic) surfaces as a closed channel here rather
-    /// than a hang.
-    fn phase(&mut self, r: u64, ledger: &mut RoundLedger) -> Result<bool, EngineError> {
-        let shards = self.task_txs.len();
-        for shard in 0..shards {
-            let task = PhaseTask {
-                r,
-                base: self.base,
-                front: Arc::clone(&self.front),
-                mail: Arc::clone(&self.mail),
-                back_chunk: std::mem::take(&mut self.back[shard]),
-                states: std::mem::take(&mut self.state_chunks[shard]),
-                recipients: std::mem::take(&mut self.recip_bufs[shard]),
-            };
-            self.task_txs[shard].send(task).expect("pool worker alive");
-        }
-
-        let stamp_next = self.base + r + 1;
-        let mut any_pending = false;
-        let mut first_error = None;
-        for shard in 0..shards {
-            let mut res = self.result_rxs[shard]
-                .recv()
-                .expect("pool worker reports its phase");
-            self.back[shard] = res.back_chunk;
-            self.state_chunks[shard] = res.states;
-            any_pending |= res.any;
-            ledger.merge_traffic(&res.ledger);
-            for recv in res.recipients.drain(..) {
-                self.next_mail[recv.index()] = stamp_next;
-            }
-            self.recip_bufs[shard] = res.recipients;
-            if first_error.is_none() {
-                first_error = res.error;
-            }
-        }
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(any_pending),
-        }
-    }
-
-    /// Swaps the double buffers: last phase's back chunks become the
-    /// shared front, and the old front — uncontended, since every worker
-    /// dropped its handles before reporting — is reclaimed as the new
-    /// back without copying.
-    fn rotate(&mut self) {
-        let old_front = Arc::try_unwrap(std::mem::replace(&mut self.front, Arc::new(Vec::new())))
-            .unwrap_or_else(|arc| (*arc).clone());
-        self.front = Arc::new(std::mem::replace(&mut self.back, old_front));
-        let old_mail = Arc::try_unwrap(std::mem::replace(&mut self.mail, Arc::new(Vec::new())))
-            .unwrap_or_else(|arc| (*arc).clone());
-        self.mail = Arc::new(std::mem::replace(&mut self.next_mail, old_mail));
-    }
-}
-
-/// Body of one pool worker: receives one [`PhaseTask`] per round, steps
-/// the alive nodes of its shard, and hands the owned buffers back; exits
-/// when the task channel closes.
-#[allow(clippy::too_many_arguments)]
-fn pool_worker<P: Protocol>(
-    engine: &Engine,
-    g: &Graph,
-    protocol: &P,
-    alive: &[bool],
-    layout: &ParLayout,
-    shard: usize,
-    rx: mpsc::Receiver<PhaseTask<P::Msg, P::State>>,
-    tx: mpsc::Sender<PhaseResult<P::Msg, P::State>>,
-) {
-    let node_lo = layout.node_bounds[shard];
-    let node_hi = layout.node_bounds[shard + 1];
-    let slot_base = layout.slot_bounds[shard];
-    let mut sent: Vec<usize> = Vec::new();
-    let mut inbox: Vec<(NodeId, P::Msg)> = Vec::new();
-    while let Ok(task) = rx.recv() {
-        let PhaseTask {
-            r,
-            base,
-            front,
-            mail,
-            mut back_chunk,
-            mut states,
-            mut recipients,
-        } = task;
-        let stamp = base + r;
-        let mut ledger = RoundLedger::new();
-        let mut error: Option<EngineError> = None;
-        let mut any = false;
-        sent.clear();
-        for i in node_lo..node_hi {
-            if !alive[i] || (r > 0 && mail[i] != stamp) {
-                continue;
-            }
-            let v = NodeId::new(i);
-            let mut out = Outbox {
-                from: v,
-                nbrs: g.neighbors(v),
-                slot_start: g.out_slot_range(v).start,
-                cursor: 0,
-                alive,
-                stamp: stamp + 1,
-                slot_base,
-                slots: &mut back_chunk,
-                sent: &mut sent,
-                error: &mut error,
-            };
-            // Structural twin of the per-node body in
-            // `run_sequential_with` (see the comment there); keep the two
-            // in lockstep.
-            if r == 0 {
-                states[i - node_lo] = Some(protocol.init(v, &mut out));
-            } else {
-                inbox.clear();
-                for (p, &u) in g.out_slot_range(v).zip(g.neighbors(v)) {
-                    let (cs, co) = layout.rev_loc[p];
-                    let slot = &front[cs as usize][co as usize];
-                    if slot.round == stamp {
-                        let msg = slot.msg.clone().expect("stamped slot holds a message");
-                        inbox.push((u, msg));
-                    }
+impl<P: Protocol> RunCx<'_, P> {
+    /// The per-node body of every lane: runs `v`'s `init` (round 0) or,
+    /// in round `r`, gathers its inbox from the in-slots of `front`
+    /// stamped `stamp` and steps it; then checks and charges the sends
+    /// it wrote into `slots` (whose first slot has id `slot_base`),
+    /// addressed to `stamp + 1`. The sends are appended to
+    /// `scratch.sent`. With `visits_idle`, a node without mail does not
+    /// step. Always inlined, so that both callers' constant arguments
+    /// (`visits_idle`, a zero `slot_base`) fold away in the hot loop.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn step(
+        &self,
+        v: NodeId,
+        r: u64,
+        stamp: u64,
+        front: &[Slot<P::Msg>],
+        state: &mut Option<P::State>,
+        scratch: &mut Scratch<P::Msg>,
+        slot_base: usize,
+        slots: &mut [Slot<P::Msg>],
+        visits_idle: bool,
+        ledger: &mut RoundLedger,
+    ) -> Result<(), EngineError> {
+        let (g, protocol) = (self.g, self.protocol);
+        let first = scratch.sent.len();
+        let mut error = None;
+        let mut out = Outbox::for_step(
+            v,
+            g,
+            self.alive,
+            stamp + 1,
+            slot_base,
+            slots,
+            &mut scratch.sent,
+            &mut error,
+        );
+        if r == 0 {
+            *state = Some(protocol.init(v, &mut out));
+        } else {
+            // In-slots in CSR neighbor order: the inbox is sorted by
+            // sender by construction.
+            scratch.inbox.clear();
+            for (p, &u) in g.out_slot_range(v).zip(g.neighbors(v)) {
+                let slot = &front[self.rev[p]];
+                if slot.round == stamp {
+                    let msg = slot.msg.clone().expect("stamped slot holds a message");
+                    scratch.inbox.push((u, msg));
                 }
-                let st = states[i - node_lo].as_mut().expect("alive node has state");
-                protocol.step(v, st, &inbox, &mut out);
             }
-            if let Err(e) = engine.account(
-                protocol,
-                v,
-                slot_base,
-                &back_chunk,
-                &sent,
-                &mut error,
-                &mut ledger,
-            ) {
-                error = Some(e);
-                break;
+            if visits_idle && scratch.inbox.is_empty() {
+                return Ok(());
             }
-            any |= !sent.is_empty();
-            recipients.extend(sent.drain(..).map(|e| g.edge_head(e)));
+            let st = state.as_mut().expect("alive node has state");
+            protocol.step(v, st, &scratch.inbox, &mut out);
         }
-        // Release the shared buffers before reporting, so the conductor
-        // can reclaim them without copying.
-        drop(front);
-        drop(mail);
-        let report = PhaseResult {
-            back_chunk,
-            states,
-            recipients,
-            any,
+        self.engine.account(
+            protocol,
+            v,
+            slot_base,
+            slots,
+            &scratch.sent[first..],
+            &mut error,
             ledger,
-            error,
-        };
-        if tx.send(report).is_err() {
-            return;
-        }
+        )
     }
+}
+
+/// Whether the sequential core may fork a heavy round onto helper
+/// threads. [`Inline`] never does, and its `FORKS = false` compiles the
+/// work estimate away; a lane with threads forks through its shard
+/// layout.
+trait Fork<P: Protocol> {
+    const FORKS: bool;
+
+    /// Steps round `r` of `alive_list` over the shards, then marks the
+    /// receivers of its sends in `bufs.next_mail`. Returns whether any
+    /// message was sent and how many distinct receivers were marked.
+    /// Called only when `FORKS`.
+    #[allow(clippy::too_many_arguments)]
+    fn round(
+        &self,
+        _cx: &RunCx<'_, P>,
+        _r: u64,
+        _stamp: u64,
+        _alive_list: &[NodeId],
+        _bufs: &mut Buffers<P::Msg>,
+        _states: &mut [Option<P::State>],
+        _ledger: &mut RoundLedger,
+    ) -> Result<(bool, usize), EngineError> {
+        unreachable!("a lane that never forks stepped a forked round")
+    }
+}
+
+/// Every round on the calling thread: the one-thread lane and the async
+/// lane.
+struct Inline;
+
+impl<P: Protocol> Fork<P> for Inline {
+    const FORKS: bool = false;
+}
+
+/// One shard of a forked round: its alive nodes, and its slices of the
+/// back buffer and the states.
+struct Shard<'a, M, S> {
+    node_base: usize,
+    slot_base: usize,
+    nodes: &'a [NodeId],
+    slots: &'a mut [Slot<M>],
+    states: &'a mut [Option<S>],
+    scratch: &'a mut Scratch<M>,
+}
+
+impl<P> Fork<P> for ParLayout
+where
+    P: Protocol + Sync,
+    P::State: Send,
+    P::Msg: Send + Sync,
+{
+    const FORKS: bool = true;
+
+    fn round(
+        &self,
+        cx: &RunCx<'_, P>,
+        r: u64,
+        stamp: u64,
+        alive_list: &[NodeId],
+        bufs: &mut Buffers<P::Msg>,
+        states: &mut [Option<P::State>],
+        ledger: &mut RoundLedger,
+    ) -> Result<(bool, usize), EngineError> {
+        #[cfg(test)]
+        tests::FORKED_ROUNDS.with(|c| c.set(c.get() + 1));
+        let Buffers {
+            cur,
+            next,
+            cur_mail,
+            next_mail,
+            scratch,
+        } = bufs;
+        scratch.resize_with(self.shards(), Scratch::new);
+        let (mut slots, mut states, mut nodes) = (&mut next[..], states, alive_list);
+        let mut shards = Vec::with_capacity(self.shards());
+        for (s, scratch) in scratch.iter_mut().enumerate() {
+            let [node_base, node_end] = [self.node_bounds[s], self.node_bounds[s + 1]];
+            let [slot_base, slot_end] = [self.slot_bounds[s], self.slot_bounds[s + 1]];
+            let (shard_slots, rest) = std::mem::take(&mut slots).split_at_mut(slot_end - slot_base);
+            slots = rest;
+            let (shard_states, rest) =
+                std::mem::take(&mut states).split_at_mut(node_end - node_base);
+            states = rest;
+            let (shard_nodes, rest) =
+                nodes.split_at(nodes.partition_point(|v| v.index() < node_end));
+            nodes = rest;
+            shards.push(Shard {
+                node_base,
+                slot_base,
+                nodes: shard_nodes,
+                slots: shard_slots,
+                states: shard_states,
+                scratch,
+            });
+        }
+
+        let (front, mail) = (&cur[..], &cur_mail[..]);
+        let n = cur_mail.len();
+        let step = |sh: Shard<'_, P::Msg, P::State>| {
+            let mut ledger = RoundLedger::new();
+            let scratch = sh.scratch;
+            scratch.sent.clear();
+            scratch.receivers.clear();
+            scratch.mail.resize(n, 0);
+            let stepped = sh
+                .nodes
+                .iter()
+                .filter(|v| mail[v.index()] == stamp)
+                .try_for_each(|&v| {
+                    let state = &mut sh.states[v.index() - sh.node_base];
+                    cx.step(
+                        v,
+                        r,
+                        stamp,
+                        front,
+                        state,
+                        scratch,
+                        sh.slot_base,
+                        sh.slots,
+                        false,
+                        &mut ledger,
+                    )?;
+                    // Deduplicated here, the receivers cost the join one
+                    // mark each per shard rather than one per message.
+                    for e in scratch.sent.drain(..) {
+                        let to = cx.g.edge_head(e);
+                        let seen = &mut scratch.mail[to.index()];
+                        if *seen != stamp + 1 {
+                            *seen = stamp + 1;
+                            scratch.receivers.push(to);
+                        }
+                    }
+                    Ok::<_, EngineError>(())
+                });
+            (ledger, stepped)
+        };
+        let outcomes: Vec<std::thread::Result<_>> = std::thread::scope(|scope| {
+            let mut shards = shards.into_iter();
+            let first = shards.next().expect("a layout has a shard");
+            let helpers: Vec<_> = shards.map(|sh| scope.spawn(move || step(sh))).collect();
+            let mut outcomes = vec![Ok(step(first))];
+            outcomes.extend(helpers.into_iter().map(|h| h.join()));
+            outcomes
+        });
+
+        // Fold in shard order, as the inline lane would have met them:
+        // the lowest shard's error or panic wins.
+        let (mut any, mut receivers) = (false, 0);
+        for (outcome, scratch) in outcomes.into_iter().zip(scratch.iter_mut()) {
+            let (shard_ledger, stepped) =
+                outcome.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            stepped?;
+            ledger.merge_traffic(&shard_ledger);
+            any |= !scratch.receivers.is_empty();
+            receivers += mark(next_mail, stamp + 1, scratch.receivers.drain(..));
+        }
+        Ok((any, receivers))
+    }
+}
+
+/// A forking lane's reliable carry, which also counts what its work
+/// estimate needs: marks `mail` with `stamp` at every receiver and
+/// returns how many were not marked before.
+fn mark(mail: &mut [u64], stamp: u64, receivers: impl Iterator<Item = NodeId>) -> usize {
+    let mut new = 0;
+    for to in receivers {
+        let seen = &mut mail[to.index()];
+        new += usize::from(*seen != stamp);
+        *seen = stamp;
+    }
+    new
 }
 
 /// Fetches (or lazily creates) the arena of type `T` in a session's
-/// type-erased store. Keyed by the arena type itself, so `SeqArena<M>`
-/// and `ParArena<M>` never collide.
+/// type-erased store, keyed by the arena type itself.
 fn typed_arena<T: 'static>(
     map: &mut HashMap<TypeId, Box<dyn Any>>,
     mk: impl FnOnce() -> T,
@@ -849,18 +897,19 @@ impl Engine {
         self
     }
 
-    /// Selects the stepping lane: `threads <= 1` steps nodes sequentially;
-    /// larger values shard the nodes over a pool of that many scoped
-    /// threads. Both lanes produce bit-identical [`RunOutcome`]s (see the
-    /// module docs for the argument); the parallel lane spawns its pool
-    /// once per run, pays a channel round trip per round, and earns both
-    /// back on message-heavy rounds.
+    /// Sets how many threads may step a heavy round: with `threads > 1`
+    /// a round whose work estimate reaches a fixed threshold is cut into
+    /// that many node shards, stepped by the caller and `threads - 1`
+    /// scoped helpers spawned for that round; every other round runs
+    /// inline. `threads <= 1` never forks. The outcome is bit-identical
+    /// either way (see the module docs); a fork pays a spawn and join,
+    /// so only rounds of some 10^4 messages or more gain from it.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
     }
 
-    /// The configured stepping-lane width (1 = sequential).
+    /// The configured thread count (1 = every round inline).
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -872,9 +921,10 @@ impl Engine {
     }
 
     /// Runs `protocol` on every alive node of `view` until quiescence,
-    /// on the lane selected by [`with_threads`](Self::with_threads).
+    /// forking heavy rounds when [`with_threads`](Self::with_threads)
+    /// asked for more than one thread.
     ///
-    /// The `Send`/`Sync` bounds exist for the parallel lane. This is the
+    /// The `Send`/`Sync` bounds exist for the forked rounds. This is the
     /// one-shot form: it builds a throwaway arena (`O(m)` setup), so
     /// repeated runs on one graph should go through [`Engine::session`].
     ///
@@ -889,10 +939,12 @@ impl Engine {
         P::State: Send,
         P::Msg: Send + Sync,
     {
+        let watchdog = self.watchdog();
         if self.threads > 1 {
-            self.run_parallel(view, protocol)
+            let layout = ParLayout::carve(view.graph(), self.threads);
+            self.run_fresh(view, protocol, &watchdog, &mut Reliable, &layout)
         } else {
-            self.run_transported(view, protocol, &self.watchdog(), &mut Reliable)
+            self.run_fresh(view, protocol, &watchdog, &mut Reliable, &Inline)
         }
     }
 
@@ -938,9 +990,8 @@ impl Engine {
         Watchdog::rounds(self.max_rounds).with_deadline(self.deadline.clone())
     }
 
-    /// A one-shot sequential run through `transport` under `watchdog`:
-    /// [`run`](Self::run)'s sequential lane with the reliable transport,
-    /// and a single-shard async-lane run with its seeded one.
+    /// A single-shard async-lane run: the sequential core with the
+    /// lane's seeded `transport`, under its `watchdog`.
     pub(crate) fn run_transported<A, P, T>(
         &self,
         view: &A,
@@ -953,6 +1004,24 @@ impl Engine {
         P: Protocol,
         T: Transport,
     {
+        self.run_fresh(view, protocol, watchdog, transport, &Inline)
+    }
+
+    /// A one-shot run of the core on a throwaway arena.
+    fn run_fresh<A, P, T, F>(
+        &self,
+        view: &A,
+        protocol: &P,
+        watchdog: &Watchdog,
+        transport: &mut T,
+        fork: &F,
+    ) -> Result<RunOutcome<P::State>, EngineError>
+    where
+        A: Adjacency,
+        P: Protocol,
+        T: Transport,
+        F: Fork<P>,
+    {
         let g = view.graph();
         let n = view.universe();
         let alive_list: Vec<NodeId> = view.nodes().collect();
@@ -961,42 +1030,65 @@ impl Engine {
             alive[v.index()] = true;
         }
         let mut arena = SeqArena::new(g.directed_edges(), n);
-        self.run_sequential_with(
-            view,
+        let cx = RunCx {
+            engine: self,
             protocol,
-            &alive,
-            &alive_list,
-            &mut arena,
-            watchdog,
-            transport,
-        )
+            g,
+            rev: g.reverse_edges(),
+            alive: &alive,
+        };
+        cx.run(&alive_list, &mut arena, watchdog, transport, fork)
     }
 
-    /// The sequential core, stepping through a caller-provided arena
-    /// (fresh for one-shot runs, reused by [`EngineSession`]) and handing
-    /// every step's sends to `transport`.
-    #[allow(clippy::too_many_arguments)]
-    fn run_sequential_with<A, P, T>(
+    /// Opens a reusable execution [session](EngineSession) on `graph`,
+    /// capturing this engine's configuration (cost model, round limit,
+    /// thread count).
+    pub fn session<'g>(&self, graph: &'g Graph) -> EngineSession<'g> {
+        EngineSession {
+            engine: self.clone(),
+            graph,
+            alive: Vec::new(),
+            alive_list: Vec::new(),
+            layout: (self.threads > 1).then(|| ParLayout::carve(graph, self.threads)),
+            arenas: HashMap::new(),
+        }
+    }
+}
+
+impl<P: Protocol> RunCx<'_, P> {
+    /// The sequential core: runs the nodes of `alive_list` (ascending)
+    /// to quiescence through a caller-provided arena (fresh for one-shot
+    /// runs, reused by [`EngineSession`]), hands every inline step's
+    /// sends to `transport`, and lets `fork` step the heavy rounds.
+    fn run<T, F>(
         &self,
-        view: &A,
-        protocol: &P,
-        alive: &[bool],
         alive_list: &[NodeId],
         arena: &mut SeqArena<P::Msg>,
         watchdog: &Watchdog,
         transport: &mut T,
+        fork: &F,
     ) -> Result<RunOutcome<P::State>, EngineError>
     where
-        A: Adjacency,
-        P: Protocol,
         T: Transport,
+        F: Fork<P>,
     {
-        let g = view.graph();
-        let rev = g.reverse_edges();
-        let n = view.universe();
+        let g = self.g;
+        // A forking lane's work estimate: the nodes a round steps (the
+        // previous round's distinct receivers; the init round steps them
+        // all) times `⌈2m/n⌉`. When not even every node stepping reaches
+        // the threshold, no round can fork, and the run goes inline
+        // without counting receivers.
+        let per_node = if F::FORKS {
+            g.directed_edges().div_ceil(g.n().max(1))
+        } else {
+            0
+        };
+        if F::FORKS && alive_list.len().saturating_mul(per_node) < fork_work() {
+            return self.run(alive_list, arena, watchdog, transport, &Inline);
+        }
+        let n = self.alive.len();
         let mut states: Vec<Option<P::State>> = (0..n).map(|_| None).collect();
         let mut ledger = RoundLedger::new();
-        let mut error: Option<EngineError> = None;
         let base = arena.base;
         // The guard writes the advanced epoch back on every exit path —
         // normal return, error return, and unwinding out of a panicking
@@ -1005,311 +1097,86 @@ impl Engine {
             base: &mut arena.base,
             next_base: base + 2,
         };
-        arena.sent.clear();
-
-        // Init phase (round 0): create states; first sends go to round 1.
-        transport.begin_round(0, base, &mut arena.cur_mail);
-        let mut any_pending = false;
+        let bufs = &mut arena.bufs;
+        bufs.scratch[0].sent.clear();
+        let mut steppers = alive_list.len();
+        // Round 0 steps every alive node, as if each had mail.
         for &v in alive_list {
-            let mut out = Outbox {
-                from: v,
-                nbrs: g.neighbors(v),
-                slot_start: g.out_slot_range(v).start,
-                cursor: 0,
-                alive,
-                stamp: base + 1,
-                slot_base: 0,
-                slots: &mut arena.next,
-                sent: &mut arena.sent,
-                error: &mut error,
-            };
-            let st = protocol.init(v, &mut out);
-            states[v.index()] = Some(st);
-            self.account(
-                protocol,
-                v,
-                0,
-                &arena.next,
-                &arena.sent,
-                &mut error,
-                &mut ledger,
-            )?;
-            any_pending |= !arena.sent.is_empty();
-            transport.carry(
-                g,
-                v,
-                0,
-                &mut arena.sent,
-                &mut arena.next,
-                &mut arena.next_mail,
-                base + 1,
-            );
+            bufs.cur_mail[v.index()] = base;
         }
 
-        let mut rounds = 0u64;
-        while any_pending {
-            watchdog.check(rounds)?;
-            rounds += 1;
-            any_pending = false;
-            epoch.next_base = base + rounds + 2;
-            std::mem::swap(&mut arena.cur, &mut arena.next);
-            std::mem::swap(&mut arena.cur_mail, &mut arena.next_mail);
-            let stamp = base + rounds;
-            transport.begin_round(rounds, stamp, &mut arena.cur_mail);
-
-            for &v in alive_list {
-                if arena.cur_mail[v.index()] != stamp {
-                    continue;
-                }
-                // Gather the inbox: in-slots in CSR neighbor order, so it
-                // is sorted by sender by construction. This per-node body
-                // has a structural twin in `pool_worker` (which clones
-                // from the shared front buffer instead of taking, and
-                // addresses shard-relative slot chunks) — any semantic
-                // change here must be mirrored there; the lane-equivalence
-                // property in tests/determinism.rs is the referee.
-                arena.inbox.clear();
-                for (p, &u) in g.out_slot_range(v).zip(g.neighbors(v)) {
-                    let slot = &mut arena.cur[rev[p]];
-                    if slot.round == stamp {
-                        let msg = slot.msg.take().expect("stamped slot holds a message");
-                        arena.inbox.push((u, msg));
+        let mut r = 0u64;
+        loop {
+            // Round 0 runs `init`; round `r` delivers the messages sent
+            // in round `r - 1` and steps their receivers.
+            let stamp = base + r;
+            transport.begin_round(r, stamp, &mut bufs.cur_mail);
+            let any_pending;
+            if F::FORKS && steppers.saturating_mul(per_node) >= fork_work() {
+                (any_pending, steppers) =
+                    fork.round(self, r, stamp, alive_list, bufs, &mut states, &mut ledger)?;
+            } else {
+                let Buffers {
+                    cur,
+                    next,
+                    cur_mail,
+                    next_mail,
+                    scratch,
+                } = &mut *bufs;
+                let (scratch, mail, states) = (&mut scratch[0], &cur_mail[..], &mut states[..]);
+                let mut any = false;
+                steppers = 0;
+                for &v in alive_list {
+                    if mail[v.index()] != stamp {
+                        continue;
+                    }
+                    let state = &mut states[v.index()];
+                    self.step(
+                        v,
+                        r,
+                        stamp,
+                        cur,
+                        state,
+                        scratch,
+                        0,
+                        next,
+                        T::VISITS_IDLE,
+                        &mut ledger,
+                    )?;
+                    any |= !scratch.sent.is_empty();
+                    if F::FORKS {
+                        let receivers = scratch.sent.drain(..).map(|e| g.edge_head(e));
+                        steppers += mark(next_mail, stamp + 1, receivers);
+                    } else {
+                        transport.carry(g, v, r, &mut scratch.sent, next, next_mail, stamp + 1);
                     }
                 }
-                if T::VISITS_IDLE && arena.inbox.is_empty() {
-                    transport.carry(
-                        g,
-                        v,
-                        rounds,
-                        &mut arena.sent,
-                        &mut arena.next,
-                        &mut arena.next_mail,
-                        stamp + 1,
-                    );
-                    continue;
-                }
-                let st = states[v.index()].as_mut().expect("alive node has state");
-                let mut out = Outbox {
-                    from: v,
-                    nbrs: g.neighbors(v),
-                    slot_start: g.out_slot_range(v).start,
-                    cursor: 0,
-                    alive,
-                    stamp: stamp + 1,
-                    slot_base: 0,
-                    slots: &mut arena.next,
-                    sent: &mut arena.sent,
-                    error: &mut error,
-                };
-                protocol.step(v, st, &arena.inbox, &mut out);
-                self.account(
-                    protocol,
-                    v,
-                    0,
-                    &arena.next,
-                    &arena.sent,
-                    &mut error,
-                    &mut ledger,
-                )?;
-                any_pending |= !arena.sent.is_empty();
-                transport.carry(
-                    g,
-                    v,
-                    rounds,
-                    &mut arena.sent,
-                    &mut arena.next,
-                    &mut arena.next_mail,
-                    stamp + 1,
-                );
+                any_pending = any;
             }
+            if !any_pending {
+                break;
+            }
+            watchdog.check(r)?;
+            r += 1;
+            epoch.next_base = base + r + 2;
+            std::mem::swap(&mut bufs.cur, &mut bufs.next);
+            std::mem::swap(&mut bufs.cur_mail, &mut bufs.next_mail);
         }
 
-        ledger.charge_rounds(rounds);
+        ledger.charge_rounds(r);
         Ok(RunOutcome {
             states,
-            rounds,
+            rounds: r,
             ledger,
         })
-    }
-
-    /// One-shot parallel run: carves a throwaway layout and arena, then
-    /// drives the pooled core.
-    fn run_parallel<A, P>(
-        &self,
-        view: &A,
-        protocol: &P,
-    ) -> Result<RunOutcome<P::State>, EngineError>
-    where
-        A: Adjacency,
-        P: Protocol + Sync,
-        P::State: Send,
-        P::Msg: Send + Sync,
-    {
-        let g = view.graph();
-        let n = view.universe();
-        let mut alive = vec![false; n];
-        for v in view.nodes() {
-            alive[v.index()] = true;
-        }
-        let layout = ParLayout::carve(g, self.threads);
-        let mut arena = ParArena::new(&layout, n);
-        self.run_parallel_with(view, protocol, &alive, &layout, &mut arena)
-    }
-
-    /// The parallel core: spawns the worker pool once for the whole run
-    /// (`std::thread::scope`), then hands each worker one phase per round
-    /// over its task channel. `r == 0` runs `init` on every alive node,
-    /// `r >= 1` delivers round-`r` messages and steps the recipients
-    /// (gated by the mail stamps, like the sequential lane); the mail
-    /// stamps for round `r + 1` are written at the join point, which also
-    /// merges the shard ledgers in index order — so ledger totals and the
-    /// reported error (the lowest-index erring node) match the sequential
-    /// lane.
-    fn run_parallel_with<A, P>(
-        &self,
-        view: &A,
-        protocol: &P,
-        alive: &[bool],
-        layout: &ParLayout,
-        arena: &mut ParArena<P::Msg>,
-    ) -> Result<RunOutcome<P::State>, EngineError>
-    where
-        A: Adjacency,
-        P: Protocol + Sync,
-        P::State: Send,
-        P::Msg: Send + Sync,
-    {
-        let g = view.graph();
-        let shards = layout.shards();
-        let base = arena.base;
-
-        let mut task_txs = Vec::with_capacity(shards);
-        let mut task_rxs = Vec::with_capacity(shards);
-        let mut result_txs = Vec::with_capacity(shards);
-        let mut result_rxs = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let (tx, rx) = mpsc::channel::<PhaseTask<P::Msg, P::State>>();
-            task_txs.push(tx);
-            task_rxs.push(rx);
-            let (tx, rx) = mpsc::channel::<PhaseResult<P::Msg, P::State>>();
-            result_txs.push(tx);
-            result_rxs.push(rx);
-        }
-        let conductor = Conductor {
-            base,
-            front: Arc::new(std::mem::take(&mut arena.front)),
-            mail: Arc::new(std::mem::take(&mut arena.cur_mail)),
-            back: std::mem::take(&mut arena.back),
-            next_mail: std::mem::take(&mut arena.next_mail),
-            state_chunks: (0..shards)
-                .map(|s| {
-                    (layout.node_bounds[s]..layout.node_bounds[s + 1])
-                        .map(|_| None)
-                        .collect()
-                })
-                .collect(),
-            recip_bufs: (0..shards).map(|_| Vec::new()).collect(),
-            task_txs,
-            result_rxs,
-        };
-        // Poison the chunk geometry while the buffers are out on loan: if
-        // a protocol panic unwinds through the scope below, the next
-        // session run sees the mismatch and rebuilds fresh chunks instead
-        // of indexing the emptied arena.
-        arena.threads = usize::MAX;
-
-        // The conductor moves *into* the scope closure: if a worker dies
-        // (protocol panic), the conductor's phase() panics on the closed
-        // result channel, unwinding drops the task channels, the
-        // remaining workers exit, and the scope joins — no deadlock. On
-        // the normal path the conductor is handed back out for buffer
-        // reclamation.
-        let (outcome, conductor) = std::thread::scope(|scope| {
-            let mut conductor = conductor;
-            for (shard, (rx, result_tx)) in task_rxs.into_iter().zip(result_txs).enumerate() {
-                scope.spawn(move || {
-                    pool_worker(self, g, protocol, alive, layout, shard, rx, result_tx)
-                });
-            }
-
-            let res = (|| {
-                let mut ledger = RoundLedger::new();
-                let mut any_pending = conductor.phase(0, &mut ledger).map_err(|e| (e, 0))?;
-                let watchdog = self.watchdog();
-                let mut rounds = 0u64;
-                while any_pending {
-                    watchdog.check(rounds).map_err(|e| (e, rounds))?;
-                    rounds += 1;
-                    conductor.rotate();
-                    any_pending = conductor
-                        .phase(rounds, &mut ledger)
-                        .map_err(|e| (e, rounds))?;
-                }
-                ledger.charge_rounds(rounds);
-                Ok((rounds, ledger))
-            })();
-            // Closing the task channels lets the workers exit; the scope
-            // then joins them before returning.
-            conductor.task_txs.clear();
-            (res, conductor)
-        });
-
-        // Reclaim the buffers for the next session run (the workers are
-        // joined, so the Arcs are uncontended) and unpoison the geometry.
-        let Conductor {
-            front,
-            mail,
-            back,
-            next_mail,
-            state_chunks,
-            ..
-        } = conductor;
-        arena.front = Arc::try_unwrap(front).unwrap_or_else(|arc| (*arc).clone());
-        arena.cur_mail = Arc::try_unwrap(mail).unwrap_or_else(|arc| (*arc).clone());
-        arena.back = back;
-        arena.next_mail = next_mail;
-        arena.threads = layout.threads;
-
-        match outcome {
-            Ok((rounds, ledger)) => {
-                arena.base = base + rounds + 2;
-                let mut states = Vec::with_capacity(view.universe());
-                for chunk in state_chunks {
-                    states.extend(chunk);
-                }
-                Ok(RunOutcome {
-                    states,
-                    rounds,
-                    ledger,
-                })
-            }
-            Err((e, rounds)) => {
-                arena.base = base + rounds + 2;
-                Err(e)
-            }
-        }
-    }
-
-    /// Opens a reusable execution [session](EngineSession) on `graph`,
-    /// capturing this engine's configuration (cost model, round limit,
-    /// stepping lane).
-    pub fn session<'g>(&self, graph: &'g Graph) -> EngineSession<'g> {
-        EngineSession {
-            engine: self.clone(),
-            graph,
-            alive: Vec::new(),
-            alive_list: Vec::new(),
-            par_layout: None,
-            arenas: HashMap::new(),
-        }
     }
 }
 
 /// A reusable per-graph execution context.
 ///
 /// Created by [`Engine::session`], a session builds the directed-edge
-/// slot arenas, inbox scratch buffers, and parallel shard layout **once
-/// per graph** (lazily, one arena set per message type) and reuses them —
+/// slot arenas, inbox scratch buffers, and shard layout **once per
+/// graph** (lazily, one arena set per message type) and reuses them —
 /// together with the graph's cached reverse-edge table — across
 /// arbitrarily many protocol runs. A session run therefore costs
 /// `O(traffic + n)` instead of the one-shot `O(traffic + m)`, which is
@@ -1340,7 +1207,8 @@ pub struct EngineSession<'g> {
     graph: &'g Graph,
     alive: Vec<bool>,
     alive_list: Vec<NodeId>,
-    par_layout: Option<ParLayout>,
+    /// Shards of the forked rounds (`None` on one thread).
+    layout: Option<ParLayout>,
     arenas: HashMap<TypeId, Box<dyn Any>>,
 }
 
@@ -1355,26 +1223,10 @@ impl<'g> EngineSession<'g> {
         &self.engine
     }
 
-    /// Refreshes the alive mask and list for this run's view.
-    fn prepare<A: Adjacency>(&mut self, view: &A) {
-        assert!(
-            std::ptr::eq(view.graph(), self.graph),
-            "EngineSession requires a view of the session's own graph"
-        );
-        let n = self.graph.n();
-        self.alive.clear();
-        self.alive.resize(n, false);
-        self.alive_list.clear();
-        for v in view.nodes() {
-            self.alive[v.index()] = true;
-            self.alive_list.push(v);
-        }
-    }
-
-    /// Runs `protocol` on every alive node of `view` until quiescence, on
-    /// the lane the session's engine was configured with, reusing the
-    /// session arenas. Bit-identical to [`Engine::run`] on a fresh
-    /// engine.
+    /// Runs `protocol` on every alive node of `view` until quiescence, as
+    /// the session's engine would (forking heavy rounds when it has
+    /// threads), reusing the session arenas. Bit-identical to
+    /// [`Engine::run`] on a fresh engine.
     ///
     /// # Panics
     ///
@@ -1391,109 +1243,82 @@ impl<'g> EngineSession<'g> {
         P::State: Send,
         P::Msg: Send + Sync + 'static,
     {
-        if self.engine.threads > 1 {
-            return self.run_parallel(view, protocol);
+        let g = self.graph;
+        assert!(
+            std::ptr::eq(view.graph(), g),
+            "EngineSession requires a view of the session's own graph"
+        );
+        self.alive.clear();
+        self.alive.resize(g.n(), false);
+        self.alive_list.clear();
+        for v in view.nodes() {
+            self.alive[v.index()] = true;
+            self.alive_list.push(v);
         }
-        self.prepare(view);
-        let slots = self.graph.directed_edges();
-        let n = self.graph.n();
-        let arena = typed_arena(&mut self.arenas, || SeqArena::<P::Msg>::new(slots, n));
-        self.engine.run_sequential_with(
-            view,
+        let arena = typed_arena(&mut self.arenas, || {
+            SeqArena::<P::Msg>::new(g.directed_edges(), g.n())
+        });
+        let cx = RunCx {
+            engine: &self.engine,
             protocol,
-            &self.alive,
-            &self.alive_list,
-            arena,
-            &self.engine.watchdog(),
-            &mut Reliable,
-        )
-    }
-
-    fn run_parallel<A, P>(
-        &mut self,
-        view: &A,
-        protocol: &P,
-    ) -> Result<RunOutcome<P::State>, EngineError>
-    where
-        A: Adjacency,
-        P: Protocol + Sync,
-        P::State: Send,
-        P::Msg: Send + Sync + 'static,
-    {
-        self.prepare(view);
-        let n = self.graph.n();
-        let threads = self.engine.threads.min(n.max(1));
-        if self
-            .par_layout
-            .as_ref()
-            .is_none_or(|l| l.threads != threads)
-        {
-            self.par_layout = Some(ParLayout::carve(self.graph, threads));
+            g,
+            rev: g.reverse_edges(),
+            alive: &self.alive,
+        };
+        let watchdog = self.engine.watchdog();
+        match &self.layout {
+            Some(layout) => cx.run(&self.alive_list, arena, &watchdog, &mut Reliable, layout),
+            None => cx.run(&self.alive_list, arena, &watchdog, &mut Reliable, &Inline),
         }
-        let layout = self.par_layout.as_ref().expect("layout just ensured");
-        let arena = typed_arena(&mut self.arenas, || ParArena::<P::Msg>::new(layout, n));
-        if arena.threads != layout.threads {
-            // The engine was reconfigured between runs: re-carve the
-            // chunks, but keep the stamp epoch monotonic.
-            let rebuilt = ParArena {
-                base: arena.base,
-                ..ParArena::new(layout, n)
-            };
-            *arena = rebuilt;
-        }
-        self.engine
-            .run_parallel_with(view, protocol, &self.alive, layout, arena)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::primitives::BfsKernel;
     use sdnd_graph::{gen, NodeSet};
+    use std::cell::Cell;
 
-    /// Flooding protocol that knows the graph, sending `dist + 1` tokens.
-    struct GraphFlood<'g> {
-        g: &'g sdnd_graph::Graph,
-        source: NodeId,
+    thread_local! {
+        /// Replaces [`FORK_WORK`] for runs on this test's thread.
+        pub(super) static FORK_WORK_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
+        /// Rounds forked by runs on this test's thread.
+        pub(super) static FORKED_ROUNDS: Cell<u64> = const { Cell::new(0) };
     }
 
-    #[derive(Debug)]
-    struct GfState {
-        dist: Option<u64>,
+    /// The two forced settings: every round forks, or none does.
+    const FORCED: [usize; 2] = [0, usize::MAX];
+
+    /// Runs `f` with the fork threshold forced to `work`, and returns its
+    /// result with the number of rounds that forked.
+    fn with_fork_work<R>(work: usize, f: impl FnOnce() -> R) -> (R, u64) {
+        FORK_WORK_OVERRIDE.with(|o| o.set(Some(work)));
+        let before = FORKED_ROUNDS.with(Cell::get);
+        let out = f();
+        FORK_WORK_OVERRIDE.with(|o| o.set(None));
+        (out, FORKED_ROUNDS.with(Cell::get) - before)
     }
 
-    impl Protocol for GraphFlood<'_> {
-        type State = GfState;
-        type Msg = u64;
+    /// An unbounded BFS flood from `source` over all of `g`.
+    fn flood(g: &Graph, source: usize) -> BfsKernel {
+        BfsKernel::new(&g.full_view(), [NodeId::new(source)], u32::MAX)
+    }
 
-        fn init(&self, node: NodeId, out: &mut Outbox<'_, u64>) -> GfState {
-            if node == self.source {
-                for u in self.g.neighbors(node) {
-                    out.send(*u, 1);
-                }
-                GfState { dist: Some(0) }
-            } else {
-                GfState { dist: None }
-            }
+    /// Sends nothing; each state is 7 plus the messages it ever received
+    /// (none, unless stale mail leaked). Same message type as [`flood`].
+    struct Silent;
+    impl Protocol for Silent {
+        type State = u32;
+        type Msg = u32;
+        fn init(&self, _: NodeId, _: &mut Outbox<'_, u32>) -> u32 {
+            7
         }
-
-        fn step(
-            &self,
-            _node: NodeId,
-            state: &mut GfState,
-            inbox: &[(NodeId, u64)],
-            out: &mut Outbox<'_, u64>,
-        ) {
-            if state.dist.is_some() {
-                return;
-            }
-            let d = inbox.iter().map(|&(_, h)| h).min().expect("nonempty inbox");
-            state.dist = Some(d);
-            out.broadcast(d + 1);
+        fn step(&self, _: NodeId, st: &mut u32, inbox: &[(NodeId, u32)], _: &mut Outbox<'_, u32>) {
+            *st += inbox.len() as u32;
         }
-
-        fn bits(&self, msg: &u64) -> u32 {
-            crate::bits_for_value(*msg)
+        fn bits(&self, _: &u32) -> u32 {
+            8
         }
     }
 
@@ -1501,18 +1326,14 @@ mod tests {
     fn flood_computes_bfs_distances() {
         let g = gen::grid(4, 4);
         let engine = Engine::new(CostModel::congest_for(16));
-        let proto = GraphFlood {
-            g: &g,
-            source: NodeId::new(0),
-        };
-        let out = engine.run(&g.full_view(), &proto).unwrap();
+        let out = engine.run(&g.full_view(), &flood(&g, 0)).unwrap();
         // Distances match BFS; rounds = eccentricity + 1 (one quiet-check
         // round of token deliveries to already-informed nodes).
         let bfs = sdnd_graph::algo::bfs(&g.full_view(), [NodeId::new(0)]);
         for v in g.nodes() {
             assert_eq!(
                 out.states[v.index()].as_ref().unwrap().dist,
-                Some(bfs.dist(v) as u64)
+                Some(bfs.dist(v))
             );
         }
         assert_eq!(out.rounds, bfs.eccentricity().unwrap() as u64 + 1);
@@ -1522,28 +1343,63 @@ mod tests {
     #[test]
     fn parallel_lane_is_bit_identical() {
         let g = gen::gnp_connected(60, 0.08, 17);
-        let proto = GraphFlood {
-            g: &g,
-            source: NodeId::new(3),
-        };
+        let proto = flood(&g, 3);
         let seq = Engine::new(CostModel::congest_for(60))
             .run(&g.full_view(), &proto)
             .unwrap();
-        for threads in [2, 3, 7, 64] {
-            let par = Engine::new(CostModel::congest_for(60))
-                .with_threads(threads)
-                .run(&g.full_view(), &proto)
-                .unwrap();
-            assert_eq!(par.rounds, seq.rounds, "rounds with {threads} threads");
-            assert_eq!(par.ledger, seq.ledger, "ledger with {threads} threads");
-            for v in g.nodes() {
-                assert_eq!(
-                    par.states[v.index()].as_ref().unwrap().dist,
-                    seq.states[v.index()].as_ref().unwrap().dist,
-                    "state at {v} with {threads} threads"
-                );
+        for work in FORCED {
+            for threads in [2, 3, 7, 64] {
+                let (par, forked) = with_fork_work(work, || {
+                    Engine::new(CostModel::congest_for(60))
+                        .with_threads(threads)
+                        .run(&g.full_view(), &proto)
+                        .unwrap()
+                });
+                // The init round and every delivering round fork, or none.
+                let expect = if work == 0 { seq.rounds + 1 } else { 0 };
+                assert_eq!(forked, expect, "forked rounds with {threads} threads");
+                assert_eq!(par.rounds, seq.rounds, "rounds with {threads} threads");
+                assert_eq!(par.ledger, seq.ledger, "ledger with {threads} threads");
+                assert_eq!(par.states, seq.states, "states with {threads} threads");
             }
         }
+    }
+
+    #[test]
+    fn dense_runs_mix_forked_and_inline_rounds_at_the_shipped_threshold() {
+        // The gnp inputs of `tests/determinism.rs`: at `FORK_WORK`, a BFS
+        // flood forks its init round and the rounds that step every node,
+        // but not round 1, which steps only the source's neighbors. A
+        // grid's rounds never fork.
+        for g in [
+            gen::gnp_connected(300, 0.5, 3),
+            gen::gnp_connected(280, 0.6, 8),
+        ] {
+            let view = g.full_view();
+            let cost = CostModel::congest_for(g.n());
+            let bfs = flood(&g, 0);
+            let seq = Engine::new(cost).run(&view, &bfs).unwrap();
+            let before = FORKED_ROUNDS.with(Cell::get);
+            let par = Engine::new(cost).with_threads(2).run(&view, &bfs).unwrap();
+            let forked = FORKED_ROUNDS.with(Cell::get) - before;
+            assert!(
+                forked > 0 && forked <= par.rounds,
+                "{forked} of {} rounds",
+                par.rounds + 1
+            );
+            assert_eq!(
+                (par.rounds, par.ledger, par.states),
+                (seq.rounds, seq.ledger, seq.states)
+            );
+        }
+
+        let grid = gen::grid(64, 64);
+        let view = grid.full_view();
+        let leader = crate::primitives::LeaderKernel::new(&view);
+        let engine = Engine::new(CostModel::congest_for(grid.n())).with_threads(2);
+        let before = FORKED_ROUNDS.with(Cell::get);
+        engine.run(&view, &leader).unwrap();
+        assert_eq!(FORKED_ROUNDS.with(Cell::get), before, "a grid round forked");
     }
 
     #[test]
@@ -1670,49 +1526,38 @@ mod tests {
             .is_ok());
     }
 
+    /// Sends, in `init`, one message along each `(from, to)` pair,
+    /// neighbors or not.
+    struct Sends(Vec<(usize, usize)>);
+    impl Protocol for Sends {
+        type State = ();
+        type Msg = u8;
+        fn init(&self, node: NodeId, out: &mut Outbox<'_, u8>) {
+            for &(_, to) in self.0.iter().filter(|&&(from, _)| from == node.index()) {
+                out.send(NodeId::new(to), 1);
+            }
+        }
+        fn step(&self, _: NodeId, _: &mut (), _: &[(NodeId, u8)], _: &mut Outbox<'_, u8>) {}
+        fn bits(&self, _: &u8) -> u32 {
+            8
+        }
+    }
+
     #[test]
     fn duplicate_edge_message_rejected() {
         let g = gen::path(2);
-        struct Dup;
-        impl Protocol for Dup {
-            type State = ();
-            type Msg = u8;
-            fn init(&self, node: NodeId, out: &mut Outbox<'_, u8>) {
-                if node.index() == 0 {
-                    out.send(NodeId::new(1), 1);
-                    out.send(NodeId::new(1), 2);
-                }
-            }
-            fn step(&self, _: NodeId, _: &mut (), _: &[(NodeId, u8)], _: &mut Outbox<'_, u8>) {}
-            fn bits(&self, _: &u8) -> u32 {
-                8
-            }
-        }
         let err = Engine::new(CostModel::local())
-            .run(&g.full_view(), &Dup)
+            .run(&g.full_view(), &Sends(vec![(0, 1), (0, 1)]))
             .unwrap_err();
         assert!(matches!(err, EngineError::DuplicateEdgeMessage { .. }));
     }
 
     #[test]
     fn non_neighbor_send_rejected() {
+        // 0 and 2 are not adjacent on a path.
         let g = gen::path(3);
-        struct Skip;
-        impl Protocol for Skip {
-            type State = ();
-            type Msg = u8;
-            fn init(&self, node: NodeId, out: &mut Outbox<'_, u8>) {
-                if node.index() == 0 {
-                    out.send(NodeId::new(2), 1); // not adjacent on a path
-                }
-            }
-            fn step(&self, _: NodeId, _: &mut (), _: &[(NodeId, u8)], _: &mut Outbox<'_, u8>) {}
-            fn bits(&self, _: &u8) -> u32 {
-                8
-            }
-        }
         let err = Engine::new(CostModel::local())
-            .run(&g.full_view(), &Skip)
+            .run(&g.full_view(), &Sends(vec![(0, 2)]))
             .unwrap_err();
         assert!(matches!(err, EngineError::NotANeighbor { .. }));
     }
@@ -1721,24 +1566,10 @@ mod tests {
     fn send_to_dead_or_out_of_range_node_rejected() {
         let g = gen::path(3);
         let alive = NodeSet::from_nodes(3, [0, 1].map(NodeId::new));
-        struct SendTo(NodeId);
-        impl Protocol for SendTo {
-            type State = ();
-            type Msg = u8;
-            fn init(&self, node: NodeId, out: &mut Outbox<'_, u8>) {
-                if node.index() == 1 {
-                    out.send(self.0, 1);
-                }
-            }
-            fn step(&self, _: NodeId, _: &mut (), _: &[(NodeId, u8)], _: &mut Outbox<'_, u8>) {}
-            fn bits(&self, _: &u8) -> u32 {
-                8
-            }
-        }
         // Node 2 is a base-graph neighbor of 1 but dead in the view.
         let view = g.view(&alive);
         let err = Engine::new(CostModel::local())
-            .run(&view, &SendTo(NodeId::new(2)))
+            .run(&view, &Sends(vec![(1, 2)]))
             .unwrap_err();
         assert_eq!(
             err,
@@ -1749,36 +1580,34 @@ mod tests {
         );
         // A target outside the universe is a non-neighbor, not a panic.
         let err = Engine::new(CostModel::local())
-            .run(&g.full_view(), &SendTo(NodeId::new(17)))
+            .run(&g.full_view(), &Sends(vec![(1, 17)]))
             .unwrap_err();
         assert!(matches!(err, EngineError::NotANeighbor { .. }));
     }
 
     #[test]
     fn parallel_lane_reports_the_same_error() {
-        let g = gen::path(3);
-        struct Skip;
-        impl Protocol for Skip {
-            type State = ();
-            type Msg = u8;
-            fn init(&self, node: NodeId, out: &mut Outbox<'_, u8>) {
-                if node.index() == 0 {
-                    out.send(NodeId::new(2), 1);
-                }
-            }
-            fn step(&self, _: NodeId, _: &mut (), _: &[(NodeId, u8)], _: &mut Outbox<'_, u8>) {}
-            fn bits(&self, _: &u8) -> u32 {
-                8
+        // On the 12-cycle, forked over 3 threads, the first case errs in
+        // shard 0; the second in shards 1 and 2, where the lowest-index
+        // node's error is reported, as inline.
+        let g = gen::cycle(12);
+        for sends in [vec![(0, 2)], vec![(5, 7), (9, 11)]] {
+            let seq = Engine::new(CostModel::local())
+                .run(&g.full_view(), &Sends(sends.clone()))
+                .unwrap_err();
+            let (from, to) = sends[0];
+            let (from, to) = (NodeId::new(from), NodeId::new(to));
+            assert_eq!(seq, EngineError::NotANeighbor { from, to });
+            for work in FORCED {
+                let (par, forked) = with_fork_work(work, || {
+                    Engine::new(CostModel::local())
+                        .with_threads(3)
+                        .run(&g.full_view(), &Sends(sends.clone()))
+                        .unwrap_err()
+                });
+                assert_eq!((par, forked), (seq.clone(), u64::from(work == 0)));
             }
         }
-        let seq = Engine::new(CostModel::local())
-            .run(&g.full_view(), &Skip)
-            .unwrap_err();
-        let par = Engine::new(CostModel::local())
-            .with_threads(3)
-            .run(&g.full_view(), &Skip)
-            .unwrap_err();
-        assert_eq!(seq, par);
     }
 
     #[test]
@@ -1841,21 +1670,12 @@ mod tests {
             // subset view; every session run must equal a fresh run.
             let alive = NodeSet::from_nodes(40, (0..40).filter(|i| i % 5 != 1).map(NodeId::new));
             for pass in 0..3 {
-                let flood = GraphFlood {
-                    g: &g,
-                    source: NodeId::new(pass),
-                };
+                let flood = flood(&g, pass);
                 let fresh = engine.run(&g.full_view(), &flood).unwrap();
                 let sess = session.run(&g.full_view(), &flood).unwrap();
                 assert_eq!(sess.rounds, fresh.rounds, "rounds, pass {pass}");
                 assert_eq!(sess.ledger, fresh.ledger, "ledger, pass {pass}");
-                for v in g.nodes() {
-                    assert_eq!(
-                        sess.states[v.index()].as_ref().unwrap().dist,
-                        fresh.states[v.index()].as_ref().unwrap().dist,
-                        "state at {v}, pass {pass}"
-                    );
-                }
+                assert_eq!(sess.states, fresh.states, "states, pass {pass}");
 
                 let view = g.view(&alive);
                 let leader = crate::primitives::LeaderKernel::new(&view);
@@ -1874,36 +1694,12 @@ mod tests {
         // type: stale slots from run 1 must be invisible to run 2, so the
         // silent run quiesces at round 0 with an empty ledger.
         let g = gen::complete(24);
-        struct SilentU64;
-        impl Protocol for SilentU64 {
-            type State = u64;
-            type Msg = u64;
-            fn init(&self, _: NodeId, _: &mut Outbox<'_, u64>) -> u64 {
-                7
-            }
-            fn step(
-                &self,
-                _: NodeId,
-                st: &mut u64,
-                inbox: &[(NodeId, u64)],
-                _: &mut Outbox<'_, u64>,
-            ) {
-                *st += inbox.len() as u64; // would show up if mail leaked
-            }
-            fn bits(&self, _: &u64) -> u32 {
-                8
-            }
-        }
         for threads in [1usize, 4] {
             let engine = Engine::new(CostModel::congest_for(24)).with_threads(threads);
             let mut session = engine.session(&g);
-            let flood = GraphFlood {
-                g: &g,
-                source: NodeId::new(0),
-            };
-            let noisy = session.run(&g.full_view(), &flood).unwrap();
+            let noisy = session.run(&g.full_view(), &flood(&g, 0)).unwrap();
             assert!(noisy.ledger.messages() > 0);
-            let silent = session.run(&g.full_view(), &SilentU64).unwrap();
+            let silent = session.run(&g.full_view(), &Silent).unwrap();
             assert_eq!(silent.rounds, 0, "threads {threads}");
             assert_eq!(silent.ledger.messages(), 0);
             assert!(silent.states.iter().all(|s| *s == Some(7)));
@@ -1916,28 +1712,13 @@ mod tests {
         let engine = Engine::new(CostModel::local());
         let mut session = engine.session(&g);
         // A failing run must not poison the session for later runs.
-        struct Skip;
-        impl Protocol for Skip {
-            type State = ();
-            type Msg = u8;
-            fn init(&self, node: NodeId, out: &mut Outbox<'_, u8>) {
-                if node.index() == 0 {
-                    out.send(NodeId::new(2), 1);
-                }
-            }
-            fn step(&self, _: NodeId, _: &mut (), _: &[(NodeId, u8)], _: &mut Outbox<'_, u8>) {}
-            fn bits(&self, _: &u8) -> u32 {
-                8
-            }
-        }
-        let err = session.run(&g.full_view(), &Skip).unwrap_err();
+        let err = session
+            .run(&g.full_view(), &Sends(vec![(0, 2)]))
+            .unwrap_err();
         assert!(matches!(err, EngineError::NotANeighbor { .. }));
         let ping = session.run(&g.full_view(), &MinPing).unwrap();
         assert_eq!(ping.rounds, 0, "MinPing sends nothing");
-        let flood = GraphFlood {
-            g: &g,
-            source: NodeId::new(0),
-        };
+        let flood = flood(&g, 0);
         let out = session.run(&g.full_view(), &flood).unwrap();
         let fresh = engine.run(&g.full_view(), &flood).unwrap();
         assert_eq!(out.rounds, fresh.rounds);
@@ -1947,47 +1728,57 @@ mod tests {
     #[test]
     fn session_survives_a_caught_protocol_panic() {
         // A protocol that panics mid-run, caught by the caller: the
-        // session must stay usable and exact afterwards — the sequential
-        // lane advances its stamp epoch on unwind (EpochGuard), the
-        // parallel lane rebuilds its loaned-out chunks (poisoned
-        // geometry). Same message type as the follow-up flood, so the
-        // very arena the panic tore through is the one reused.
-        struct Bomb;
+        // session must stay usable and exact afterwards, since the stamp
+        // epoch advances on unwind (EpochGuard). Same message type as the
+        // follow-up flood, so the very arena the panic tore through is
+        // the one reused. Forked, the panic at node 0 is the caller's
+        // own and the one at node 15 a helper's, resumed on the caller.
+        struct Bomb(usize);
         impl Protocol for Bomb {
             type State = ();
-            type Msg = u64;
-            fn init(&self, _: NodeId, out: &mut Outbox<'_, u64>) {
+            type Msg = u32;
+            fn init(&self, _: NodeId, out: &mut Outbox<'_, u32>) {
                 out.broadcast(1);
             }
-            fn step(&self, _: NodeId, _: &mut (), _: &[(NodeId, u64)], _: &mut Outbox<'_, u64>) {
-                panic!("injected protocol failure");
+            fn step(&self, v: NodeId, _: &mut (), _: &[(NodeId, u32)], _: &mut Outbox<'_, u32>) {
+                if v.index() == self.0 {
+                    panic!("injected protocol failure");
+                }
             }
-            fn bits(&self, _: &u64) -> u32 {
+            fn bits(&self, _: &u32) -> u32 {
                 8
             }
         }
         let g = gen::grid(4, 4);
-        for threads in [1usize, 3] {
+        for (work, threads, at) in [
+            (usize::MAX, 1, 0),
+            (usize::MAX, 3, 15),
+            (0, 3, 0),
+            (0, 3, 15),
+        ] {
             let engine = Engine::new(CostModel::local()).with_threads(threads);
             let mut session = engine.session(&g);
-            let boom = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                session.run(&g.full_view(), &Bomb)
-            }));
-            assert!(boom.is_err(), "panic propagates ({threads} threads)");
-            let flood = GraphFlood {
-                g: &g,
-                source: NodeId::new(0),
-            };
-            let out = session.run(&g.full_view(), &flood).unwrap();
-            let fresh = engine.run(&g.full_view(), &flood).unwrap();
-            assert_eq!(out.rounds, fresh.rounds, "{threads} threads");
-            assert_eq!(out.ledger, fresh.ledger, "{threads} threads");
-            for v in g.nodes() {
-                assert_eq!(
-                    out.states[v.index()].as_ref().unwrap().dist,
-                    fresh.states[v.index()].as_ref().unwrap().dist,
-                );
-            }
+            let (boom, forked) = with_fork_work(work, || {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    session.run(&g.full_view(), &Bomb(at))
+                }))
+            });
+            let case = format!("{threads} threads, fork threshold {work}, bomb at {at}");
+            let payload = boom.expect_err(&case);
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"injected protocol failure"),
+                "{case}"
+            );
+            assert_eq!(forked, if work == 0 { 2 } else { 0 }, "{case}");
+            let flood = flood(&g, 0);
+            let (out, _) = with_fork_work(work, || session.run(&g.full_view(), &flood).unwrap());
+            let fresh = Engine::new(CostModel::local())
+                .run(&g.full_view(), &flood)
+                .unwrap();
+            assert_eq!(out.rounds, fresh.rounds, "{case}");
+            assert_eq!(out.ledger, fresh.ledger, "{case}");
+            assert_eq!(out.states, fresh.states, "{case}");
         }
     }
 
@@ -2003,23 +1794,23 @@ mod tests {
 
     #[test]
     fn session_survives_thread_reconfiguration() {
-        // Same session type-erased arenas, re-carved when the lane width
-        // changes between sessions of differently configured engines.
+        // Sessions of differently configured engines on one graph carve
+        // their own shard layouts; each reruns exactly, forked or not.
         let g = gen::gnp_connected(30, 0.15, 4);
-        let flood = GraphFlood {
-            g: &g,
-            source: NodeId::new(2),
-        };
+        let flood = flood(&g, 2);
         let seq = Engine::new(CostModel::congest_for(30))
             .run(&g.full_view(), &flood)
             .unwrap();
-        for threads in [2usize, 5] {
-            let engine = Engine::new(CostModel::congest_for(30)).with_threads(threads);
-            let mut session = engine.session(&g);
-            for _ in 0..2 {
-                let out = session.run(&g.full_view(), &flood).unwrap();
-                assert_eq!(out.rounds, seq.rounds);
-                assert_eq!(out.ledger, seq.ledger);
+        for work in FORCED {
+            for threads in [2usize, 5] {
+                let engine = Engine::new(CostModel::congest_for(30)).with_threads(threads);
+                let mut session = engine.session(&g);
+                for _ in 0..2 {
+                    let (out, _) =
+                        with_fork_work(work, || session.run(&g.full_view(), &flood).unwrap());
+                    assert_eq!(out.rounds, seq.rounds);
+                    assert_eq!(out.ledger, seq.ledger);
+                }
             }
         }
     }
@@ -2027,18 +1818,6 @@ mod tests {
     #[test]
     fn silent_protocol_quiesces_immediately() {
         let g = gen::grid(3, 3);
-        struct Silent;
-        impl Protocol for Silent {
-            type State = u8;
-            type Msg = u8;
-            fn init(&self, _: NodeId, _: &mut Outbox<'_, u8>) -> u8 {
-                7
-            }
-            fn step(&self, _: NodeId, _: &mut u8, _: &[(NodeId, u8)], _: &mut Outbox<'_, u8>) {}
-            fn bits(&self, _: &u8) -> u32 {
-                1
-            }
-        }
         let out = Engine::new(CostModel::local())
             .run(&g.full_view(), &Silent)
             .unwrap();

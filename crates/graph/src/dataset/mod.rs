@@ -97,14 +97,34 @@ pub enum DatasetError {
         /// Why it no longer applies.
         why: String,
     },
-    /// The node-indexed arrays of the graph could not be allocated: the
-    /// node count is one past the largest index in the file, which one
-    /// short line can push to `2^32`.
+    /// The node-indexed arrays of the graph could not be allocated (an
+    /// explicit node count of up to `2^32` asks for them whatever the
+    /// file holds).
     OutOfMemory {
         /// The node count whose arrays the allocator refused.
         nodes: usize,
     },
+    /// Without an explicit node count, a node index reached
+    /// [`NODES_PER_INPUT_BYTE`] times the input's (decompressed) length:
+    /// the node count is one past the largest index, and its arrays cost
+    /// 24 bytes a node, so an 11-byte line could otherwise ask for
+    /// hundreds of megabytes.
+    IndexBeyondInput {
+        /// The file involved.
+        path: PathBuf,
+        /// 1-based line number.
+        line: usize,
+        /// The node index.
+        index: usize,
+        /// The first index refused for this input.
+        limit: usize,
+    },
 }
+
+/// How many node indices each byte of an edge list admits when no node
+/// count is given: a `u v` line names two nodes in at least four bytes,
+/// so this allows ids 128 times sparser than the file can list.
+pub const NODES_PER_INPUT_BYTE: usize = 64;
 
 impl fmt::Display for DatasetError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -127,6 +147,18 @@ impl fmt::Display for DatasetError {
             DatasetError::OutOfMemory { nodes } => {
                 write!(f, "cannot allocate the node arrays of a {nodes}-node graph")
             }
+            DatasetError::IndexBeyondInput {
+                path,
+                line,
+                index,
+                limit,
+            } => write!(
+                f,
+                "{}: line {line}: node index {index} is not below {limit} \
+                 ({NODES_PER_INPUT_BYTE} per byte of input); set the node count \
+                 with --nodes to load it",
+                path.display()
+            ),
         }
     }
 }
@@ -314,12 +346,16 @@ fn open_pass<'a>(
 /// [`WeightMode::Require`], and [`DatasetError::Graph`] for edges that
 /// violate graph invariants — including
 /// [`GraphError::TooManyNodes`] *before* any oversize allocation.
+/// Without [`LoadOptions::nodes`], an index of at least
+/// [`NODES_PER_INPUT_BYTE`] times the input's length is
+/// [`DatasetError::IndexBeyondInput`], also before any allocation.
 pub fn load_edge_list(path: &Path, opts: &LoadOptions) -> Result<Graph, DatasetError> {
+    let io = |source| DatasetError::Io {
+        path: path.to_path_buf(),
+        source,
+    };
     let decompressed: Option<Vec<u8>> = if path.extension().is_some_and(|e| e == "gz") {
-        let raw = std::fs::read(path).map_err(|source| DatasetError::Io {
-            path: path.to_path_buf(),
-            source,
-        })?;
+        let raw = std::fs::read(path).map_err(io)?;
         Some(gunzip(&raw).map_err(|source| DatasetError::Gzip {
             path: path.to_path_buf(),
             source,
@@ -327,9 +363,20 @@ pub fn load_edge_list(path: &Path, opts: &LoadOptions) -> Result<Graph, DatasetE
     } else {
         None
     };
-    if let Some(n) = opts.nodes {
-        check_node_count(n)?;
-    }
+    let index_limit = match opts.nodes {
+        Some(n) => {
+            check_node_count(n)?;
+            usize::MAX
+        }
+        None => {
+            let bytes = match &decompressed {
+                Some(text) => text.len(),
+                None => usize::try_from(std::fs::metadata(path).map_err(io)?.len())
+                    .unwrap_or(usize::MAX),
+            };
+            bytes.saturating_mul(NODES_PER_INPUT_BYTE)
+        }
+    };
 
     // Pass 1: validate every line, learn the node count and whether any
     // weight column exists, and count directed slots per node.
@@ -363,6 +410,14 @@ pub fn load_edge_list(path: &Path, opts: &LoadOptions) -> Result<Graph, DatasetE
                 any_weight = true;
             }
             let hi = u.max(v);
+            if hi >= index_limit {
+                return Err(DatasetError::IndexBeyondInput {
+                    path: path.to_path_buf(),
+                    line,
+                    index: hi,
+                    limit: index_limit,
+                });
+            }
             if hi >= deg.len() {
                 // Amortized, not exact: indices may grow one line at a
                 // time.
@@ -602,6 +657,37 @@ mod tests {
                 DatasetError::Graph(GraphError::TooManyNodes { .. })
             ));
         }
+        // Without --nodes the input's length bounds the indices, before
+        // any node array grows: the 11-byte `0 40000000` would otherwise
+        // cost 960 MB of node arrays.
+        let p = write("far.txt", b"0 40000000\n");
+        let err = load_edge_list(&p, &LoadOptions::default()).unwrap_err();
+        assert!(err.to_string().contains("--nodes"), "{err}");
+        assert!(
+            matches!(err, DatasetError::IndexBeyondInput { line: 1, index: 40_000_000, limit, .. }
+            if limit == 11 * NODES_PER_INPUT_BYTE)
+        );
+        // The limit itself is refused, in a file and its `.gz` alike; the
+        // index below it loads, and --nodes lifts the bound.
+        let limit = 6 * NODES_PER_INPUT_BYTE;
+        for (name, index, loads) in [("below.txt", limit - 1, true), ("at.txt", limit, false)] {
+            let text = format!("0 {index}\n");
+            assert_eq!(text.len() * NODES_PER_INPUT_BYTE, limit, "{text}");
+            let plain = write(name, text.as_bytes());
+            let gz = write(&format!("{name}.gz"), &gzip_stored(text.as_bytes()));
+            for p in [plain, gz] {
+                match load_edge_list(&p, &LoadOptions::default()) {
+                    Ok(g) => assert!(loads && g.n() == index + 1, "{name}"),
+                    Err(DatasetError::IndexBeyondInput { .. }) => assert!(!loads, "{name}"),
+                    Err(e) => panic!("{name}: {e}"),
+                }
+                let opts = LoadOptions {
+                    nodes: Some(limit + 1),
+                    ..Default::default()
+                };
+                assert_eq!(load_edge_list(&p, &opts).unwrap().n(), limit + 1);
+            }
+        }
         // A missing file is an Io error that names the path.
         let missing = dir().join("nope.txt");
         let err = load_edge_list(&missing, &LoadOptions::default()).unwrap_err();
@@ -784,6 +870,13 @@ mod tests {
             DatasetError::Stale {
                 path: "x".into(),
                 why: "w".into(),
+            },
+            DatasetError::OutOfMemory { nodes: 9 },
+            DatasetError::IndexBeyondInput {
+                path: "x".into(),
+                line: 1,
+                index: 9,
+                limit: 8,
             },
         ];
         for e in errs {

@@ -116,7 +116,8 @@ commands:
              [--fault-report F]
              runs a BFS flood on the message-passing engine — the
              weighted SpBfs kernel when the graph carries weights (T > 1
-             selects the deterministic parallel stepping lane); K > 1
+             forks each heavy round over T threads, bit-identically;
+             light rounds run on the calling thread); K > 1
              repeats the run on one engine session (slot arenas built
              once, reused) and reports the amortized per-run wall time.
              --lane async runs node tasks over real channels under an
@@ -790,7 +791,7 @@ fn cmd_simulate(opts: &Opts) -> Result<(), CliError> {
     println!(
         "lane:           {}",
         if threads > 1 {
-            format!("parallel x{threads}")
+            format!("sequential, heavy rounds forked x{threads}")
         } else {
             "sequential".into()
         }

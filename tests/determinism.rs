@@ -257,6 +257,57 @@ fn engine_lanes_agree_across_seeds_and_views() {
 }
 
 #[test]
+fn dense_runs_that_fork_some_rounds_match_the_sequential_lane() {
+    // Inputs dense enough to reach the engine's fork threshold (nodes
+    // stepped × ⌈2m/n⌉ ≥ 32,768). On gnp(300, 0.5) and gnp(280, 0.6) a
+    // BFS flood forks its init round and the rounds that step every node,
+    // but runs round 1 (the source's neighbors only) inline; the clique
+    // forks every round. On two 150-cliques joined by one edge, a
+    // two-thread fork puts one clique in each shard, so each shard's
+    // receivers are its own. The property suites above stay below the
+    // threshold.
+    let clique =
+        |base: usize| (0..150).flat_map(move |u| (u + 1..150).map(move |v| (base + u, base + v)));
+    let two_cliques = clique(0).chain(clique(150)).chain([(149, 150)]);
+    let graphs = [
+        ("complete-256", gen::complete(256)),
+        ("gnp-300-0.5", gen::gnp_connected(300, 0.5, 3)),
+        ("gnp-280-0.6", gen::gnp_connected(280, 0.6, 8)),
+        (
+            "two-cliques-300",
+            Graph::from_edges(300, two_cliques).expect("valid edges"),
+        ),
+    ];
+    for (name, g) in &graphs {
+        let view = g.full_view();
+        for threads in 2..=4 {
+            let bfs = primitives::BfsKernel::new(&view, [NodeId::new(0)], u32::MAX);
+            let leader = primitives::LeaderKernel::new(&view);
+            let label = format!("{name} x{threads}");
+            assert_lanes_agree(&view, &bfs, threads, &format!("{label} bfs"));
+            assert_lanes_agree(&view, &leader, threads, &format!("{label} leader"));
+        }
+    }
+
+    // One three-thread session interleaving message types and views.
+    let (_, g) = &graphs[1];
+    let alive = NodeSet::from_nodes(g.n(), g.nodes().filter(|v| v.index() % 9 != 4));
+    let (full, sub) = (g.full_view(), g.view(&alive));
+    let engine = Engine::new(CostModel::congest_for(g.n())).with_threads(3);
+    let mut session = engine.session(g);
+    for src in [0, 1].map(NodeId::new) {
+        let bfs = primitives::BfsKernel::new(&full, [src], u32::MAX);
+        assert_session_matches_fresh(&mut session, &full, &bfs, "session bfs");
+        let leader = primitives::LeaderKernel::new(&sub);
+        assert_lanes_agree(&sub, &leader, 3, "subset leader");
+        assert_session_matches_fresh(&mut session, &sub, &leader, "session subset leader");
+        let bfs = primitives::BfsKernel::new(&sub, [src], u32::MAX);
+        assert_lanes_agree(&sub, &bfs, 3, "subset bfs");
+        assert_session_matches_fresh(&mut session, &sub, &bfs, "session subset bfs");
+    }
+}
+
+#[test]
 fn decompositions_survive_a_serde_round_trip() {
     // Determinism extends to persistence: a decomposition written to JSON
     // and read back must be the same decomposition.
