@@ -15,12 +15,16 @@
 //! `engine-congest` runs congest-sim's shapes (grid-64x64 and a 4-regular
 //! expander-4096, BFS flood and leader election) on a sequential and a
 //! two-thread session: rounds too light to fork, where the two-thread
-//! lane must cost what the sequential one does. `engine-fork` times one
-//! scoped spawn and join, the price of a forked round.
+//! lane must cost what the sequential one does. Its sequential session
+//! also runs congest-sim's other two kernels: a convergecast up the BFS
+//! tree, and the SpBfs flood on a U[1,8]-weighted copy of each graph.
+//! `engine-fork` times one scoped spawn and join, the price of a forked
+//! round.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use sdnd_congest::{primitives, CostModel, Engine, RoundLedger};
-use sdnd_graph::{gen, Graph, NodeId};
+use sdnd_graph::gen::{self, WeightDist};
+use sdnd_graph::{Graph, NodeId};
 
 fn families() -> Vec<(&'static str, Graph)> {
     vec![
@@ -83,6 +87,24 @@ fn bench_flood(c: &mut Criterion) {
     group.finish();
 }
 
+/// The BFS tree from node 0 of `g`, and the values `i % 9 + 1` that
+/// the convergecast rows sum up it.
+fn cast_inputs(g: &Graph) -> (Vec<Option<NodeId>>, Vec<u64>) {
+    let mut l = RoundLedger::new();
+    let bfs = primitives::bfs(&g.full_view(), [NodeId::new(0)], u32::MAX, &mut l);
+    let values = (0..g.n() as u64).map(|i| i % 9 + 1).collect();
+    (bfs.parents().to_vec(), values)
+}
+
+/// The convergecast of `values` up the tree `parents` to node 0.
+fn convergecast<'a>(
+    parents: &'a [Option<NodeId>],
+    values: &'a [u64],
+) -> primitives::ConvergeCastKernel<'a> {
+    let bits = sdnd_congest::bits_for_value(values.iter().sum());
+    primitives::ConvergeCastKernel::new(values.len(), NodeId::new(0), parents, values, bits)
+}
+
 fn bench_convergecast(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine-convergecast");
     for (family, g) in [
@@ -91,16 +113,8 @@ fn bench_convergecast(c: &mut Criterion) {
         ("clique", gen::complete(512)),
     ] {
         let view = g.full_view();
-        let mut l = RoundLedger::new();
-        let bfs = primitives::bfs(&view, [NodeId::new(0)], u32::MAX, &mut l);
-        let values: Vec<u64> = (0..g.n() as u64).map(|i| i % 9 + 1).collect();
-        let kernel = primitives::ConvergeCastKernel::new(
-            g.n(),
-            NodeId::new(0),
-            bfs.parents(),
-            &values,
-            sdnd_congest::bits_for_value(values.iter().sum()),
-        );
+        let (parents, values) = cast_inputs(&g);
+        let kernel = convergecast(&parents, &values);
         let engine = Engine::new(CostModel::congest_for(g.n()));
         group.bench_with_input(BenchmarkId::new(family, g.n()), &g, |b, _| {
             b.iter(|| engine.run(&view, &kernel).expect("cast runs"))
@@ -141,6 +155,25 @@ fn bench_congest_shapes(c: &mut Criterion) {
                 |b, _| b.iter(|| session.run(&view, &leader).expect("election runs")),
             );
         }
+        let engine = Engine::new(CostModel::congest_for(g.n()));
+        let mut session = engine.session(&g);
+        let (parents, values) = cast_inputs(&g);
+        let cast = convergecast(&parents, &values);
+        group.bench_with_input(
+            BenchmarkId::new("convergecast-session", name),
+            &g,
+            |b, _| b.iter(|| session.run(&view, &cast).expect("cast runs")),
+        );
+        let weighted =
+            gen::reweight(&g, WeightDist::UniformInt { lo: 1, hi: 8 }, 1).expect("valid weights");
+        let view = weighted.full_view();
+        let sp_bfs = primitives::SpBfsKernel::new(&view, [NodeId::new(0)], f64::INFINITY);
+        let mut session = engine.session(&weighted);
+        group.bench_with_input(
+            BenchmarkId::new("sp-bfs-session", name),
+            &weighted,
+            |b, _| b.iter(|| session.run(&view, &sp_bfs).expect("flood runs")),
+        );
     }
     group.finish();
 

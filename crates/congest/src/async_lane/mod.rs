@@ -32,11 +32,12 @@
 //! A run with a single shard has no peers to synchronize with, so it
 //! spawns no worker: it is the engine's sequential core with the lane's
 //! seeded transport (`transport.rs`), on the caller's thread. The core
-//! steps nodes from the engine's flat slot arena; the transport applies
-//! each send's adversary fate, crash prefix and crash schedule, with the
-//! same fault counters and crash events as the workers. Outcomes do not
-//! depend on the shard count (property-pinned in
-//! `tests/failure_injection.rs`).
+//! steps the nodes of its has-mail bitset from the engine's flat slot
+//! arena; the transport applies each send's adversary fate, crash
+//! prefix and crash schedule, with the same fault counters and crash
+//! events as the workers, and sets the bits of the receivers a send
+//! reaches and of the nodes a pulse crashes. Outcomes do not depend on
+//! the shard count (property-pinned in `tests/failure_injection.rs`).
 //!
 //! # Bit-identity under zero faults
 //!

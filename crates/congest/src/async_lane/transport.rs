@@ -8,13 +8,15 @@
 //! node's prefix are suppressed; the rest draw their [`Adversary`]
 //! fate. A send that is lost, suppressed or addressed past its
 //! receiver's crash pulse has its slot emptied, so no inbox holds it;
-//! one that arrives marks its receiver's mail stamp. A duplicate copy is
-//! always discarded by round-stamp, since its original arrived on the
-//! same edge in the same round.
+//! one that arrives sets its receiver's bit in the next round's has-mail
+//! bitset. A duplicate copy is always discarded by round-stamp, since
+//! its original arrived on the same edge in the same round. A pulse's
+//! crash nodes get their bit in the current bitset, so that the core
+//! visits them even without mail.
 
 use sdnd_graph::{Graph, NodeId};
 
-use crate::engine::{Reliable, Slot, Transport};
+use crate::engine::{set_mail, Reliable, Slot, Transport};
 
 use super::adversary::{Adversary, CrashSpec};
 use super::report::{CrashEvent, FaultReport};
@@ -62,7 +64,7 @@ impl<'a> Seeded<'a> {
 impl Transport for Seeded<'_> {
     const VISITS_IDLE: bool = true;
 
-    fn begin_round(&mut self, r: u64, stamp: u64, mail: &mut [u64]) {
+    fn begin_round(&mut self, r: u64, mail: &mut [u64]) {
         self.report.pulses = r;
         self.key = self.adversary.pulse_key(r);
         // Crash faults fire even at nodes without mail: visit them.
@@ -71,7 +73,7 @@ impl Transport for Seeded<'_> {
                 break;
             }
             if pulse == r {
-                mail[v.index()] = stamp;
+                set_mail(mail, v);
             }
             self.next_crash += 1;
         }
@@ -85,11 +87,10 @@ impl Transport for Seeded<'_> {
         sent: &mut Vec<usize>,
         slots: &mut [Slot<M>],
         next_mail: &mut [u64],
-        stamp: u64,
     ) {
         if self.zero_fault {
             self.report.delivered += sent.len() as u64;
-            return Reliable.carry(g, from, r, sent, slots, next_mail, stamp);
+            return Reliable.carry(g, from, r, sent, slots, next_mail);
         }
         let crash = self.crash_of[from.index()].filter(|c| c.pulse == r);
         let escaped = crash.map_or(sent.len(), |c| c.prefix(sent.len()));
@@ -114,15 +115,15 @@ impl Transport for Seeded<'_> {
             f.delivered += 1;
             let copies = 1 + u64::from(t.duplicate);
             f.duplicated += copies - 1;
-            let to = g.edge_head(e).index();
+            let to = g.edge_head(e);
             // The message arrives in round `r + 1`: past the receiver's
             // crash pulse, every copy is discarded.
-            if self.crash_of[to].is_some_and(|c| c.pulse <= r) {
+            if self.crash_of[to.index()].is_some_and(|c| c.pulse <= r) {
                 f.to_crashed += copies;
                 slots[e] = Slot::empty();
             } else {
                 f.deduped += copies - 1;
-                next_mail[to] = stamp;
+                set_mail(next_mail, to);
             }
         }
         // A crash node visited without mail dies here too, having sent

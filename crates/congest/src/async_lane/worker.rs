@@ -17,7 +17,7 @@
 //! # α-synchronizer
 //!
 //! Per pulse `r`, node `v` steps iff its round-`r` buffer is nonempty
-//! (mirroring the engine's mail-stamp gate), sending payloads stamped
+//! (mirroring the engine's has-mail gate), sending payloads stamped
 //! `r + 1`. `v` becomes *safe* for `r` once every payload it sent has
 //! been acknowledged (vacuously safe if it sent nothing or was delivered
 //! only locally), and *ready* for `r + 1` once it is safe and has heard a
@@ -366,7 +366,7 @@ impl<'a, P: Protocol> Worker<'a, P> {
             self.states[i] = Some(st);
         } else {
             // A node with no round-`r` mail does not step (the engine's
-            // mail-stamp gate); it still owes the pulse its safety.
+            // has-mail gate); it still owes the pulse its safety.
             let buf = &mut self.bufs[i][(r % 2) as usize];
             if buf.is_empty() {
                 match crash {

@@ -27,6 +27,12 @@
 //! the receiver's in-slots in CSR neighbor order, so they arrive sorted
 //! by sender *by construction* — the per-round sort is gone.
 //!
+//! Which nodes step is a double-buffered *has-mail bitset*, one bit per
+//! node in `⌈n/64⌉` words: a send sets its receiver's bit in the next
+//! round's bitset, and a round drains the current one word by word,
+//! lowest set bit first, so nodes still step in index order. A round
+//! therefore costs its mail plus `n/64` words, not a scan of every node.
+//!
 //! # Sessions: amortizing the per-run setup
 //!
 //! Building the slot arenas and scratch buffers is `O(m)` work. A
@@ -36,15 +42,18 @@
 //! decomposition pipelines, the kernel cross-validation, and the benches
 //! do — should instead open an [`EngineSession`] via [`Engine::session`]:
 //! the session owns the arenas (one set per message type, allocated
-//! lazily) and reuses them across arbitrarily many runs, so a run's cost
-//! is proportional to its *traffic*, not to `m`.
+//! lazily) and reuses them across arbitrarily many runs, so a run costs
+//! its traffic, `O(n)` for its states, and `n/64` words a round, not
+//! `O(m)`.
 //!
-//! Reuse without clearing works through *stamp epochs*: every slot and
-//! mailbox stamp is offset by a per-arena base that advances past all
+//! Reuse works through *slot epochs* and *zeroed mail bitsets*. Every
+//! slot stamp is offset by a per-arena base that advances past all
 //! stamps a run may have written, so a stale slot from an earlier run can
-//! never alias a live round. Nothing is ever zeroed between runs, and a
-//! session run is bit-identical to a fresh-engine run (property-tested in
-//! `tests/determinism.rs`).
+//! never alias a live round, and no slot is ever cleared. The two
+//! has-mail bitsets are zeroed at the start of every run (`n/64` words
+//! each), because a run that errs or panics mid-round leaves bits
+//! behind. A session run is bit-identical to a fresh-engine run
+//! (property-tested in `tests/determinism.rs`).
 //!
 //! # Determinism and the parallel lane
 //!
@@ -56,17 +65,20 @@
 //! Every lane runs on one sequential core over one flat slot arena, and
 //! every node steps through one body. [`Engine::with_threads`] lets that
 //! core *fork heavy rounds*. A round is heavy when its work estimate —
-//! the nodes it steps (the previous round's distinct receivers) times
-//! the graph's mean degree `⌈2m/n⌉` — reaches a fixed threshold. A
-//! heavy round is cut into contiguous node shards balanced by slot
-//! (degree) mass; the caller steps shard 0 while `std::thread::scope`
-//! helpers step the others. Each shard writes only its own slice of the
-//! back buffer (a node's out-edge slots are a contiguous CSR range) and
-//! of the states, and clones its inboxes from the shared, read-only
+//! the nodes it steps (the popcount of its has-mail bitset) times the
+//! graph's mean degree `⌈2m/n⌉` — reaches a fixed threshold. A heavy
+//! round is cut into contiguous node shards balanced by slot (degree)
+//! mass; the caller steps shard 0 while `std::thread::scope` helpers
+//! step the others. Each shard reads the has-mail words of its node
+//! range (masking the words it shares with a neighbouring shard), writes
+//! only its own slice of the back buffer (a node's out-edge slots are a
+//! contiguous CSR range) and of the states, collects its receivers in a
+//! bitset of its own, and clones its inboxes from the shared, read-only
 //! front buffer, so no two threads touch the same memory mutably. After
-//! the join, receivers are marked, shard ledgers merged and the first
-//! error taken, all in shard order; a helper's panic is resumed on the
-//! caller. Every other round runs inline on the caller, because a scoped
+//! the join, the receiver bitsets are ORed into the next round's, shard
+//! ledgers merged and the first error taken, all in shard order; a
+//! helper's panic is resumed on the caller. Every other round runs
+//! inline on the caller, because a scoped
 //! spawn and join costs more than a light round (`BENCH_engine.json`'s
 //! `parallel_lane` records the costs the threshold was chosen from). On
 //! sparse graphs such as congest-sim's grid and expander no round is
@@ -169,20 +181,23 @@ fn fork_work() -> usize {
 }
 
 /// Reusable buffers for one message type on one graph, shared by every
-/// lane: the double-buffered slot arenas, the has-mail stamps, and the
+/// lane: the double-buffered slot arenas and has-mail bitsets, and the
 /// send/inbox scratch (one entry per shard; the inline rounds use the
 /// first).
 ///
-/// Nothing is cleared between runs. Run `k`'s round-`r` stamps are
+/// No slot is cleared between runs. Run `k`'s round-`r` slot stamps are
 /// `base + r`, and `base` advances past every stamp the run may have
 /// written, so stale slots from earlier runs never alias a live round.
+/// The bitsets are zeroed when a run starts.
 struct SeqArena<M> {
     bufs: Buffers<M>,
     base: u64,
 }
 
 /// A [`SeqArena`]'s buffers, apart from its epoch so that a run can
-/// borrow them while its [`EpochGuard`] holds the epoch.
+/// borrow them while its [`EpochGuard`] holds the epoch. `cur_mail` and
+/// `next_mail` hold bit `v % 64` of word `v / 64` for each node `v` that
+/// steps in the current and the next round.
 struct Buffers<M> {
     cur: Vec<Slot<M>>,
     next: Vec<Slot<M>>,
@@ -193,12 +208,10 @@ struct Buffers<M> {
 
 /// One stepping thread's scratch: the slots its node wrote (in send
 /// order) and the inbox being gathered; in a forked round also the
-/// shard's distinct receivers, deduplicated on its own mail stamps
-/// (sized on the first fork).
+/// shard's receivers, as a has-mail bitset (sized on the first fork).
 struct Scratch<M> {
     sent: Vec<usize>,
     inbox: Vec<(NodeId, M)>,
-    receivers: Vec<NodeId>,
     mail: Vec<u64>,
 }
 
@@ -207,7 +220,6 @@ impl<M> Scratch<M> {
         Scratch {
             sent: Vec::new(),
             inbox: Vec::new(),
-            receivers: Vec::new(),
             mail: Vec::new(),
         }
     }
@@ -219,8 +231,8 @@ impl<M> SeqArena<M> {
             bufs: Buffers {
                 cur: slot_array(slots),
                 next: slot_array(slots),
-                cur_mail: vec![0; n],
-                next_mail: vec![0; n],
+                cur_mail: vec![0; n.div_ceil(64)],
+                next_mail: vec![0; n.div_ceil(64)],
                 scratch: vec![Scratch::new()],
             },
             base: 0,
@@ -228,11 +240,22 @@ impl<M> SeqArena<M> {
     }
 }
 
+/// Sets node `v`'s bit in the has-mail bitset `mail`.
+#[inline]
+pub(crate) fn set_mail(mail: &mut [u64], v: NodeId) {
+    mail[v.index() / 64] |= 1 << (v.index() % 64);
+}
+
+/// How many nodes the has-mail bitset `mail` holds.
+fn count_mail(mail: &[u64]) -> usize {
+    mail.iter().map(|w| w.count_ones() as usize).sum()
+}
+
 /// Advances an arena's stamp epoch when dropped — including on unwind,
-/// so a protocol panic caught by the caller cannot leave stale stamps
-/// behind that a later run on the same session would mistake for live
-/// mail. `next_base` is kept ahead of every stamp the current round may
-/// write.
+/// so a protocol panic caught by the caller cannot leave stale slot
+/// stamps behind that a later run on the same session would mistake for
+/// live messages. `next_base` is kept ahead of every stamp the current
+/// round may write.
 struct EpochGuard<'a> {
     base: &'a mut u64,
     next_base: u64,
@@ -260,15 +283,14 @@ pub(crate) trait Transport {
     /// away.
     const VISITS_IDLE: bool;
 
-    /// Round `r` begins (0 = the init phase); `mail` holds its has-mail
-    /// stamps, `stamp` for a node that steps this round.
-    fn begin_round(&mut self, _r: u64, _stamp: u64, _mail: &mut [u64]) {}
+    /// Round `r` begins (0 = the init phase); `mail` is its has-mail
+    /// bitset, to which the hook may add nodes.
+    fn begin_round(&mut self, _r: u64, _mail: &mut [u64]) {}
 
     /// Carries the round-`r` sends of `from`, listed in `sent` in send
-    /// order and already charged to the ledger, to their receivers: marks
-    /// `next_mail` with `stamp` for each receiver that gets its message,
+    /// order and already charged to the ledger, to their receivers: sets
+    /// the `next_mail` bit of each receiver that gets its message,
     /// empties the slot of each one that does not, and clears `sent`.
-    #[allow(clippy::too_many_arguments)]
     fn carry<M>(
         &mut self,
         g: &Graph,
@@ -277,7 +299,6 @@ pub(crate) trait Transport {
         sent: &mut Vec<usize>,
         slots: &mut [Slot<M>],
         next_mail: &mut [u64],
-        stamp: u64,
     );
 }
 
@@ -295,10 +316,9 @@ impl Transport for Reliable {
         sent: &mut Vec<usize>,
         _slots: &mut [Slot<M>],
         next_mail: &mut [u64],
-        stamp: u64,
     ) {
         for &e in sent.iter() {
-            next_mail[g.edge_head(e).index()] = stamp;
+            set_mail(next_mail, g.edge_head(e));
         }
         sent.clear();
     }
@@ -438,21 +458,18 @@ impl<P: Protocol> RunCx<'_, P> {
 trait Fork<P: Protocol> {
     const FORKS: bool;
 
-    /// Steps round `r` of `alive_list` over the shards, then marks the
-    /// receivers of its sends in `bufs.next_mail`. Returns whether any
-    /// message was sent and how many distinct receivers were marked.
-    /// Called only when `FORKS`.
-    #[allow(clippy::too_many_arguments)]
+    /// Steps round `r` over the shards, sets the receivers of its sends
+    /// in `bufs.next_mail` and zeroes `bufs.cur_mail`. Returns whether
+    /// any message was sent. Called only when `FORKS`.
     fn round(
         &self,
         _cx: &RunCx<'_, P>,
         _r: u64,
         _stamp: u64,
-        _alive_list: &[NodeId],
         _bufs: &mut Buffers<P::Msg>,
         _states: &mut [Option<P::State>],
         _ledger: &mut RoundLedger,
-    ) -> Result<(bool, usize), EngineError> {
+    ) -> Result<bool, EngineError> {
         unreachable!("a lane that never forks stepped a forked round")
     }
 }
@@ -465,12 +482,12 @@ impl<P: Protocol> Fork<P> for Inline {
     const FORKS: bool = false;
 }
 
-/// One shard of a forked round: its alive nodes, and its slices of the
-/// back buffer and the states.
+/// One shard of a forked round: its node range `node_base..node_end`,
+/// and its slices of the back buffer and the states.
 struct Shard<'a, M, S> {
     node_base: usize,
+    node_end: usize,
     slot_base: usize,
-    nodes: &'a [NodeId],
     slots: &'a mut [Slot<M>],
     states: &'a mut [Option<S>],
     scratch: &'a mut Scratch<M>,
@@ -489,11 +506,10 @@ where
         cx: &RunCx<'_, P>,
         r: u64,
         stamp: u64,
-        alive_list: &[NodeId],
         bufs: &mut Buffers<P::Msg>,
         states: &mut [Option<P::State>],
         ledger: &mut RoundLedger,
-    ) -> Result<(bool, usize), EngineError> {
+    ) -> Result<bool, EngineError> {
         #[cfg(test)]
         tests::FORKED_ROUNDS.with(|c| c.set(c.get() + 1));
         let Buffers {
@@ -504,7 +520,7 @@ where
             scratch,
         } = bufs;
         scratch.resize_with(self.shards(), Scratch::new);
-        let (mut slots, mut states, mut nodes) = (&mut next[..], states, alive_list);
+        let (mut slots, mut states) = (&mut next[..], states);
         let mut shards = Vec::with_capacity(self.shards());
         for (s, scratch) in scratch.iter_mut().enumerate() {
             let [node_base, node_end] = [self.node_bounds[s], self.node_bounds[s + 1]];
@@ -514,13 +530,10 @@ where
             let (shard_states, rest) =
                 std::mem::take(&mut states).split_at_mut(node_end - node_base);
             states = rest;
-            let (shard_nodes, rest) =
-                nodes.split_at(nodes.partition_point(|v| v.index() < node_end));
-            nodes = rest;
             shards.push(Shard {
                 node_base,
+                node_end,
                 slot_base,
-                nodes: shard_nodes,
                 slots: shard_slots,
                 states: shard_states,
                 scratch,
@@ -528,43 +541,56 @@ where
         }
 
         let (front, mail) = (&cur[..], &cur_mail[..]);
-        let n = cur_mail.len();
+        // A shard steps its nodes with mail in index order, and collects
+        // their receivers in a bitset of its own. Its first and last words
+        // may hold nodes of the neighbouring shards: they are masked to
+        // its range.
         let step = |sh: Shard<'_, P::Msg, P::State>| {
             let mut ledger = RoundLedger::new();
-            let scratch = sh.scratch;
+            let Shard {
+                node_base: lo,
+                node_end: hi,
+                slot_base,
+                slots,
+                states,
+                scratch,
+            } = sh;
             scratch.sent.clear();
-            scratch.receivers.clear();
-            scratch.mail.resize(n, 0);
-            let stepped = sh
-                .nodes
-                .iter()
-                .filter(|v| mail[v.index()] == stamp)
-                .try_for_each(|&v| {
-                    let state = &mut sh.states[v.index() - sh.node_base];
-                    cx.step(
-                        v,
+            scratch.mail.clear();
+            scratch.mail.resize(mail.len(), 0);
+            let mut stepped = Ok(());
+            let words = mail[lo / 64..hi.div_ceil(64)].iter().copied();
+            'shard: for (w, mut word) in (lo / 64..).zip(words) {
+                if w == lo / 64 {
+                    word &= u64::MAX << (lo % 64);
+                }
+                if w == hi / 64 {
+                    word &= (1 << (hi % 64)) - 1;
+                }
+                while word != 0 {
+                    let v = w * 64 + word.trailing_zeros() as usize;
+                    word &= word - 1;
+                    stepped = cx.step(
+                        NodeId::new(v),
                         r,
                         stamp,
                         front,
-                        state,
+                        &mut states[v - lo],
                         scratch,
-                        sh.slot_base,
-                        sh.slots,
+                        slot_base,
+                        slots,
                         false,
                         &mut ledger,
-                    )?;
-                    // Deduplicated here, the receivers cost the join one
-                    // mark each per shard rather than one per message.
-                    for e in scratch.sent.drain(..) {
-                        let to = cx.g.edge_head(e);
-                        let seen = &mut scratch.mail[to.index()];
-                        if *seen != stamp + 1 {
-                            *seen = stamp + 1;
-                            scratch.receivers.push(to);
-                        }
+                    );
+                    if stepped.is_err() {
+                        break 'shard;
                     }
-                    Ok::<_, EngineError>(())
-                });
+                    for &e in &scratch.sent {
+                        set_mail(&mut scratch.mail, cx.g.edge_head(e));
+                    }
+                    scratch.sent.clear();
+                }
+            }
             (ledger, stepped)
         };
         let outcomes: Vec<std::thread::Result<_>> = std::thread::scope(|scope| {
@@ -578,30 +604,20 @@ where
 
         // Fold in shard order, as the inline lane would have met them:
         // the lowest shard's error or panic wins.
-        let (mut any, mut receivers) = (false, 0);
-        for (outcome, scratch) in outcomes.into_iter().zip(scratch.iter_mut()) {
+        let mut any = 0;
+        for (outcome, scratch) in outcomes.into_iter().zip(scratch.iter()) {
             let (shard_ledger, stepped) =
                 outcome.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
             stepped?;
             ledger.merge_traffic(&shard_ledger);
-            any |= !scratch.receivers.is_empty();
-            receivers += mark(next_mail, stamp + 1, scratch.receivers.drain(..));
+            for (word, &shard_word) in next_mail.iter_mut().zip(&scratch.mail) {
+                *word |= shard_word;
+                any |= shard_word;
+            }
         }
-        Ok((any, receivers))
+        cur_mail.fill(0);
+        Ok(any != 0)
     }
-}
-
-/// A forking lane's reliable carry, which also counts what its work
-/// estimate needs: marks `mail` with `stamp` at every receiver and
-/// returns how many were not marked before.
-fn mark(mail: &mut [u64], stamp: u64, receivers: impl Iterator<Item = NodeId>) -> usize {
-    let mut new = 0;
-    for to in receivers {
-        let seen = &mut mail[to.index()];
-        new += usize::from(*seen != stamp);
-        *seen = stamp;
-    }
-    new
 }
 
 /// Fetches (or lazily creates) the arena of type `T` in a session's
@@ -1056,8 +1072,8 @@ impl Engine {
 }
 
 impl<P: Protocol> RunCx<'_, P> {
-    /// The sequential core: runs the nodes of `alive_list` (ascending)
-    /// to quiescence through a caller-provided arena (fresh for one-shot
+    /// The sequential core: runs the nodes of `alive_list` to
+    /// quiescence through a caller-provided arena (fresh for one-shot
     /// runs, reused by [`EngineSession`]), hands every inline step's
     /// sends to `transport`, and lets `fork` step the heavy rounds.
     fn run<T, F>(
@@ -1073,11 +1089,10 @@ impl<P: Protocol> RunCx<'_, P> {
         F: Fork<P>,
     {
         let g = self.g;
-        // A forking lane's work estimate: the nodes a round steps (the
-        // previous round's distinct receivers; the init round steps them
-        // all) times `⌈2m/n⌉`. When not even every node stepping reaches
-        // the threshold, no round can fork, and the run goes inline
-        // without counting receivers.
+        // A forking lane's work estimate: the nodes a round steps (its
+        // has-mail popcount) times `⌈2m/n⌉`. When not even every node
+        // stepping reaches the threshold, no round can fork, and the run
+        // goes inline without counting.
         let per_node = if F::FORKS {
             g.directed_edges().div_ceil(g.n().max(1))
         } else {
@@ -1099,10 +1114,12 @@ impl<P: Protocol> RunCx<'_, P> {
         };
         let bufs = &mut arena.bufs;
         bufs.scratch[0].sent.clear();
-        let mut steppers = alive_list.len();
-        // Round 0 steps every alive node, as if each had mail.
+        // A run that erred or panicked may have left bits in either
+        // bitset. Round 0 steps every alive node, as if each had mail.
+        bufs.cur_mail.fill(0);
+        bufs.next_mail.fill(0);
         for &v in alive_list {
-            bufs.cur_mail[v.index()] = base;
+            set_mail(&mut bufs.cur_mail, v);
         }
 
         let mut r = 0u64;
@@ -1110,49 +1127,44 @@ impl<P: Protocol> RunCx<'_, P> {
             // Round 0 runs `init`; round `r` delivers the messages sent
             // in round `r - 1` and steps their receivers.
             let stamp = base + r;
-            transport.begin_round(r, stamp, &mut bufs.cur_mail);
-            let any_pending;
-            if F::FORKS && steppers.saturating_mul(per_node) >= fork_work() {
-                (any_pending, steppers) =
-                    fork.round(self, r, stamp, alive_list, bufs, &mut states, &mut ledger)?;
-            } else {
-                let Buffers {
-                    cur,
-                    next,
-                    cur_mail,
-                    next_mail,
-                    scratch,
-                } = &mut *bufs;
-                let (scratch, mail, states) = (&mut scratch[0], &cur_mail[..], &mut states[..]);
-                let mut any = false;
-                steppers = 0;
-                for &v in alive_list {
-                    if mail[v.index()] != stamp {
-                        continue;
-                    }
-                    let state = &mut states[v.index()];
-                    self.step(
-                        v,
-                        r,
-                        stamp,
+            transport.begin_round(r, &mut bufs.cur_mail);
+            let any_pending =
+                if F::FORKS && count_mail(&bufs.cur_mail).saturating_mul(per_node) >= fork_work() {
+                    fork.round(self, r, stamp, bufs, &mut states, &mut ledger)?
+                } else {
+                    let Buffers {
                         cur,
-                        state,
-                        scratch,
-                        0,
                         next,
-                        T::VISITS_IDLE,
-                        &mut ledger,
-                    )?;
-                    any |= !scratch.sent.is_empty();
-                    if F::FORKS {
-                        let receivers = scratch.sent.drain(..).map(|e| g.edge_head(e));
-                        steppers += mark(next_mail, stamp + 1, receivers);
-                    } else {
-                        transport.carry(g, v, r, &mut scratch.sent, next, next_mail, stamp + 1);
+                        cur_mail,
+                        next_mail,
+                        scratch,
+                    } = &mut *bufs;
+                    let scratch = &mut scratch[0];
+                    let mut any = false;
+                    // Drain the bitset word by word, lowest node first.
+                    for (w, word) in cur_mail.iter_mut().enumerate() {
+                        let mut word = std::mem::take(word);
+                        while word != 0 {
+                            let v = NodeId::new(w * 64 + word.trailing_zeros() as usize);
+                            word &= word - 1;
+                            self.step(
+                                v,
+                                r,
+                                stamp,
+                                cur,
+                                &mut states[v.index()],
+                                scratch,
+                                0,
+                                next,
+                                T::VISITS_IDLE,
+                                &mut ledger,
+                            )?;
+                            any |= !scratch.sent.is_empty();
+                            transport.carry(g, v, r, &mut scratch.sent, next, next_mail);
+                        }
                     }
-                }
-                any_pending = any;
-            }
+                    any
+                };
             if !any_pending {
                 break;
             }
@@ -1179,7 +1191,8 @@ impl<P: Protocol> RunCx<'_, P> {
 /// graph** (lazily, one arena set per message type) and reuses them —
 /// together with the graph's cached reverse-edge table — across
 /// arbitrarily many protocol runs. A session run therefore costs
-/// `O(traffic + n)` instead of the one-shot `O(traffic + m)`, which is
+/// `O(traffic + n)` (plus `n/64` words a round to drain the has-mail
+/// bitset) instead of the one-shot `O(traffic + m)`, which is
 /// the difference between 4 ms and microseconds for sparse-traffic
 /// protocols on dense graphs (see `BENCH_engine.json`).
 ///
@@ -1728,8 +1741,9 @@ mod tests {
     #[test]
     fn session_survives_a_caught_protocol_panic() {
         // A protocol that panics mid-run, caught by the caller: the
-        // session must stay usable and exact afterwards, since the stamp
-        // epoch advances on unwind (EpochGuard). Same message type as the
+        // session must stay usable and exact afterwards, since the slot
+        // epoch advances on unwind (EpochGuard) and the next run zeroes
+        // the has-mail bitsets. Same message type as the
         // follow-up flood, so the very arena the panic tore through is
         // the one reused. Forked, the panic at node 0 is the caller's
         // own and the one at node 15 a helper's, resumed on the caller.
@@ -1812,6 +1826,141 @@ mod tests {
                     assert_eq!(out.ledger, seq.ledger);
                 }
             }
+        }
+    }
+
+    /// A BFS flood from every 17th node in which each reached rogue of
+    /// the `(rogue, stray)` pairs also sends to its stray: a
+    /// non-neighbour, a dead node, or a neighbour its broadcast already
+    /// used, so every reached rogue errs.
+    struct RogueFlood(Vec<(usize, usize)>);
+    impl Protocol for RogueFlood {
+        type State = Option<u32>;
+        type Msg = u32;
+        fn init(&self, v: NodeId, out: &mut Outbox<'_, u32>) -> Option<u32> {
+            v.index().is_multiple_of(17).then(|| {
+                out.broadcast(1);
+                0
+            })
+        }
+        fn step(
+            &self,
+            v: NodeId,
+            st: &mut Option<u32>,
+            inbox: &[(NodeId, u32)],
+            out: &mut Outbox<'_, u32>,
+        ) {
+            if st.is_some() {
+                return;
+            }
+            let d = inbox
+                .iter()
+                .map(|&(_, d)| d)
+                .min()
+                .expect("stepped with mail");
+            *st = Some(d);
+            out.broadcast(d + 1);
+            for &(_, stray) in self.0.iter().filter(|&&(rogue, _)| rogue == v.index()) {
+                out.send(NodeId::new(stray), d);
+            }
+        }
+        fn bits(&self, _: &u32) -> u32 {
+            8
+        }
+    }
+
+    /// What two runs are compared on: states, rounds and ledger, or the
+    /// error.
+    type Observed<S> = Result<(Vec<Option<S>>, u64, RoundLedger), EngineError>;
+
+    fn observe<S>(run: Result<RunOutcome<S>, EngineError>) -> Observed<S> {
+        run.map(|out| (out.states, out.rounds, out.ledger))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(40))]
+
+        /// On 1–300 nodes the has-mail bitset spans 1–5 words, and the
+        /// shard bounds of 2–7 threads fall inside them. With every round
+        /// forked, and with none, a threaded run — fresh, or on a session
+        /// whose earlier runs erred — equals the one-thread lane's states,
+        /// rounds, ledger and first error.
+        #[test]
+        fn forked_and_inline_rounds_drain_the_mail_bitset_alike(
+            n in 1usize..=300,
+            p in 0.0f64..0.06,
+            seed in 0u64..1_000_000,
+            keep in 0.5f64..=1.0,
+            rogues in proptest::collection::vec((0usize..300, 0usize..300), 0..3),
+            threads in 2usize..=7,
+        ) {
+            use rand::{Rng, SeedableRng};
+            let g = gen::gnp(n, p, seed);
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let alive = NodeSet::from_nodes(n, g.nodes().filter(|_| rng.gen_bool(keep)));
+            let view = g.view(&alive);
+            let rogue = RogueFlood(rogues);
+            let leader = crate::primitives::LeaderKernel::new(&view);
+            let one = Engine::new(CostModel::local());
+            let (rogue_one, leader_one) = (observe(one.run(&view, &rogue)), observe(one.run(&view, &leader)));
+            let engine = one.with_threads(threads);
+            let mut session = engine.session(&g);
+            for work in FORCED {
+                let ((fresh, sess, fresh_leader, sess_leader), _) = with_fork_work(work, || {
+                    (
+                        observe(engine.run(&view, &rogue)),
+                        observe(session.run(&view, &rogue)),
+                        observe(engine.run(&view, &leader)),
+                        observe(session.run(&view, &leader)),
+                    )
+                });
+                proptest::prop_assert_eq!(&fresh, &rogue_one, "rogue flood, threshold {}", work);
+                proptest::prop_assert_eq!(&sess, &rogue_one, "rogue flood session, threshold {}", work);
+                proptest::prop_assert_eq!(&fresh_leader, &leader_one, "leader, threshold {}", work);
+                proptest::prop_assert_eq!(&sess_leader, &leader_one, "leader session, threshold {}", work);
+            }
+        }
+    }
+
+    #[test]
+    fn a_run_that_errs_mid_round_leaves_no_mail_behind() {
+        // Every node broadcasts in `init`, and node 200 then also sends
+        // to node 0, no neighbour of it on grid-16x16: the run errs with
+        // the receivers of nodes 0..200 set in the next round's bitset
+        // (forked, the shards before node 200's too). A flood on the
+        // same session (same message type, so the same arena) must not
+        // step any of them.
+        struct Stray;
+        impl Protocol for Stray {
+            type State = ();
+            type Msg = u32;
+            fn init(&self, v: NodeId, out: &mut Outbox<'_, u32>) {
+                out.broadcast(1);
+                if v.index() == 200 {
+                    out.send(NodeId::new(0), 1);
+                }
+            }
+            fn step(&self, _: NodeId, _: &mut (), _: &[(NodeId, u32)], _: &mut Outbox<'_, u32>) {}
+            fn bits(&self, _: &u32) -> u32 {
+                8
+            }
+        }
+        let g = gen::grid(16, 16);
+        let flood = flood(&g, 255);
+        let fresh = Engine::new(CostModel::local())
+            .run(&g.full_view(), &flood)
+            .unwrap();
+        for (work, threads) in [(usize::MAX, 1), (usize::MAX, 3), (0, 3)] {
+            let engine = Engine::new(CostModel::local()).with_threads(threads);
+            let mut session = engine.session(&g);
+            let (err, _) = with_fork_work(work, || session.run(&g.full_view(), &Stray));
+            let (from, to) = (NodeId::new(200), NodeId::new(0));
+            assert_eq!(err.unwrap_err(), EngineError::NotANeighbor { from, to });
+            let (out, _) = with_fork_work(work, || session.run(&g.full_view(), &flood).unwrap());
+            let case = format!("{threads} threads, fork threshold {work}");
+            assert_eq!(out.rounds, fresh.rounds, "{case}");
+            assert_eq!(out.ledger, fresh.ledger, "{case}");
+            assert_eq!(out.states, fresh.states, "{case}");
         }
     }
 

@@ -155,8 +155,9 @@ where
 /// sequential Dijkstra by the test suite.
 ///
 /// The program holds the base [`Graph`] to look up the weight of the
-/// delivering edge; forwarding uses [`Outbox::broadcast`], so the kernel
-/// runs unchanged under any view.
+/// delivering edge, walking the receiver's CSR row alongside its
+/// sender-sorted inbox; forwarding uses [`Outbox::broadcast`], so the
+/// kernel runs unchanged under any view.
 pub struct SpBfsKernel<'g> {
     g: &'g Graph,
     is_source: Vec<bool>,
@@ -226,11 +227,16 @@ impl Protocol for SpBfsKernel<'_> {
     ) {
         let mut best = state.dist.unwrap_or(W_UNREACHED);
         let mut best_from = None;
+        // The inbox is sorted by sender, and so is the node's CSR row:
+        // one walk along the row finds the slot of every delivering edge,
+        // `O(deg)` per step.
+        let (row, first_slot) = (self.g.neighbors(node), self.g.out_slot_range(node).start);
+        let mut rank = 0;
         for &(from, d_from) in inbox {
-            let w = self
-                .g
-                .edge_weight(node, from)
-                .expect("inbox sender is a neighbor");
+            while row[rank] != from {
+                rank += 1;
+            }
+            let w = self.g.weight(first_slot + rank);
             // Same saturation as the fast path: keep overflowing sums
             // finite instead of aliasing the unreached sentinel.
             let c = (d_from + w).min(f64::MAX);

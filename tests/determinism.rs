@@ -104,9 +104,10 @@ fn seeded_randomized_baselines_are_deterministic() {
     }
 }
 
-/// Asserts that the engine's parallel stepping lane reproduces the
-/// sequential lane bit for bit: states, round count, and ledger.
-fn assert_lanes_agree<A, P>(view: &A, protocol: &P, threads: usize, label: &str)
+/// Asserts that the engine's parallel stepping lane, at each thread
+/// count of `threads`, reproduces the sequential lane bit for bit:
+/// states, round count, and ledger.
+fn assert_lanes_agree<A, P>(view: &A, protocol: &P, threads: &[usize], label: &str)
 where
     A: Adjacency,
     P: sdnd::congest::Protocol + Sync,
@@ -117,42 +118,63 @@ where
     let seq = Engine::new(cost)
         .run(view, protocol)
         .expect("sequential lane runs");
-    let par = Engine::new(cost)
-        .with_threads(threads)
-        .run(view, protocol)
-        .expect("parallel lane runs");
-    assert_eq!(seq.rounds, par.rounds, "{label}: rounds");
-    assert_eq!(seq.ledger, par.ledger, "{label}: ledger");
-    assert_eq!(seq.states, par.states, "{label}: states");
+    for &t in threads {
+        let par = Engine::new(cost)
+            .with_threads(t)
+            .run(view, protocol)
+            .expect("parallel lane runs");
+        assert_eq!(seq.rounds, par.rounds, "{label} x{t}: rounds");
+        assert_eq!(seq.ledger, par.ledger, "{label} x{t}: ledger");
+        assert_eq!(seq.states, par.states, "{label} x{t}: states");
+    }
+}
+
+/// The engine's shipped fork threshold: a round forks when the nodes it
+/// steps times `⌈2m/n⌉` reach it.
+const FORK_WORK: usize = 32_768;
+
+/// A dense random subset view of `g` on which the threaded lanes fork:
+/// asserts that its init round, which steps every alive node, reaches
+/// [`FORK_WORK`].
+fn forking_subset(g: &Graph, keep: f64, seed: u64) -> NodeSet {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+    let alive = NodeSet::from_nodes(g.n(), g.nodes().filter(|_| rng.gen_bool(keep)));
+    let per_node = g.directed_edges().div_ceil(g.n());
+    assert!(
+        alive.len() * per_node >= FORK_WORK,
+        "{} alive x {per_node} stays below the fork threshold",
+        alive.len()
+    );
+    alive
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The tentpole determinism property: on random graphs, random
-    /// sources, and every lane width, sequential and parallel engine
-    /// executions produce bit-identical `RunOutcome`s.
+    /// The engine determinism property: on dense random graphs under
+    /// random subset views, where the threaded lanes fork their heavy
+    /// rounds, sequential and parallel engine executions produce
+    /// bit-identical `RunOutcome`s.
     #[test]
     fn engine_lanes_are_bit_identical(
-        n in 3usize..40,
-        raw_edges in prop::collection::vec((0usize..40, 0usize..40), 0..120),
-        src in 0usize..40,
+        n in 250usize..280,
+        p in 0.8f64..0.9,
+        seed in 0u64..1_000_000,
+        keep in 0.8f64..=1.0,
+        src in 0usize..280,
         threads in 2usize..9,
     ) {
-        let edges: Vec<(usize, usize)> = raw_edges
-            .into_iter()
-            .map(|(u, v)| (u % n, v % n))
-            .filter(|&(u, v)| u != v)
-            .collect();
-        let g = Graph::from_edges(n, edges).expect("valid edges");
-        let view = g.full_view();
-        let src = NodeId::new(src % n);
+        let g = gen::gnp_connected(n, p, seed);
+        let alive = forking_subset(&g, keep, seed);
+        let view = g.view(&alive);
+        let src = alive.iter().nth(src % alive.len()).expect("nonempty");
 
         let bfs = primitives::BfsKernel::new(&view, [src], u32::MAX);
-        assert_lanes_agree(&view, &bfs, threads, "bfs kernel");
+        assert_lanes_agree(&view, &bfs, &[threads], "bfs kernel");
 
         let leader = primitives::LeaderKernel::new(&view);
-        assert_lanes_agree(&view, &leader, threads, "leader kernel");
+        assert_lanes_agree(&view, &leader, &[threads], "leader kernel");
     }
 }
 
@@ -235,24 +257,24 @@ proptest! {
 #[test]
 fn engine_lanes_agree_across_seeds_and_views() {
     // The fixed-seed counterpart of the property above: three seeded
-    // random graphs, full and subset views, several lane widths.
+    // dense random graphs whose threaded runs fork, full and subset
+    // views, several lane widths.
     for seed in [1u64, 7, 1234] {
-        let g = gen::gnp_connected(48, 0.1, seed);
-        let alive = NodeSet::from_nodes(48, (0..48).filter(|i| i % 7 != 3).map(NodeId::new));
-        for threads in [2usize, 3, 16] {
-            let view = g.full_view();
-            let bfs = primitives::BfsKernel::new(&view, [NodeId::new(0)], u32::MAX);
-            assert_lanes_agree(&view, &bfs, threads, "full view bfs");
-            let leader = primitives::LeaderKernel::new(&view);
-            assert_lanes_agree(&view, &leader, threads, "full view leader");
+        let g = gen::gnp_connected(260, 0.8, seed);
+        let alive = forking_subset(&g, 0.85, seed);
+        let threads = [2usize, 3, 16];
+        let view = g.full_view();
+        let bfs = primitives::BfsKernel::new(&view, [NodeId::new(0)], u32::MAX);
+        assert_lanes_agree(&view, &bfs, &threads, "full view bfs");
+        let leader = primitives::LeaderKernel::new(&view);
+        assert_lanes_agree(&view, &leader, &threads, "full view leader");
 
-            let sub = g.view(&alive);
-            let src = alive.iter().next().expect("nonempty");
-            let bfs = primitives::BfsKernel::new(&sub, [src], u32::MAX);
-            assert_lanes_agree(&sub, &bfs, threads, "subset view bfs");
-            let leader = primitives::LeaderKernel::new(&sub);
-            assert_lanes_agree(&sub, &leader, threads, "subset view leader");
-        }
+        let sub = g.view(&alive);
+        let src = alive.iter().next().expect("nonempty");
+        let bfs = primitives::BfsKernel::new(&sub, [src], u32::MAX);
+        assert_lanes_agree(&sub, &bfs, &threads, "subset view bfs");
+        let leader = primitives::LeaderKernel::new(&sub);
+        assert_lanes_agree(&sub, &leader, &threads, "subset view leader");
     }
 }
 
@@ -264,8 +286,7 @@ fn dense_runs_that_fork_some_rounds_match_the_sequential_lane() {
     // but runs round 1 (the source's neighbors only) inline; the clique
     // forks every round. On two 150-cliques joined by one edge, a
     // two-thread fork puts one clique in each shard, so each shard's
-    // receivers are its own. The property suites above stay below the
-    // threshold.
+    // receivers are its own.
     let clique =
         |base: usize| (0..150).flat_map(move |u| (u + 1..150).map(move |v| (base + u, base + v)));
     let two_cliques = clique(0).chain(clique(150)).chain([(149, 150)]);
@@ -280,13 +301,10 @@ fn dense_runs_that_fork_some_rounds_match_the_sequential_lane() {
     ];
     for (name, g) in &graphs {
         let view = g.full_view();
-        for threads in 2..=4 {
-            let bfs = primitives::BfsKernel::new(&view, [NodeId::new(0)], u32::MAX);
-            let leader = primitives::LeaderKernel::new(&view);
-            let label = format!("{name} x{threads}");
-            assert_lanes_agree(&view, &bfs, threads, &format!("{label} bfs"));
-            assert_lanes_agree(&view, &leader, threads, &format!("{label} leader"));
-        }
+        let bfs = primitives::BfsKernel::new(&view, [NodeId::new(0)], u32::MAX);
+        let leader = primitives::LeaderKernel::new(&view);
+        assert_lanes_agree(&view, &bfs, &[2, 3, 4], &format!("{name} bfs"));
+        assert_lanes_agree(&view, &leader, &[2, 3, 4], &format!("{name} leader"));
     }
 
     // One three-thread session interleaving message types and views.
@@ -299,10 +317,10 @@ fn dense_runs_that_fork_some_rounds_match_the_sequential_lane() {
         let bfs = primitives::BfsKernel::new(&full, [src], u32::MAX);
         assert_session_matches_fresh(&mut session, &full, &bfs, "session bfs");
         let leader = primitives::LeaderKernel::new(&sub);
-        assert_lanes_agree(&sub, &leader, 3, "subset leader");
+        assert_lanes_agree(&sub, &leader, &[3], "subset leader");
         assert_session_matches_fresh(&mut session, &sub, &leader, "session subset leader");
         let bfs = primitives::BfsKernel::new(&sub, [src], u32::MAX);
-        assert_lanes_agree(&sub, &bfs, 3, "subset bfs");
+        assert_lanes_agree(&sub, &bfs, &[3], "subset bfs");
         assert_session_matches_fresh(&mut session, &sub, &bfs, "session subset bfs");
     }
 }
